@@ -27,8 +27,9 @@
 //! * `DVE_MILLION_RSS_CEILING_MB` — memory ceiling, default 1024;
 //! * `DVE_MILLION_BUDGET_S` — wall-clock budget, default 900;
 //! * `DVE_MILLION_SHARDS` — when > 1, replays the same warm-up +
-//!   steady trace through a [`ShardedServeEngine`] of that width
-//!   (concurrent disjoint-shard flushes on a persistent worker team),
+//!   steady trace through a [`ServeEngine`] booted with that many
+//!   [`ServeConfig::shards`] (concurrent disjoint-shard flushes on a
+//!   persistent worker team),
 //!   asserts its decisions bit-identical to the single-core engine,
 //!   and — at >= 4 workers — gates the sharded steady p99 **below**
 //!   the committed width-1 `steady_p99_ns` in `BENCH_million.json`
@@ -47,7 +48,7 @@ use dve_assign::{
 use dve_sim::experiments::scaling::MILLION_TIER;
 use dve_sim::{
     peak_rss_bytes, run_mobility_stream_with, DelayMode, QualityEstimator, ServeConfig,
-    ServeEngine, ServeSink, ShardedServeEngine, SimSetup, StreamEvent,
+    ServeEngine, SimSetup, StreamEvent,
 };
 use dve_topology::{hierarchical, HierarchicalConfig, OnDemandDelays};
 use dve_world::{ErrorModel, InterArrival, MobilityModel, ScenarioConfig, World, WorldDelays};
@@ -84,14 +85,14 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Streams the seeded serve trace through a sink: [`WARMUP_EVENTS`]
+/// Streams the seeded serve trace through an engine: [`WARMUP_EVENTS`]
 /// joins inside the warm-up window, then [`STEADY_EVENTS`] mixed
 /// join/leave/move events and one final flush. The event stream is
 /// derived from its own `StdRng::seed_from_u64(44)`, so every engine
 /// fed by this function sees the identical trace — which is what lets
 /// the sharded phase assert bit-identity against the single-core run.
 /// Returns `(warmup_ms, steady_ms)`.
-fn serve_trace<E: ServeSink>(engine: &mut E, nodes: usize, zones: usize) -> (f64, f64) {
+fn serve_trace(engine: &mut ServeEngine, nodes: usize, zones: usize) -> (f64, f64) {
     let mut event_rng = StdRng::seed_from_u64(44);
 
     let t = Instant::now();
@@ -294,8 +295,8 @@ fn main() {
 
     // --- Sharded steady serve: the concurrent-flush path at width. ---
     // Opt-in (DVE_MILLION_SHARDS > 1): the identical warm-up + steady
-    // trace replayed through a ShardedServeEngine whose flushes propose
-    // on the persistent worker team and commit serially. Decisions must
+    // trace replayed through a multi-shard engine whose flushes propose
+    // on its persistent worker team and commit serially. Decisions must
     // be bit-identical to the single-core engine above; at >= 4 workers
     // the steady p99 must beat the committed width-1 record. Read the
     // committed bound *before* the record below overwrites the file.
@@ -317,7 +318,7 @@ fn main() {
             DelayLayout::SharedByNode,
             &mut inst_rng,
         );
-        let mut sharded = ShardedServeEngine::new(
+        let mut sharded = ServeEngine::new(
             inst2,
             &world,
             delays.clone(),
@@ -326,24 +327,24 @@ fn main() {
             ServeConfig {
                 max_batch: 64,
                 max_staleness: 4,
+                shards,
                 ..Default::default()
             },
             StdRng::seed_from_u64(43),
-            shards,
         )
         .expect("tier solves");
         let (_, s_steady_ms) = serve_trace(&mut sharded, nodes, zones);
         assert_eq!(
-            sharded.engine().targets(),
+            sharded.targets(),
             engine.targets(),
             "sharded steady serve diverged from the single-core target decisions"
         );
         assert_eq!(
-            sharded.engine().contacts(),
+            sharded.contacts(),
             engine.contacts(),
             "sharded steady serve diverged from the single-core contact decisions"
         );
-        let sstats = sharded.engine().stats();
+        let sstats = sharded.stats();
         assert_eq!(sstats.latency.count(), STEADY_EVENTS as u64);
         let p99 = sstats.latency.quantile_upper_ns(0.99);
         println!(

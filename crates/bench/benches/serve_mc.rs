@@ -2,8 +2,8 @@
 //!
 //! Claim checked in release mode **on a multi-core runner** (the run
 //! degrades to a report-only SKIP below four workers, so single-core
-//! boxes and tier-1 CI stay green): a [`ShardedServeEngine`] on its
-//! persistent worker team serves churn at the production
+//! boxes and tier-1 CI stay green): a [`ServeEngine`] booted with
+//! [`ServeConfig::shards`] workers serves churn at the production
 //! [`LARGE_TIER`] (`100s-1000z-50000c`) at least **3×** the
 //! single-shard event throughput — the concurrent flush parallelises
 //! the whole propose span (zone re-ordering, repair prefixes, contact
@@ -35,8 +35,8 @@
 use dve_assign::StuckPolicy;
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{
-    build_replication, LatencyHistogram, ServeConfig, ServeSink, ShardedServeEngine, SimSetup,
-    StreamEvent, TopologySpec,
+    build_replication, LatencyHistogram, ServeConfig, ServeEngine, SimSetup, StreamEvent,
+    TopologySpec,
 };
 use dve_topology::HierarchicalConfig;
 use dve_world::{ErrorModel, ScenarioConfig};
@@ -71,9 +71,9 @@ const GATE_SPEEDUP: f64 = 3.0;
 /// count): the shape `bench_diff` gates point by point.
 const CURVE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
-fn boot(setup: &SimSetup, shards: usize) -> ShardedServeEngine {
+fn boot(setup: &SimSetup, shards: usize) -> ServeEngine {
     let rep = build_replication(setup, 0);
-    ShardedServeEngine::new(
+    ServeEngine::new(
         rep.instance,
         &rep.world,
         rep.delays,
@@ -81,17 +81,17 @@ fn boot(setup: &SimSetup, shards: usize) -> ShardedServeEngine {
         StuckPolicy::BestEffort,
         ServeConfig {
             max_batch: BATCH,
+            shards,
             ..ServeConfig::default()
         },
         StdRng::seed_from_u64(0x5eac),
-        shards,
     )
     .expect("the large tier solves")
 }
 
 /// The deterministic move trace: client `i`'s avatar hops to a zone
 /// derived from its id and the round, spread across the full zone space.
-fn drive(engine: &mut ShardedServeEngine, clients: usize, zones: usize, round: usize) {
+fn drive(engine: &mut ServeEngine, clients: usize, zones: usize, round: usize) {
     for i in 0..EVENTS {
         let id = (i % clients) as u64;
         let zone = (i * 31 + round * 7 + i / clients) % zones;
@@ -103,7 +103,7 @@ fn drive(engine: &mut ShardedServeEngine, clients: usize, zones: usize, round: u
 }
 
 /// Minimum wall-clock over [`RUNS`] trace replays, ms.
-fn min_serve_ms(engine: &mut ShardedServeEngine, clients: usize, zones: usize) -> f64 {
+fn min_serve_ms(engine: &mut ServeEngine, clients: usize, zones: usize) -> f64 {
     (0..RUNS)
         .map(|round| {
             let t = Instant::now();
@@ -132,27 +132,26 @@ fn main() {
     drive(&mut serial, clients, zones, 0);
     drive(&mut wide, clients, zones, 0);
     assert_eq!(
-        serial.engine().targets(),
-        wide.engine().targets(),
+        serial.targets(),
+        wide.targets(),
         "sharded serving diverged from the single-shard target decisions"
     );
     assert_eq!(
-        serial.engine().contacts(),
-        wide.engine().contacts(),
+        serial.contacts(),
+        wide.contacts(),
         "sharded serving diverged from the single-shard contact decisions"
     );
-    assert_eq!(serial.engine().stats().events, wide.engine().stats().events);
+    assert_eq!(serial.stats().events, wide.stats().events);
+    assert_eq!(serial.stats().zones_migrated, wide.stats().zones_migrated);
     assert_eq!(
-        serial.engine().stats().zones_migrated,
-        wide.engine().stats().zones_migrated
-    );
-    assert_eq!(
-        serial.engine().stats().full_repairs,
-        wide.engine().stats().full_repairs,
+        serial.stats().full_repairs,
+        wide.stats().full_repairs,
         "sharding must not change when the engine falls back to a full repair"
     );
-    let routed: u64 = wide.shard_stats().iter().map(|b| b.events).sum();
-    assert_eq!(routed, wide.engine().stats().events);
+    if threads > 1 {
+        let routed: u64 = wide.stats().shards.iter().map(|b| b.events).sum();
+        assert_eq!(routed, wide.stats().events);
+    }
 
     let serial_ms = min_serve_ms(&mut serial, clients, zones);
     let wide_ms = min_serve_ms(&mut wide, clients, zones);
@@ -167,13 +166,16 @@ fn main() {
 
     // Shard-health telemetry from the headline engine: the on-worker
     // propose span per concurrent flush, and how evenly the z % S zone
-    // routing spread the event stream (empty flush book at width 1 —
-    // the knee keeps single-worker flushes on the serial path).
+    // routing spread the event stream. A one-shard engine keeps no
+    // shard books: every flush is serial and all events are its own.
+    let books = &wide.stats().shards;
     let mut flush = LatencyHistogram::new();
-    for book in wide.shard_stats() {
-        flush.merge(&book.flush);
+    for book in books {
+        flush.merge(&book.propose);
     }
-    let (ev_max, ev_min) = wide.event_imbalance();
+    let events = wide.stats().events;
+    let ev_max = books.iter().map(|b| b.events).max().unwrap_or(events);
+    let ev_min = books.iter().map(|b| b.events).min().unwrap_or(events);
     println!(
         "serve_mc/shards: {} concurrent-flush propose samples [{}], \
          event imbalance max {ev_max} / min {ev_min} per shard",

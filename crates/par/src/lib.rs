@@ -14,18 +14,16 @@
 //!   merged in worker-index order (bit-identical at any width for exact
 //!   accumulations — the seam every sharded compute layer rides).
 //! * [`par_for_each_mut`] — in-place parallel mutation of disjoint elements.
-//! * [`ThreadPool`] — a small persistent pool for `'static` jobs, used by
-//!   long-running sweeps that want to amortise thread spawning.
 //! * [`WorkerTeam`] — a persistent **thread-affine** team: job `i` of a
 //!   scatter always runs on worker `i`, results return in worker-index
-//!   order. This is the substrate of the zone-sharded serving engine.
+//!   order. This is the substrate of the zone-sharded serving flush.
 //!
 //! The free functions use dynamic work stealing via a shared atomic index
 //! (fine-grained enough for the heterogeneous run times of simulation
 //! replications) and `crossbeam::scope` so borrowed inputs need no `Arc`.
 //! Scoped spawns are per-call — fine for coarse batches, wrong for
-//! µs-scale micro-batches, which is what the persistent pool and team
-//! exist for. Every thread this crate ever creates is counted by
+//! µs-scale micro-batches, which is what the persistent team exists
+//! for. Every thread this crate ever creates is counted by
 //! [`threads_spawned`], so callers can assert their hot path spawns
 //! nothing.
 //!
@@ -50,10 +48,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pool;
 mod team;
 
-pub use pool::ThreadPool;
 pub use team::WorkerTeam;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -67,8 +63,7 @@ pub(crate) fn note_spawn() {
 }
 
 /// Total OS threads this crate has spawned since process start — scoped
-/// workers of the free functions, [`ThreadPool`] workers, and
-/// [`WorkerTeam`] workers alike.
+/// workers of the free functions and [`WorkerTeam`] workers alike.
 ///
 /// This is the observable behind the "no per-flush spawns" contract:
 /// tests snapshot it, drive a hot path, and assert the delta is zero.
@@ -81,6 +76,12 @@ pub fn threads_spawned() -> u64 {
 /// Returns the worker count used by the free parallel functions: the value
 /// of the `DVE_THREADS` environment variable if set and positive, otherwise
 /// [`std::thread::available_parallelism`], otherwise 1.
+///
+/// Not free: every call reads the environment and, without
+/// `DVE_THREADS`, asks the OS (`available_parallelism` reads cgroup and
+/// affinity state, about 16 µs on a 2-vCPU Linux VM). Coarse batches
+/// can afford that per call; a µs-scale hot path takes its width once,
+/// at construction, and passes it down explicitly.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("DVE_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -307,25 +308,6 @@ where
     .expect("dve-par scope panicked");
 }
 
-/// Runs the provided closures in parallel and returns both results
-/// (a two-way `join`, mirroring `rayon::join`).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    crossbeam::scope(|scope| {
-        note_spawn();
-        let hb = scope.spawn(|_| b());
-        let ra = a();
-        let rb = hb.join().expect("dve-par join arm panicked");
-        (ra, rb)
-    })
-    .expect("dve-par scope panicked")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,13 +433,6 @@ mod tests {
         let mut one = vec![5u8];
         par_for_each_mut(&mut one, |_, x| *x = 9);
         assert_eq!(one, vec![9]);
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = join(|| 21 * 2, || "ok".to_string());
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! A persistent, thread-affine worker team for sharded engines.
 //!
-//! The free functions in the crate root spin up scoped workers per call
-//! and [`crate::ThreadPool`] distributes jobs over one MPMC channel —
-//! any worker may take any job. Neither fits a *sharded* engine, where
-//! shard `i` must always run on worker `i` (thread-affine state, and a
-//! merge step that consumes results in worker-index order). `WorkerTeam`
-//! keeps one channel **per worker**: [`WorkerTeam::scatter`] sends job
-//! `i` to worker `i` and returns results in slot order, so a
-//! worker-index-order merge is just iterating the returned `Vec`.
+//! The free functions in the crate root spin up scoped workers per
+//! call, and any worker may take any item. Neither fits a *sharded*
+//! engine, where shard `i` must always run on worker `i` (thread-affine
+//! state, and a merge step that consumes results in worker-index
+//! order). `WorkerTeam` keeps one channel **per worker**:
+//! [`WorkerTeam::scatter`] sends job `i` to worker `i` and returns
+//! results in slot order, so a worker-index-order merge is just
+//! iterating the slots.
 //!
 //! Workers are spawned once in [`WorkerTeam::new`] and live until the
 //! team is dropped; a scatter never spawns. [`crate::threads_spawned`]
@@ -16,6 +16,7 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -26,12 +27,14 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// worker index (shard books, scratch buffers shipped through the job
 /// closures) is touched by exactly one thread per scatter, and the
 /// results come back in worker-index order — the serial-merge half of
-/// the propose-∥/commit-serial discipline falls out of the return value.
+/// the propose-∥/commit-serial discipline falls out of the slot order.
 ///
 /// ```
 /// let team = dve_par::WorkerTeam::new(3);
 /// let jobs: Vec<_> = (0..3).map(|i| move |w: usize| (i, w)).collect();
-/// let out = team.scatter(jobs);
+/// let mut slots = Vec::new();
+/// team.scatter(jobs, &mut slots);
+/// let out: Vec<_> = slots.into_iter().map(|s| s.unwrap().0).collect();
 /// assert_eq!(out, vec![(0, 0), (1, 1), (2, 2)]);
 /// ```
 pub struct WorkerTeam {
@@ -72,43 +75,26 @@ impl WorkerTeam {
         WorkerTeam { senders, workers }
     }
 
-    /// Creates a team with [`crate::default_threads`] workers.
-    pub fn with_default_threads() -> WorkerTeam {
-        WorkerTeam::new(crate::default_threads())
-    }
-
     /// Number of workers on the team.
     pub fn threads(&self) -> usize {
         self.workers.len()
     }
 
-    /// Runs `jobs[i]` on worker `i` (each receives its worker index) and
-    /// blocks until all complete, returning results in slot order.
+    /// Runs `jobs[i]` on worker `i` (each receives its worker index)
+    /// and blocks until all complete. `slots` is cleared and refilled
+    /// with one `Some((result, ns))` per job, in slot order, where `ns`
+    /// is the wall-clock the job spent on its worker (queue wait
+    /// excluded: the clock starts when the job actually runs). A caller
+    /// that keeps `slots` across scatters pays no per-scatter result
+    /// allocation once its capacity settles. The slots are filled on
+    /// the *calling* thread (the merge half of the discipline), never
+    /// by the workers.
     ///
     /// At most [`WorkerTeam::threads`] jobs per scatter — the mapping is
     /// the point, so excess jobs are a caller bug, not queued work.
     /// Panics if a worker dies mid-scatter (a panicking job kills its
     /// worker; the team is not repaired).
-    pub fn scatter<R, F>(&self, jobs: Vec<F>) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(usize) -> R + Send + 'static,
-    {
-        let mut slots: Vec<Option<R>> = Vec::new();
-        self.scatter_into(jobs, &mut slots);
-        slots
-            .into_iter()
-            .map(|s| s.expect("dve-par team lost a result slot"))
-            .collect()
-    }
-
-    /// [`WorkerTeam::scatter`] writing into caller-owned result slots:
-    /// `slots` is cleared and refilled with `Some(result)` per job, in
-    /// slot order, so a caller that keeps the `Vec` across scatters pays
-    /// no per-scatter result allocation once its capacity stabilises.
-    /// The slots are filled on the *calling* thread (the merge half of
-    /// the discipline), never by the workers.
-    pub fn scatter_into<R, F>(&self, jobs: Vec<F>, slots: &mut Vec<Option<R>>)
+    pub fn scatter<R, F>(&self, jobs: Vec<F>, slots: &mut Vec<Option<(R, u64)>>)
     where
         R: Send + 'static,
         F: FnOnce(usize) -> R + Send + 'static,
@@ -119,13 +105,15 @@ impl WorkerTeam {
             "scatter of {n} jobs onto {} workers",
             self.threads()
         );
-        let (done, results) = unbounded::<(usize, R)>();
+        let (done, results) = unbounded::<(usize, R, u64)>();
         for (i, job) in jobs.into_iter().enumerate() {
             let done = done.clone();
             self.senders[i]
                 .send(Box::new(move || {
+                    let t = Instant::now();
                     let r = job(i);
-                    let _ = done.send((i, r));
+                    let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+                    let _ = done.send((i, r, ns));
                 }))
                 .expect("dve-par team worker channel closed");
         }
@@ -133,55 +121,12 @@ impl WorkerTeam {
         slots.clear();
         slots.resize_with(n, || None);
         for _ in 0..n {
-            let (i, r) = results
+            let (i, r, ns) = results
                 .recv()
                 .expect("dve-par team worker died mid-scatter");
             debug_assert!(slots[i].is_none(), "slot {i} produced twice");
-            slots[i] = Some(r);
+            slots[i] = Some((r, ns));
         }
-    }
-
-    /// [`WorkerTeam::scatter`] with per-worker wall-clock accounting:
-    /// each result is paired with the nanoseconds its job spent on its
-    /// worker (queue wait excluded — the clock starts when the job
-    /// actually runs). This is the observability hook of the sharded
-    /// serving flush: shard `i`'s propose time lands in shard `i`'s
-    /// flush-duration histogram without a second timing pass.
-    pub fn scatter_timed<R, F>(&self, jobs: Vec<F>) -> Vec<(R, u64)>
-    where
-        R: Send + 'static,
-        F: FnOnce(usize) -> R + Send + 'static,
-    {
-        let mut slots: Vec<Option<(R, u64)>> = Vec::new();
-        self.scatter_timed_into(jobs, &mut slots);
-        slots
-            .into_iter()
-            .map(|s| s.expect("dve-par team lost a result slot"))
-            .collect()
-    }
-
-    /// [`WorkerTeam::scatter_timed`] writing into caller-owned result
-    /// slots (see [`WorkerTeam::scatter_into`]): the serving flush keeps
-    /// one slot `Vec` on its scratch pool so the timed scatter's result
-    /// collection is allocation-free at steady state.
-    pub fn scatter_timed_into<R, F>(&self, jobs: Vec<F>, slots: &mut Vec<Option<(R, u64)>>)
-    where
-        R: Send + 'static,
-        F: FnOnce(usize) -> R + Send + 'static,
-    {
-        self.scatter_into(
-            jobs.into_iter()
-                .map(|job| {
-                    move |w: usize| {
-                        let t = std::time::Instant::now();
-                        let r = job(w);
-                        let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        (r, ns)
-                    }
-                })
-                .collect(),
-            slots,
-        )
     }
 }
 
@@ -201,6 +146,20 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    /// One scatter's results in slot order, timings dropped.
+    fn results<R, F>(team: &WorkerTeam, jobs: Vec<F>) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(usize) -> R + Send + 'static,
+    {
+        let mut slots = Vec::new();
+        team.scatter(jobs, &mut slots);
+        slots
+            .into_iter()
+            .map(|s| s.expect("scatter filled every slot").0)
+            .collect()
+    }
+
     #[test]
     fn scatter_returns_results_in_slot_order() {
         let team = WorkerTeam::new(4);
@@ -214,7 +173,10 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(team.scatter(jobs), vec![(0, 0), (10, 1), (20, 2), (30, 3)]);
+        assert_eq!(
+            results(&team, jobs),
+            vec![(0, 0), (10, 1), (20, 2), (30, 3)]
+        );
     }
 
     #[test]
@@ -233,7 +195,7 @@ mod tests {
                         }
                     })
                     .collect();
-                team.scatter(jobs)
+                results(&team, jobs)
             })
             .collect();
         for round in &names[1..] {
@@ -247,16 +209,17 @@ mod tests {
     fn partial_scatter_uses_leading_workers() {
         let team = WorkerTeam::new(4);
         let jobs: Vec<_> = (0..2).map(|_| |w: usize| w).collect();
-        assert_eq!(team.scatter(jobs), vec![0, 1]);
+        assert_eq!(results(&team, jobs), vec![0, 1]);
     }
 
     #[test]
     fn scatter_spawns_no_threads() {
         let team = WorkerTeam::new(4);
         let before = crate::threads_spawned();
+        let mut slots = Vec::new();
         for _ in 0..100 {
             let jobs: Vec<_> = (0..4).map(|_| |w: usize| w).collect();
-            team.scatter(jobs);
+            team.scatter(jobs, &mut slots);
         }
         assert_eq!(crate::threads_spawned(), before);
     }
@@ -280,7 +243,7 @@ mod tests {
                     }
                 })
                 .collect();
-            team.scatter(jobs);
+            results(&team, jobs);
         }
         assert_eq!(hits.load(Ordering::Relaxed), 100);
     }
@@ -288,7 +251,7 @@ mod tests {
     #[test]
     fn empty_scatter_is_a_no_op() {
         let team = WorkerTeam::new(2);
-        let out: Vec<u32> = team.scatter(Vec::<fn(usize) -> u32>::new());
+        let out: Vec<u32> = results(&team, Vec::<fn(usize) -> u32>::new());
         assert!(out.is_empty());
     }
 
@@ -296,30 +259,32 @@ mod tests {
     fn scatter_into_reuses_caller_slots_and_matches_scatter() {
         let team = WorkerTeam::new(3);
         // Dirty, over-long recycled slots: must be cleared and refilled.
-        let mut slots: Vec<Option<usize>> = vec![Some(99); 7];
+        let mut slots: Vec<Option<(usize, u64)>> = vec![Some((99, 99)); 7];
         for round in 0..4 {
             let jobs: Vec<_> = (0..3).map(|i| move |_w: usize| round * 10 + i).collect();
             let expected = {
                 let jobs: Vec<_> = (0..3).map(|i| move |_w: usize| round * 10 + i).collect();
-                team.scatter(jobs)
+                results(&team, jobs)
             };
-            team.scatter_into(jobs, &mut slots);
+            team.scatter(jobs, &mut slots);
             assert_eq!(slots.len(), 3);
-            let got: Vec<usize> = slots.iter().map(|s| s.unwrap()).collect();
+            let got: Vec<usize> = slots.iter().map(|s| s.unwrap().0).collect();
             assert_eq!(got, expected);
         }
         // A shrinking scatter shrinks the slot list, not just overwrites.
         let jobs: Vec<_> = (0..1).map(|_| |w: usize| w).collect();
-        team.scatter_into(jobs, &mut slots);
-        assert_eq!(slots, vec![Some(0)]);
+        team.scatter(jobs, &mut slots);
+        assert_eq!(slots.len(), 1);
+        assert_eq!(slots[0].unwrap().0, 0);
     }
 
     #[test]
     fn timed_scatter_into_matches_timed_scatter() {
         let team = WorkerTeam::new(2);
+        // Empty, over-long recycled slots: truncated to the job count.
         let mut slots: Vec<Option<(u64, u64)>> = vec![None; 5];
         let jobs: Vec<_> = (0..2).map(|i| move |w: usize| (i + w) as u64).collect();
-        team.scatter_timed_into(jobs, &mut slots);
+        team.scatter(jobs, &mut slots);
         assert_eq!(slots.len(), 2);
         assert_eq!(slots[0].unwrap().0, 0);
         assert_eq!(slots[1].unwrap().0, 2);
@@ -336,7 +301,9 @@ mod tests {
                 }
             })
             .collect();
-        let out = team.scatter_timed(jobs);
+        let mut slots = Vec::new();
+        team.scatter(jobs, &mut slots);
+        let out: Vec<(usize, u64)> = slots.into_iter().map(Option::unwrap).collect();
         assert_eq!(
             out.iter().map(|&(r, _)| r).collect::<Vec<_>>(),
             vec![0, 101, 202]

@@ -21,12 +21,12 @@
 //! reaction a real ingest frontend would have.
 
 use crate::serve::{
-    QualityEstimator, ServeConfig, ServeEngine, ServeError, ServeSink, ServeStats, StreamEvent,
+    QualityEstimator, ServeConfig, ServeEngine, ServeError, ServeStats, StreamEvent,
 };
 use crate::setup::{build_replication, SimSetup};
 use crate::ClientId;
 use dve_assign::StuckPolicy;
-use dve_world::{apply_dynamics, DynamicsBatch, ErrorModel, FaultSchedule, World, WorldEvent};
+use dve_world::{apply_dynamics, DynamicsBatch, ErrorModel, FaultSchedule, WorldEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -82,8 +82,8 @@ pub struct RecoveryReport {
 /// Pushes one event, reacting to bounded-queue backpressure the way an
 /// ingest frontend would: flush, then retry once (a freshly drained
 /// buffer always has room for one event).
-fn push_with_backpressure<E: ServeSink>(
-    engine: &mut E,
+fn push_with_backpressure(
+    engine: &mut ServeEngine,
     event: StreamEvent,
 ) -> Result<Option<ClientId>, ServeError> {
     match engine.push(event) {
@@ -132,40 +132,10 @@ pub fn run_recovery_stream(
         config,
         engine_rng,
     )?;
-    let sample_seed = setup.base_seed.wrapping_add(index as u64) ^ 0xfa11;
-    drive_recovery(
-        &mut engine,
-        rep.world,
-        rep.rng,
-        rep.topology.node_count(),
-        sample_seed,
-        batch,
-        schedule,
-        quality,
-        recover_factor,
-    )
-}
-
-/// The replay loop of [`run_recovery_stream`], generic over the
-/// [`ServeSink`] so the zone-sharded wrapper replays the same
-/// churn+fault trace through the same loop
-/// ([`run_recovery_stream_sharded`](crate::run_recovery_stream_sharded)
-/// — and the width-invariance property test compares the two reports).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_recovery<E: ServeSink>(
-    engine: &mut E,
-    world: World,
-    rng: StdRng,
-    node_count: usize,
-    sample_seed: u64,
-    batch: &DynamicsBatch,
-    schedule: &FaultSchedule,
-    quality: QualityEstimator,
-    recover_factor: f64,
-) -> Result<RecoveryReport, ServeError> {
-    let mut world = world;
-    let mut rng = rng;
-    let mut sample_rng = StdRng::seed_from_u64(sample_seed);
+    let node_count = rep.topology.node_count();
+    let mut world = rep.world;
+    let mut rng = rep.rng;
+    let mut sample_rng = StdRng::seed_from_u64(setup.base_seed.wrapping_add(index as u64) ^ 0xfa11);
     // Trace-world client → engine id; None marks a client shed at
     // admission (it exists in the trace world but never joined).
     let mut ids: Vec<Option<ClientId>> = (0..world.clients.len())
@@ -190,7 +160,7 @@ pub(crate) fn drive_recovery<E: ServeSink>(
                 WorldEvent::ServerDown { server } => {
                     if !failure_seen {
                         failure_seen = true;
-                        events_at_failure = engine.engine().stats().events;
+                        events_at_failure = engine.stats().events;
                         // Baseline: the last quiet-boundary quality, or
                         // the boot state when the schedule fails at 0.
                         pre_pqos =
@@ -198,9 +168,9 @@ pub(crate) fn drive_recovery<E: ServeSink>(
                                 .last()
                                 .map(|r| r.pqos)
                                 .unwrap_or_else(|| match quality {
-                                    QualityEstimator::Exact => engine.engine().metrics().pqos,
+                                    QualityEstimator::Exact => engine.metrics().pqos,
                                     QualityEstimator::Sampled { sample } => {
-                                        engine.engine().pqos_sampled(sample, &mut sample_rng)
+                                        engine.pqos_sampled(sample, &mut sample_rng)
                                     }
                                 });
                     }
@@ -218,16 +188,18 @@ pub(crate) fn drive_recovery<E: ServeSink>(
         for event in outcome.to_events() {
             match event {
                 WorldEvent::Leave { client } => match ids[client] {
-                    Some(id) => match push_with_backpressure(engine, StreamEvent::Leave { id }) {
-                        Ok(_) => {}
-                        Err(ServeError::UnknownClient { .. }) => dropped_events += 1,
-                        Err(e) => return Err(e),
-                    },
+                    Some(id) => {
+                        match push_with_backpressure(&mut engine, StreamEvent::Leave { id }) {
+                            Ok(_) => {}
+                            Err(ServeError::UnknownClient { .. }) => dropped_events += 1,
+                            Err(e) => return Err(e),
+                        }
+                    }
                     None => dropped_events += 1,
                 },
                 WorldEvent::Move { client, zone } => match ids[client] {
                     Some(id) => {
-                        match push_with_backpressure(engine, StreamEvent::Move { id, zone }) {
+                        match push_with_backpressure(&mut engine, StreamEvent::Move { id, zone }) {
                             Ok(_) => {}
                             Err(ServeError::UnknownClient { .. }) => dropped_events += 1,
                             Err(e) => return Err(e),
@@ -236,7 +208,7 @@ pub(crate) fn drive_recovery<E: ServeSink>(
                     None => dropped_events += 1,
                 },
                 WorldEvent::Join { node, zone } => {
-                    match push_with_backpressure(engine, StreamEvent::Join { node, zone }) {
+                    match push_with_backpressure(&mut engine, StreamEvent::Join { node, zone }) {
                         Ok(assigned) => join_ids.push(assigned),
                         Err(ServeError::Shed { .. }) => join_ids.push(None),
                         Err(e) => return Err(e),
@@ -262,18 +234,16 @@ pub(crate) fn drive_recovery<E: ServeSink>(
         world = outcome.world;
 
         let pqos = match quality {
-            QualityEstimator::Exact => engine.engine().metrics().pqos,
-            QualityEstimator::Sampled { sample } => {
-                engine.engine().pqos_sampled(sample, &mut sample_rng)
-            }
+            QualityEstimator::Exact => engine.metrics().pqos,
+            QualityEstimator::Sampled { sample } => engine.pqos_sampled(sample, &mut sample_rng),
         };
-        let stats = engine.engine().stats();
+        let stats = engine.stats();
         records.push(RecoveryEpochRecord {
             epoch,
-            clients: engine.engine().num_clients(),
+            clients: engine.num_clients(),
             pqos,
-            down_servers: engine.engine().down_servers().len(),
-            deferred_joins: engine.engine().deferred_joins(),
+            down_servers: engine.down_servers().len(),
+            deferred_joins: engine.deferred_joins(),
             zones_migrated: stats.zones_migrated - seen.0,
             full_repairs: stats.full_repairs - seen.1,
             flushes: stats.flushes - seen.2,
@@ -284,7 +254,7 @@ pub(crate) fn drive_recovery<E: ServeSink>(
             trough_pqos = trough_pqos.min(pqos);
             if recovered_at.is_none() && pqos >= recover_factor * pre_pqos {
                 recovered_at = Some(epoch);
-                events_to_recover = Some(engine.engine().stats().events - events_at_failure);
+                events_to_recover = Some(engine.stats().events - events_at_failure);
             }
         }
     }
@@ -300,7 +270,7 @@ pub(crate) fn drive_recovery<E: ServeSink>(
         recovered_at,
         events_to_recover,
         dropped_events,
-        stats: engine.engine().stats().clone(),
+        stats: engine.stats().clone(),
     })
 }
 

@@ -1,7 +1,8 @@
 //! Engine-side pull loop draining an [`IngestRing`] through the
 //! [`DeltaBuffer`] coalesce-or-shed boundary into any [`ServeSink`] —
-//! a plain [`ServeEngine`](crate::ServeEngine) or the zone-sharded
-//! [`ShardedServeEngine`](crate::ShardedServeEngine).
+//! a [`ServeEngine`](crate::ServeEngine) at any
+//! [`ServeConfig::shards`](crate::ServeConfig::shards) width, or a
+//! harness wrapped around one.
 //!
 //! The wire frames a remote producer feeds the ring with are specified
 //! in `docs/WIRE.md` at the repository root.
@@ -133,8 +134,8 @@ impl IngestStream {
     /// `bound` caps the buffer's distinct entries (the coalesce-or-shed
     /// boundary). The engine's live population must still be the boot
     /// world's `0..k` id range (i.e. attach before serving churn). Any
-    /// [`ServeSink`] works — a plain engine or the zone-sharded
-    /// [`ShardedServeEngine`](crate::ShardedServeEngine).
+    /// [`ServeSink`] works — the engine itself or a harness wrapped
+    /// around it.
     pub fn new<E: ServeSink>(
         engine: &E,
         world: &World,

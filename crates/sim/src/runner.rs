@@ -5,10 +5,8 @@
 //!
 //! The churn loop here is the *batch* ancestor of the serving path:
 //! [`run_stream`](crate::run_stream) serves the same trace event by
-//! event (proven bit-identical to the carry), and
-//! [`run_stream_sharded`](crate::run_stream_sharded) does so
-//! zone-sharded on a persistent worker team — see
-//! [`ShardedServeEngine`](crate::ShardedServeEngine).
+//! event (proven bit-identical to the carry), at any
+//! [`ServeConfig::shards`](crate::ServeConfig::shards) width.
 
 use crate::dynamics::{carry_assignment, CarryPolicy};
 use crate::repair::repair_assignment_with;

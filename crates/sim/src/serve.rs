@@ -33,6 +33,21 @@
 //!   ([`repair_targets_with`](crate::repair_targets_with)), applying
 //!   each changed target through the scoped zone migration — contact
 //!   re-decisions stay bounded by the membership of zones that moved.
+//! * **Zone shards** — [`ServeConfig::shards`] is the one serving-width
+//!   setting. Above 1 the engine boots a persistent [`WorkerTeam`] (the
+//!   only threads it ever creates) and partitions zones by residue:
+//!   shard `i` owns every zone `z` with `z % shards == i`. A flush that
+//!   touches at least 8 zones (the concurrent-flush knee, a constant)
+//!   **proposes in parallel**
+//!   — each worker reads one immutable snapshot and derives its zones'
+//!   refreshed orderings, repair shift prefixes and ranked contact
+//!   plans — and then **commits serially** in worker-index order with
+//!   live capacity checks. Everything load-coupled (migrations,
+//!   evacuations, relay shedding, the full-repair escalation, server
+//!   failure and recovery) stays in the serial commit, so decisions are
+//!   bit-identical to the one-shard engine at every width. The
+//!   per-shard books live in [`ServeStats::shards`]. The argument is
+//!   spelled out in `docs/PARALLELISM.md` at the repository root.
 //! * [`run_stream`] — the stream runner: replays the exact event
 //!   sequence of a batch dynamics trace through the engine, recording
 //!   per-event latencies ([`LatencyHistogram`]) and per-epoch quality.
@@ -284,20 +299,35 @@ pub struct ServeConfig {
     /// Graceful-degradation policy: admission control and ingest
     /// bounds. The default is fully open (historical behavior).
     pub degradation: DegradationPolicy,
+    /// Serving width: the number of zone shards (shard `i` owns every
+    /// zone `z` with `z % shards == i`). At 1 every flush runs serially
+    /// on the calling thread; above 1 the engine boots a persistent
+    /// [`WorkerTeam`] of this many workers, and flushes touching at
+    /// least 8 zones propose on it concurrently (see
+    /// [`ServeEngine::flush_now`]). Scheduling only: decisions are
+    /// bit-identical at every width. Must be at least 1.
+    pub shards: usize,
 }
 
 impl Default for ServeConfig {
     /// 64-event micro-batches, flushed after at most 4 idle ticks,
-    /// events at tick boundaries, open admission.
+    /// events at tick boundaries, open admission, one shard.
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
             max_staleness: 4,
             arrival: InterArrival::AtTick,
             degradation: DegradationPolicy::default(),
+            shards: 1,
         }
     }
 }
+
+/// Touched-zone knee of the concurrent flush: below this many touched
+/// zones a scatter round-trip costs more than the serial work it
+/// replaces, so even a multi-shard engine flushes serially. Scheduling
+/// only — both paths make bit-identical decisions.
+pub(crate) const TEAM_ZONE_MIN: usize = 8;
 
 /// How the stream runners sample serving quality at tick boundaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -349,6 +379,23 @@ pub struct ServeStats {
     pub failovers: u64,
     /// [`ServeEngine::restore_server`] re-admission sweeps executed.
     pub recoveries: u64,
+    /// Per-shard books, indexed by shard; empty at
+    /// [`ServeConfig::shards`] = 1.
+    pub shards: Vec<ShardStats>,
+}
+
+/// What shard `i` of a multi-shard [`ServeEngine`] has served.
+#[derive(Debug, Clone, Default)]
+pub struct ShardStats {
+    /// Events applied whose zone routes to this shard (a leave counts
+    /// in the zone it departed, a move in the zone it arrived in).
+    pub events: u64,
+    /// On-worker durations of this shard's propose jobs: one sample per
+    /// **concurrent** flush (serial flushes, below 8 touched zones,
+    /// record nothing). A shard with systematically
+    /// longer propose times than its siblings exposes `z % shards`
+    /// ownership skew.
+    pub propose: LatencyHistogram,
 }
 
 /// What one flush did.
@@ -427,31 +474,6 @@ impl Pending {
     fn at(&self) -> Instant {
         match *self {
             Pending::Join { at, .. } | Pending::Leave { at, .. } | Pending::Move { at, .. } => at,
-        }
-    }
-}
-
-/// How a flush re-derives the touched zones' cost-matrix orderings.
-///
-/// Both modes produce bit-identical matrices — the refresh of each zone
-/// reads only that zone's own counts and previous order — so this is a
-/// scheduling choice, not a semantic one.
-#[derive(Clone)]
-pub(crate) enum RefreshMode {
-    /// The historical path: [`CostMatrix::refresh_zones`], which spins
-    /// up scoped workers per call when the touched set is large.
-    Inline,
-    /// Zone-sharded propose on a persistent worker team (owned by the
-    /// [`ShardedServeEngine`](crate::ShardedServeEngine) wrapper), with
-    /// the serial commit done worker-index-first — no per-flush spawns.
-    Team(Arc<WorkerTeam>),
-}
-
-impl std::fmt::Debug for RefreshMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RefreshMode::Inline => write!(f, "Inline"),
-            RefreshMode::Team(team) => write!(f, "Team({} workers)", team.threads()),
         }
     }
 }
@@ -535,27 +557,9 @@ pub struct ServeEngine {
     staleness: usize,
     /// Whether flushes currently record into the warm-up histogram.
     warming_up: bool,
-    /// How flushes refresh touched matrix columns (see [`RefreshMode`]).
-    refresh: RefreshMode,
-    /// When set, each flush appends one `(zone, latency_ns)` sample per
-    /// applied event to [`ServeEngine::flush_samples`] — the feed of the
-    /// sharded wrapper's per-shard books. A leave is sampled in the zone
-    /// it departs, a move in the zone it arrives in.
-    capture_samples: bool,
-    /// Samples appended by flushes while capture is on; drained with
-    /// [`ServeEngine::take_flush_samples`].
-    flush_samples: Vec<(usize, u64)>,
-    /// Touched-zone knee of the concurrent flush: below this many
-    /// touched zones a flush stays serial even with a worker team
-    /// installed (the scatter round-trip costs more than it saves).
-    /// Scheduling only — both paths make bit-identical decisions. The
-    /// sharded wrapper forwards its [`crate::ShardConfig`] knee here.
-    shard_min: usize,
-    /// `(worker, propose_ns)` pairs appended by concurrent flushes —
-    /// each worker's on-thread propose time — drained by the sharded
-    /// wrapper into its per-shard flush-duration histograms with
-    /// [`ServeEngine::take_shard_timings`].
-    shard_timings: Vec<(usize, u64)>,
+    /// The persistent propose team of a multi-shard engine (one worker
+    /// per shard, spawned at boot); `None` at one shard.
+    team: Option<WorkerTeam>,
     /// Recycled flush-local buffers — see [`FlushScratch`].
     scratch: FlushScratch,
     config: ServeConfig,
@@ -631,8 +635,6 @@ struct FlushScratch {
     touched: Vec<usize>,
     /// `flush_now`'s redecide-id accumulator.
     redecide: Vec<ClientId>,
-    /// `flush_now`'s per-event zone list (sample-capture mode).
-    ev_zones: Vec<usize>,
     /// `repair_targets`' migrated-zone accumulator.
     migrated: Vec<usize>,
     /// `repair_contacts`' per-zone relay-candidate list.
@@ -655,8 +657,7 @@ struct FlushScratch {
     /// Recycled [`ShardProposal`] shells (their inner `Vec`s keep their
     /// capacity across flushes).
     shells: Vec<ShardProposal>,
-    /// Recycled scatter result slots
-    /// ([`WorkerTeam::scatter_timed_into`]).
+    /// Recycled scatter result slots ([`WorkerTeam::scatter`]).
     slots: Vec<Option<(ShardProposal, u64)>>,
     /// Merge-side shift-prefix index (drained back into `rows`).
     prefixes: HashMap<usize, Vec<u32>>,
@@ -721,6 +722,7 @@ impl ServeEngine {
         rng: StdRng,
     ) -> Result<ServeEngine, ServeError> {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
+        assert!(config.shards >= 1, "shards must be at least 1");
         assert!(
             config.max_staleness >= 1,
             "max_staleness must be at least 1"
@@ -766,14 +768,17 @@ impl ServeEngine {
             pending_leaves: HashSet::new(),
             staleness: 0,
             warming_up: false,
-            refresh: RefreshMode::Inline,
-            capture_samples: false,
-            flush_samples: Vec::new(),
-            shard_min: crate::shard::TEAM_ZONE_MIN,
-            shard_timings: Vec::new(),
+            team: (config.shards > 1).then(|| WorkerTeam::new(config.shards)),
             scratch: FlushScratch::default(),
             config,
-            stats: ServeStats::default(),
+            stats: ServeStats {
+                shards: if config.shards > 1 {
+                    vec![ShardStats::default(); config.shards]
+                } else {
+                    Vec::new()
+                },
+                ..ServeStats::default()
+            },
             inst: instance,
             matrix,
             target_of_zone,
@@ -1044,6 +1049,13 @@ impl ServeEngine {
     /// Joins deferred by [`AdmissionPolicy::Queue`] are retried first
     /// (FIFO, stopping at the first still-blocked join so the queue
     /// order is preserved) and ride this flush when re-admitted.
+    ///
+    /// A multi-shard engine whose batch touched at least 8 zones (the
+    /// concurrent-flush knee) runs the flush tail concurrently on its
+    /// team (`flush_concurrent`); every other flush runs the serial
+    /// pipeline entirely on the calling thread, consulting neither
+    /// `DVE_THREADS` nor any other runtime width. Bit-identical either
+    /// way.
     pub fn flush_now(&mut self) -> Option<FlushReport> {
         self.staleness = 0;
         self.readmit_deferred();
@@ -1063,16 +1075,16 @@ impl ServeEngine {
         // (indices shift under later leaves in the same batch).
         let mut redecide = std::mem::take(&mut self.scratch.redecide);
         redecide.clear();
-        let mut ev_zones = std::mem::take(&mut self.scratch.ev_zones);
-        ev_zones.clear();
+        let shards = self.stats.shards.len();
         for ev in &events {
-            if self.capture_samples {
+            if shards > 0 {
                 // A leave's zone must be read before the apply recycles
                 // the client's slot.
-                ev_zones.push(match *ev {
+                let zone = match *ev {
                     Pending::Join { zone, .. } | Pending::Move { zone, .. } => zone,
                     Pending::Leave { id, .. } => self.inst.zone_of(self.index_of_id[&id]),
-                });
+                };
+                self.stats.shards[zone % shards].events += 1;
             }
             match *ev {
                 Pending::Join { node, zone, id, .. } => {
@@ -1089,21 +1101,15 @@ impl ServeEngine {
         }
         touched.sort_unstable();
         touched.dedup();
-        // With a worker team installed and enough touched zones, the
-        // whole flush tail — column refresh, repair shift prefixes, and
-        // contact plans — proposes concurrently on disjoint shards and
-        // commits serially (see `flush_concurrent`); otherwise the
-        // historical serial pipeline runs. Bit-identical either way.
-        let team = match &self.refresh {
-            RefreshMode::Team(team) if team.threads() > 1 && touched.len() >= self.shard_min => {
-                Some(Arc::clone(team))
-            }
-            _ => None,
-        };
-        let (migrated, full_repair) = if let Some(team) = team {
-            self.flush_concurrent(&touched, &redecide, &team)
+        // With a worker team and enough touched zones, the whole flush
+        // tail — column refresh, repair shift prefixes, and contact
+        // plans — proposes concurrently on disjoint shards and commits
+        // serially (see `flush_concurrent`); otherwise the serial
+        // pipeline runs at width 1. Bit-identical either way.
+        let (migrated, full_repair) = if self.team.is_some() && touched.len() >= TEAM_ZONE_MIN {
+            self.flush_concurrent(&touched, &redecide)
         } else {
-            self.refresh_touched(&touched);
+            self.matrix.refresh_zones_threads(&touched, 1);
             let (migrated, full_repair) = self.repair_targets(&touched, None);
             if !full_repair {
                 self.repair_contacts(&touched, &migrated, &redecide, None);
@@ -1122,13 +1128,6 @@ impl ServeEngine {
         for ev in &events {
             histogram.record(finished.duration_since(ev.at()));
         }
-        if self.capture_samples {
-            for (ev, &zone) in events.iter().zip(&ev_zones) {
-                let ns = finished.duration_since(ev.at()).as_nanos();
-                self.flush_samples
-                    .push((zone, ns.min(u128::from(u64::MAX)) as u64));
-            }
-        }
         self.stats.events += events.len() as u64;
         self.stats.flushes += 1;
         self.stats.zones_migrated += migrated.len() as u64;
@@ -1145,55 +1144,8 @@ impl ServeEngine {
         self.pending = events;
         self.scratch.touched = touched;
         self.scratch.redecide = redecide;
-        self.scratch.ev_zones = ev_zones;
         self.scratch.migrated = migrated;
         Some(report)
-    }
-
-    /// Refreshes the touched zones' orderings through the configured
-    /// [`RefreshMode`]. Both arms are bit-identical (each zone's refresh
-    /// reads only its own column), so every downstream decision is too.
-    fn refresh_touched(&mut self, touched: &[usize]) {
-        match &self.refresh {
-            RefreshMode::Inline => self.matrix.refresh_zones(touched),
-            RefreshMode::Team(team) => {
-                let team = Arc::clone(team);
-                crate::shard::refresh_on_team(&mut self.matrix, touched, &team, self.shard_min);
-            }
-        }
-    }
-
-    /// Routes flush-time matrix refreshes onto a persistent worker team
-    /// (the sharded wrapper installs its team here at boot).
-    pub(crate) fn set_refresh_team(&mut self, team: Arc<WorkerTeam>) {
-        self.refresh = RefreshMode::Team(team);
-    }
-
-    /// Turns on per-event `(zone, latency)` capture; see
-    /// [`ServeEngine::take_flush_samples`].
-    pub(crate) fn set_sample_capture(&mut self, on: bool) {
-        self.capture_samples = on;
-        if !on {
-            self.flush_samples.clear();
-        }
-    }
-
-    /// Drains the samples appended by flushes since the last drain (one
-    /// per applied event, in apply order).
-    pub(crate) fn take_flush_samples(&mut self) -> Vec<(usize, u64)> {
-        std::mem::take(&mut self.flush_samples)
-    }
-
-    /// Sets the touched-zone knee below which flushes stay serial even
-    /// with a team installed (see the `shard_min` field).
-    pub(crate) fn set_shard_min(&mut self, min: usize) {
-        self.shard_min = min.max(1);
-    }
-
-    /// Drains the `(worker, propose_ns)` timings appended by concurrent
-    /// flushes since the last drain.
-    pub(crate) fn take_shard_timings(&mut self) -> Vec<(usize, u64)> {
-        std::mem::take(&mut self.shard_timings)
     }
 
     /// The concurrent flush tail: everything between event application
@@ -1207,8 +1159,9 @@ impl ServeEngine {
     ///
     /// Why this is bit-identical to the serial pipeline at any width:
     ///
-    /// * **Refreshes** read only their own zone's column — same
-    ///   argument as [`crate::shard`]'s refresh scatter.
+    /// * **Refreshes** read only their own zone's column, and zones are
+    ///   disjoint across shards, so installing the proposed orders in
+    ///   any order yields the serial loop's matrix.
     /// * **Shift prefixes** are count-based: violator counts cannot
     ///   change between snapshot and commit (only events change counts,
     ///   and they are all applied), and a zone's own target cannot
@@ -1228,12 +1181,11 @@ impl ServeEngine {
     /// shedding, the full-repair escalation — run only in the serial
     /// merge, where every load book is authoritative. The team's
     /// workers are the boot-time persistent ones: no flush spawns.
-    fn flush_concurrent(
-        &mut self,
-        touched: &[usize],
-        redecide: &[ClientId],
-        team: &WorkerTeam,
-    ) -> (Vec<usize>, bool) {
+    fn flush_concurrent(&mut self, touched: &[usize], redecide: &[ClientId]) -> (Vec<usize>, bool) {
+        let team = self
+            .team
+            .as_ref()
+            .expect("concurrent flushes run on the boot-time team");
         let threads = team.threads();
         // Partition the work by shard owner (zone % threads), resolving
         // redecide ids serially while the engine still owns its state.
@@ -1334,7 +1286,7 @@ impl ServeEngine {
             })
             .collect();
         let mut slots = std::mem::take(&mut self.scratch.slots);
-        team.scatter_timed_into(jobs, &mut slots);
+        team.scatter(jobs, &mut slots);
         // Every job has run and dropped its snapshot clone; the state
         // is exclusively ours again.
         let snap = Arc::try_unwrap(snap)
@@ -1353,7 +1305,7 @@ impl ServeEngine {
         plans.clear();
         for (w, slot) in slots.iter_mut().enumerate() {
             let (mut proposal, ns) = slot.take().expect("scatter filled every slot");
-            self.shard_timings.push((w, ns));
+            self.stats.shards[w].propose.record_ns(ns);
             for (z, row, rho, prefix) in proposal.zones.drain(..) {
                 self.matrix.commit_zone_order(z, &row, rho);
                 rows_pool.push(row);
@@ -2315,16 +2267,16 @@ impl ServeEngine {
     }
 }
 
-/// The engine-shaped surface the stream drivers need: both the plain
-/// [`ServeEngine`] and the zone-sharded wrapper
-/// ([`ShardedServeEngine`](crate::ShardedServeEngine)) implement it, so
-/// every runner in this crate — trace replay, recovery replay, the
-/// ingest pull loop — can drive either without duplicating its loop.
+/// The seam a harness wraps around a [`ServeEngine`]: the mutating
+/// entry points the ingest pull loop ([`IngestStream`](crate::IngestStream),
+/// [`run_ingest_stream`](crate::run_ingest_stream)) drives, plus
+/// read-only access to the engine underneath. [`ServeEngine`] implements
+/// it directly; a measuring harness implements it on a wrapper that
+/// times or counts each call and forwards it to the engine, without
+/// the pull loop knowing the difference.
 ///
-/// Read-only state goes through [`ServeSink::engine`]; the wrapper
-/// exposes its inner engine immutably, which cannot bypass the
-/// wrapper's shard books (only the mutating entry points, which the
-/// wrapper intercepts, produce samples to route).
+/// Read-only state goes through [`ServeSink::engine`]; only the
+/// mutating entry points below change the engine.
 pub trait ServeSink {
     /// The underlying engine, for read-only accessors (stats, metrics,
     /// id tables, feasibility).
@@ -2461,33 +2413,9 @@ pub fn run_stream_with_warmup(
         config,
         engine_rng,
     )?;
-    Ok(drive_stream(
-        &mut engine,
-        rep.world,
-        rep.rng,
-        rep.topology.node_count(),
-        batch,
-        warmup_epochs,
-        epochs,
-    ))
-}
-
-/// The replay loop of [`run_stream_with_warmup`], generic over the
-/// [`ServeSink`] so the zone-sharded wrapper reuses it verbatim
-/// ([`run_stream_sharded`](crate::run_stream_sharded)): streams each
-/// epoch's trace events, flushes at the boundary, re-keys the trace
-/// world's indices to engine ids, and records quality.
-pub(crate) fn drive_stream<E: ServeSink>(
-    engine: &mut E,
-    world: World,
-    rng: StdRng,
-    node_count: usize,
-    batch: &DynamicsBatch,
-    warmup_epochs: usize,
-    epochs: usize,
-) -> StreamReport {
-    let mut world = world;
-    let mut rng = rng;
+    let node_count = rep.topology.node_count();
+    let mut world = rep.world;
+    let mut rng = rep.rng;
     let mut ids: Vec<ClientId> = (0..world.clients.len() as ClientId).collect();
     let mut records = Vec::with_capacity(epochs);
     let mut seen = (0u64, 0u64, 0u64); // (migrated, full repairs, flushes)
@@ -2495,7 +2423,7 @@ pub(crate) fn drive_stream<E: ServeSink>(
         engine.begin_warmup();
     }
     for epoch in 0..warmup_epochs + epochs {
-        if epoch == warmup_epochs && engine.engine().is_warming_up() {
+        if epoch == warmup_epochs && engine.is_warming_up() {
             engine.end_warmup();
         }
         let outcome = apply_dynamics(&world, batch, node_count, &mut rng);
@@ -2541,12 +2469,12 @@ pub(crate) fn drive_stream<E: ServeSink>(
             .collect();
         world = outcome.world;
 
-        let stats = engine.engine().stats();
+        let stats = engine.stats();
         if epoch >= warmup_epochs {
             records.push(StreamEpochRecord {
                 epoch: epoch - warmup_epochs,
-                clients: engine.engine().num_clients(),
-                pqos: engine.engine().metrics().pqos,
+                clients: engine.num_clients(),
+                pqos: engine.metrics().pqos,
                 zones_migrated: stats.zones_migrated - seen.0,
                 full_repairs: stats.full_repairs - seen.1,
                 flushes: stats.flushes - seen.2,
@@ -2554,10 +2482,10 @@ pub(crate) fn drive_stream<E: ServeSink>(
         }
         seen = (stats.zones_migrated, stats.full_repairs, stats.flushes);
     }
-    StreamReport {
+    Ok(StreamReport {
         records,
-        stats: engine.engine().stats().clone(),
-    }
+        stats: engine.stats().clone(),
+    })
 }
 
 /// Drives a [`ServeEngine`] from a [`MobilityModel`] instead of Table 3

@@ -1,14 +1,13 @@
-//! Width-invariance property tests for the zone-sharded serving layer:
-//! a [`ShardedServeEngine`] must make **bit-identical decisions** to a
-//! plain [`ServeEngine`] fed the same trace, at every shard count —
-//! plain churn, and a churn+fault replay whose evacuations and
-//! re-admission sweeps cross shard boundaries.
+//! Width-invariance property tests for zone-sharded serving: a
+//! [`ServeEngine`] booted with [`ServeConfig::shards`] > 1 must make
+//! **bit-identical decisions** to the one-shard engine fed the same
+//! trace, at every shard count — plain churn, and a churn+fault replay
+//! whose evacuations and re-admission sweeps cross shard boundaries.
 
 use dve_assign::StuckPolicy;
 use dve_sim::{
-    build_replication, run_recovery_stream, run_recovery_stream_sharded, run_stream,
-    run_stream_sharded, QualityEstimator, ServeConfig, ServeEngine, ServeSink, ServeStats,
-    ShardConfig, ShardedServeEngine, SimSetup, StreamEvent, TopologySpec,
+    build_replication, run_recovery_stream, run_stream, QualityEstimator, ServeConfig, ServeEngine,
+    ServeStats, SimSetup, StreamEvent, TopologySpec,
 };
 use dve_topology::HierarchicalConfig;
 use dve_world::{DynamicsBatch, ErrorModel, FaultKind, FaultSchedule, ScenarioConfig};
@@ -30,6 +29,50 @@ fn setup() -> SimSetup {
         runs: 1,
         ..Default::default()
     }
+}
+
+/// The default serving policy at `shards` width.
+fn width(shards: usize) -> ServeConfig {
+    ServeConfig {
+        shards,
+        ..ServeConfig::default()
+    }
+}
+
+/// Boots an engine on replication 0 of `setup` at `shards` width.
+fn boot(setup: &SimSetup, shards: usize, seed: u64) -> ServeEngine {
+    let rep = build_replication(setup, 0);
+    ServeEngine::new(
+        rep.instance,
+        &rep.world,
+        rep.delays,
+        ErrorModel::PERFECT,
+        StuckPolicy::BestEffort,
+        width(shards),
+        StdRng::seed_from_u64(seed),
+    )
+    .expect("engine solves")
+}
+
+/// The shard books account for every applied event: one book per
+/// shard above width 1, none at width 1.
+fn assert_books_route_every_event(stats: &ServeStats, shards: usize) {
+    if shards == 1 {
+        assert!(stats.shards.is_empty(), "a one-shard engine keeps no books");
+        return;
+    }
+    assert_eq!(stats.shards.len(), shards);
+    let routed: u64 = stats.shards.iter().map(|b| b.events).sum();
+    assert_eq!(
+        routed, stats.events,
+        "shard books must account for every applied event at {shards} shards"
+    );
+}
+
+/// Flushes that ran concurrently on the team: every concurrent flush
+/// records one propose sample per worker, shard 0's included.
+fn concurrent_flushes(stats: &ServeStats) -> u64 {
+    stats.shards.first().map_or(0, |b| b.propose.count())
 }
 
 fn batch() -> DynamicsBatch {
@@ -57,7 +100,7 @@ fn decisions(stats: &ServeStats) -> [u64; 9] {
     ]
 }
 
-/// Plain churn: every width's sharded report equals the unsharded one —
+/// Plain churn: every width's report equals the one-shard one —
 /// same per-epoch records (pQoS is an f64, compared exactly) and same
 /// lifetime counters — and the shard books account for every event.
 #[test]
@@ -75,14 +118,13 @@ fn sharded_stream_is_bit_identical_across_widths() {
     )
     .expect("baseline run solves");
     for shards in WIDTHS {
-        let (report, books) = run_stream_sharded(
+        let report = run_stream(
             &setup,
             0,
             &batch,
             epochs,
             StuckPolicy::BestEffort,
-            ServeConfig::default(),
-            shards,
+            width(shards),
         )
         .expect("sharded run solves");
         assert_eq!(
@@ -94,20 +136,13 @@ fn sharded_stream_is_bit_identical_across_widths() {
             decisions(&baseline.stats),
             "lifetime counters diverged at {shards} shards"
         );
-        assert_eq!(books.len(), shards);
-        let routed: u64 = books.iter().map(|b| b.events).sum();
-        assert_eq!(
-            routed, report.stats.events,
-            "shard books must account for every applied event at {shards} shards"
-        );
-        let sampled: u64 = books.iter().map(|b| b.latency.count()).sum();
-        assert_eq!(routed, sampled, "one latency sample per routed event");
+        assert_books_route_every_event(&report.stats, shards);
     }
 }
 
 /// Churn + a fail/recover schedule: the mass evacuation and the
 /// re-admission sweep move zones between servers owned by different
-/// shards, and the replay still matches the unsharded engine exactly at
+/// shards, and the replay still matches the one-shard engine exactly at
 /// every width.
 #[test]
 fn sharded_recovery_is_bit_identical_across_widths() {
@@ -130,16 +165,15 @@ fn sharded_recovery_is_bit_identical_across_widths() {
         "the trace must actually exercise failure and recovery"
     );
     for shards in WIDTHS {
-        let (report, books) = run_recovery_stream_sharded(
+        let report = run_recovery_stream(
             &setup,
             0,
             &batch,
             &schedule,
             StuckPolicy::BestEffort,
-            ServeConfig::default(),
+            width(shards),
             QualityEstimator::Exact,
             0.95,
-            shards,
         )
         .expect("sharded recovery solves");
         assert_eq!(
@@ -156,15 +190,29 @@ fn sharded_recovery_is_bit_identical_across_widths() {
             decisions(&baseline.stats),
             "recovery counters diverged at {shards} shards"
         );
-        let routed: u64 = books.iter().map(|b| b.events).sum();
-        assert_eq!(routed, report.stats.events);
+        assert_books_route_every_event(&report.stats, shards);
     }
 }
 
-/// Drives a sink through a fixed churn + failure + recovery script and
-/// returns the engine's full decision state.
-fn drive_script<E: ServeSink>(engine: &mut E) -> (Vec<usize>, Vec<usize>, usize, [u64; 9]) {
-    let initial = engine.engine().num_clients() as u64;
+/// An engine's full decision state: per-zone targets, per-client
+/// contacts, population and lifetime counters.
+type Decisions = (Vec<usize>, Vec<usize>, usize, [u64; 9]);
+
+fn decision_state(e: &ServeEngine) -> Decisions {
+    (
+        e.targets().to_vec(),
+        e.contacts().to_vec(),
+        e.num_clients(),
+        decisions(e.stats()),
+    )
+}
+
+/// Drives an engine through a fixed churn + failure + recovery script
+/// and returns its full decision state. Most flushes touch more zones
+/// than the concurrent-flush knee; the last one moves two clients, so
+/// a multi-shard engine serves it serially.
+fn drive_script(engine: &mut ServeEngine) -> Decisions {
+    let initial = engine.num_clients() as u64;
     // Joins land in a spread of zones; leaves retire low ids; moves
     // push survivors across the zone space. All well-formed for the
     // 8s-40z-600c scenario.
@@ -199,139 +247,71 @@ fn drive_script<E: ServeSink>(engine: &mut E) -> (Vec<usize>, Vec<usize>, usize,
     }
     engine.flush_now();
     engine.restore_server(2).expect("restore");
+    for id in 300..302u64 {
+        engine
+            .push(StreamEvent::Move {
+                id,
+                zone: (id as usize * 11) % 40,
+            })
+            .expect("move after recovery");
+    }
     engine.flush_now();
-    let e = engine.engine();
-    assert!(e.num_clients() as u64 >= initial); // joins minus leaves
-    (
-        e.targets().to_vec(),
-        e.contacts().to_vec(),
-        e.num_clients(),
-        decisions(e.stats()),
-    )
+    assert!(engine.num_clients() as u64 >= initial); // joins minus leaves
+    decision_state(engine)
 }
 
 /// The strongest form of the property: the full per-client assignment
 /// (target and contact servers), not just aggregate reports, is
-/// bit-identical between a plain engine and the sharded engine at every
-/// width — through a script that fails and restores a server, so
-/// evacuation and re-admission cross shard boundaries.
+/// bit-identical between the one-shard engine and a multi-shard engine
+/// at every width — through a script that fails and restores a server,
+/// so evacuation and re-admission cross shard boundaries.
 #[test]
 fn sharded_assignments_equal_unsharded_per_client() {
     let setup = setup();
-    let boot = |_w: usize| {
-        let rep = build_replication(&setup, 0);
-        (rep.instance, rep.world, rep.delays)
-    };
-    let (instance, world, delays) = boot(0);
-    let mut plain = ServeEngine::new(
-        instance,
-        &world,
-        delays,
-        ErrorModel::PERFECT,
-        StuckPolicy::BestEffort,
-        ServeConfig::default(),
-        StdRng::seed_from_u64(0xbeef),
-    )
-    .expect("plain engine solves");
-    let baseline = drive_script(&mut plain);
+    let baseline = drive_script(&mut boot(&setup, 1, 0xbeef));
     for shards in WIDTHS {
-        let (instance, world, delays) = boot(shards);
-        let mut sharded = ShardedServeEngine::new(
-            instance,
-            &world,
-            delays,
-            ErrorModel::PERFECT,
-            StuckPolicy::BestEffort,
-            ServeConfig::default(),
-            StdRng::seed_from_u64(0xbeef),
-            shards,
-        )
-        .expect("sharded engine solves");
+        let mut sharded = boot(&setup, shards, 0xbeef);
         let got = drive_script(&mut sharded);
         assert_eq!(
             got, baseline,
             "per-client targets/contacts diverged at {shards} shards"
         );
-        // The books routed exactly the applied events, and merging the
-        // shard histograms reproduces the engine's own (warm-up plus
-        // steady) latency record.
-        let routed: u64 = sharded.shard_stats().iter().map(|b| b.events).sum();
-        assert_eq!(routed, sharded.engine().stats().events);
-        let mut engine_book = sharded.engine().stats().warmup.clone();
-        engine_book.merge(&sharded.engine().stats().latency);
-        assert_eq!(sharded.merged_latency(), engine_book);
+        assert_books_route_every_event(sharded.stats(), shards);
     }
 }
 
-/// Boots a sharded engine with an explicit [`ShardConfig`] knee on the
-/// standard scenario and runs the churn+failure script.
-fn drive_with_knee(setup: &SimSetup, shards: usize, shard_min: usize) -> ShardedWithBooks {
-    let rep = build_replication(setup, 0);
-    let mut engine = ShardedServeEngine::with_config(
-        rep.instance,
-        &rep.world,
-        rep.delays,
-        ErrorModel::PERFECT,
-        StuckPolicy::BestEffort,
-        ServeConfig::default(),
-        StdRng::seed_from_u64(0xbeef),
-        shards,
-        ShardConfig { shard_min },
-    )
-    .expect("sharded engine solves");
-    let decisions = drive_script(&mut engine);
-    let flush_samples: Vec<u64> = engine
-        .shard_stats()
-        .iter()
-        .map(|b| b.flush.count())
-        .collect();
-    (decisions, flush_samples)
-}
-
-type ShardedWithBooks = ((Vec<usize>, Vec<usize>, usize, [u64; 9]), Vec<u64>);
-
-/// The `ShardConfig::shard_min` knee is scheduling only: an engine that
-/// takes the concurrent flush path on every flush (knee 1) and one that
-/// never takes it (knee `usize::MAX`, always serial) make bit-identical
-/// decisions — while the flush histograms prove the two really took
-/// different paths (the concurrent engine recorded propose timings, the
-/// serial one recorded none).
+/// The concurrent-flush knee is scheduling only: at 4 shards the
+/// churn+failure script takes both flush paths — concurrent flushes on
+/// the team for its wide batches, a serial flush for its two-move
+/// batch — and still matches the one-shard engine bit for bit.
 #[test]
-fn shard_min_knee_is_decision_invariant() {
+fn knee_mixes_serial_and_concurrent_flushes_without_changing_decisions() {
     let setup = setup();
-    let (serial, serial_flushes) = drive_with_knee(&setup, 4, usize::MAX);
-    assert_eq!(
-        serial_flushes.iter().sum::<u64>(),
-        0,
-        "an infinite knee must keep every flush serial"
-    );
-    let (concurrent, concurrent_flushes) = drive_with_knee(&setup, 4, 1);
+    let baseline = drive_script(&mut boot(&setup, 1, 0xbeef));
+    let mut sharded = boot(&setup, 4, 0xbeef);
+    let got = drive_script(&mut sharded);
+    assert_eq!(got, baseline, "decisions diverged across the knee");
+    let stats = sharded.stats();
+    let concurrent = concurrent_flushes(stats);
+    assert!(concurrent > 0, "the wide batches must flush concurrently");
     assert!(
-        concurrent_flushes.iter().sum::<u64>() > 0,
-        "a knee of 1 must route flushes through the concurrent path"
-    );
-    assert_eq!(
-        concurrent, serial,
-        "decisions diverged across the shard_min knee"
+        stats.flushes - concurrent > 0,
+        "the two-move batch must flush serially"
     );
 }
 
 /// The inter-shard message seam under maximum stress: two servers fail
 /// (mass evacuations land zones on servers owned by *other* shards, and
 /// shed relays re-book cross-shard), churn continues while degraded,
-/// then both recover (re-admission sweeps pull zones back). With the
-/// knee forced to 1 every flush takes the concurrent propose/commit
-/// path, and every width must reproduce the serial single-shard
-/// engine's full per-client assignment exactly.
+/// then both recover (re-admission sweeps pull zones back). Every batch
+/// touches more zones than the knee, so above width 1 every flush takes
+/// the concurrent propose/commit path, and every width must reproduce
+/// the one-shard engine's full per-client assignment exactly.
 #[test]
 fn concurrent_flush_matches_serial_under_cross_shard_evacuations() {
     let setup = setup();
-    let boot = || {
-        let rep = build_replication(&setup, 0);
-        (rep.instance, rep.world, rep.delays)
-    };
 
-    fn storm<E: ServeSink>(engine: &mut E) -> (Vec<usize>, Vec<usize>, usize, [u64; 9]) {
+    fn storm(engine: &mut ServeEngine) -> Decisions {
         for zone in 0..40 {
             engine
                 .push(StreamEvent::Join {
@@ -374,49 +354,28 @@ fn concurrent_flush_matches_serial_under_cross_shard_evacuations() {
                 .expect("move recovered");
         }
         engine.flush_now();
-        let e = engine.engine();
-        (
-            e.targets().to_vec(),
-            e.contacts().to_vec(),
-            e.num_clients(),
-            decisions(e.stats()),
-        )
+        decision_state(engine)
     }
 
-    let (instance, world, delays) = boot();
-    let mut plain = ServeEngine::new(
-        instance,
-        &world,
-        delays,
-        ErrorModel::PERFECT,
-        StuckPolicy::BestEffort,
-        ServeConfig::default(),
-        StdRng::seed_from_u64(0xfade),
-    )
-    .expect("plain engine solves");
-    let baseline = storm(&mut plain);
+    let baseline = storm(&mut boot(&setup, 1, 0xfade));
     assert!(
         baseline.3[7] >= 2 && baseline.3[8] >= 2,
         "the storm must exercise two failovers and two recoveries"
     );
     for shards in WIDTHS {
-        let (instance, world, delays) = boot();
-        let mut sharded = ShardedServeEngine::with_config(
-            instance,
-            &world,
-            delays,
-            ErrorModel::PERFECT,
-            StuckPolicy::BestEffort,
-            ServeConfig::default(),
-            StdRng::seed_from_u64(0xfade),
-            shards,
-            ShardConfig { shard_min: 1 },
-        )
-        .expect("sharded engine solves");
+        let mut sharded = boot(&setup, shards, 0xfade);
         let got = storm(&mut sharded);
         assert_eq!(
             got, baseline,
             "concurrent flush diverged from serial at {shards} shards"
         );
+        if shards > 1 {
+            let stats = sharded.stats();
+            assert_eq!(
+                concurrent_flushes(stats),
+                stats.flushes,
+                "every storm flush must run concurrently at {shards} shards"
+            );
+        }
     }
 }

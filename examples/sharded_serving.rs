@@ -1,29 +1,27 @@
-//! Zone-sharded serving: the same churn trace served by the plain
-//! single-shard engine and by [`ShardedServeEngine`] at width 4, to
-//! show the two properties the sharded path guarantees:
+//! Zone-sharded serving: the same churn trace served by a one-shard
+//! engine and by a four-shard engine (`ServeConfig { shards: 4, .. }`),
+//! to show the two properties the shard width guarantees:
 //!
 //! 1. **Bit-identical decisions at any width** — every epoch record
 //!    (population, pQoS, migrations, repairs, flushes) matches the
-//!    single-shard run exactly, because shards only *propose* in
-//!    parallel from a frozen snapshot and one serial pass commits in
-//!    canonical zone order;
-//! 2. **Per-shard observability** — each shard owns its zones' share
-//!    of the load books and its own latency histogram, so per-shard
-//!    event counts and tails come for free (zone `z` lives on shard
-//!    `z % shards`).
+//!    one-shard run exactly, because shards only *propose* in parallel
+//!    from a frozen snapshot and one serial pass commits in canonical
+//!    zone order;
+//! 2. **Per-shard observability** — `ServeStats::shards` books each
+//!    shard's applied events (zone `z` lives on shard `z % shards`) and
+//!    the on-worker propose time of every concurrent flush.
 //!
-//! Wall-clock speedup is *not* visible here: it needs real cores
-//! (the `serve_mc` bench and the `scale-mc` CI job gate ≥2× at
-//! width ≥ 4). What this example demonstrates is that width is free
-//! of decision risk — you can turn it up without changing a single
-//! assignment.
+//! Wall-clock speedup is *not* visible here: it needs real cores (the
+//! `serve_mc` bench and the `scale-mc` CI job gate it at width >= 4).
+//! What this example demonstrates is that width is free of decision
+//! risk — you can turn it up without changing a single assignment.
 //!
 //! ```bash
 //! cargo run --release --example sharded_serving
 //! ```
 
 use dve::assign::StuckPolicy;
-use dve::sim::{run_stream, run_stream_sharded, ServeConfig, SimSetup};
+use dve::sim::{run_stream, ServeConfig, SimSetup};
 use dve::world::DynamicsBatch;
 
 fn main() {
@@ -36,25 +34,16 @@ fn main() {
     let epochs = 6;
     let shards = 4;
 
-    let single = run_stream(
-        &setup,
-        0,
-        &batch,
-        epochs,
-        StuckPolicy::BestEffort,
-        ServeConfig::default(),
-    )
-    .expect("default tier solves");
-    let (sharded, books) = run_stream_sharded(
-        &setup,
-        0,
-        &batch,
-        epochs,
-        StuckPolicy::BestEffort,
-        ServeConfig::default(),
-        shards,
-    )
-    .expect("default tier solves");
+    let run = |shards: usize| {
+        let config = ServeConfig {
+            shards,
+            ..ServeConfig::default()
+        };
+        run_stream(&setup, 0, &batch, epochs, StuckPolicy::BestEffort, config)
+            .expect("default tier solves")
+    };
+    let single = run(1);
+    let sharded = run(shards);
 
     println!(
         "{:<7}{:>9}{:>9}{:>10}{:>9}{:>9}   identical?",
@@ -74,13 +63,14 @@ fn main() {
         assert_eq!(s, w, "sharded serving must be decision-identical");
     }
 
+    let books = &sharded.stats.shards;
     println!("\nper-shard books (zone z -> shard z % {shards}):");
     for (i, book) in books.iter().enumerate() {
         println!(
-            "  shard {i}: {:>6} events, mean commit {:>8.1} us ({} samples)",
+            "  shard {i}: {:>6} events, propose p99 {:>8.1} us ({} concurrent flushes)",
             book.events,
-            book.latency.mean_ns() / 1e3,
-            book.latency.count(),
+            book.propose.quantile_upper_ns(0.99) as f64 / 1e3,
+            book.propose.count(),
         );
     }
     let routed: u64 = books.iter().map(|b| b.events).sum();

@@ -18,14 +18,19 @@
 //! line-rate front end. `--connections N` (default 1) accepts N
 //! sequential connections against the same serve loop: each producer's
 //! events land in the same ring and engine, and the session summary
-//! covers the whole sequence. `--shards N` (default 1) serves on a
-//! zone-sharded engine over a persistent N-worker team — decisions are
-//! bit-identical to the unsharded engine, and the session summary adds
-//! per-shard event books, concurrent-flush propose latencies, and the
-//! max/min shard-event imbalance. `--max-batch` and `--max-staleness-ms` mirror
-//! the fields of `dve_sim::IngestConfig` and default to its
-//! `Default` values (1024 arrivals, 1 ms), which is the single source
-//! of truth for the flush policy. On the wire,
+//! covers the whole sequence. `--shards N` (default 1) sets the
+//! engine's `dve_sim::ServeConfig::shards`: above 1 the engine serves
+//! on a persistent N-worker team with decisions bit-identical to one
+//! shard, and the session summary adds per-shard event books,
+//! concurrent-flush propose latencies, and the max/min shard-event
+//! imbalance. `--max-batch` and `--max-staleness-ms` mirror the fields
+//! of `dve_sim::IngestConfig` and default to its `Default` values (1024
+//! arrivals, 1 ms), which is the single source of truth for the flush
+//! policy. Every flag value is checked before the engine boots: a
+//! value that does not parse, a zero count (`--ring`, `--bound`,
+//! `--max-batch`, `--shards`, `--connections`) or a staleness that is
+//! negative or not finite is rejected with exit code 2 and a message
+//! naming the flag. On the wire,
 //! clients are addressed by stable id (the engine's discipline: the
 //! initial population is `0..k`); joiner ids are not echoed back in
 //! this version, so a connection can address only the initial
@@ -41,8 +46,8 @@ use dve::sim::experiments::{
     ablation, fig4, fig5, fig6, repair_study, table1, table3, table4, topologies, ExpOptions,
 };
 use dve::sim::{
-    build_replication, run_ingest_stream, IngestConfig, ServeConfig, ServeEngine, ServeSink,
-    ShardedServeEngine, SimSetup, TopologySpec,
+    build_replication, run_ingest_stream, IngestConfig, ServeConfig, ServeEngine, SimSetup,
+    TopologySpec,
 };
 use dve::topology::{
     hierarchical, transit_stub, us_backbone, waxman_incremental, HierarchicalConfig, Topology,
@@ -91,14 +96,27 @@ fn parse(args: &[String]) -> Option<(Vec<String>, HashMap<String, String>)> {
     Some((positional, flags))
 }
 
+/// The value of `--name`, or `default` when absent. A value that does
+/// not parse is rejected: the process exits 2 naming the flag.
 fn flag_parse<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T {
     match flags.get(name) {
         Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("warning: bad value for --{name}, using default");
+            eprintln!("error: rejected --{name} {v:?}: not a valid value");
             std::process::exit(2)
         }),
         None => default,
     }
+}
+
+/// [`flag_parse`] for a count that must be at least 1: zero is
+/// rejected with a message naming the flag (`None`).
+fn flag_count(flags: &HashMap<String, String>, name: &str, default: usize) -> Option<usize> {
+    let n = flag_parse(flags, name, default);
+    if n == 0 {
+        eprintln!("error: rejected --{name} 0: must be >= 1");
+        return None;
+    }
+    Some(n)
 }
 
 fn cmd_topology(flags: &HashMap<String, String>) -> ExitCode {
@@ -340,67 +358,51 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         ..Default::default()
     };
     let port: u16 = flag_parse(flags, "port", 0);
-    let ring_slots: usize = flag_parse(flags, "ring", 4_096);
-    let bound: usize = flag_parse(flags, "bound", 1_024);
     // Flag names and defaults mirror `IngestConfig` — the one source of
     // truth for the flush policy (`--max-batch` also sizes the engine's
     // own micro-batch so the two layers flush in step).
     let ingest_defaults = IngestConfig::default();
-    let max_batch: usize = flag_parse(flags, "max-batch", ingest_defaults.max_batch);
     let staleness_ms: f64 = flag_parse(
         flags,
         "max-staleness-ms",
         ingest_defaults.max_staleness.as_secs_f64() * 1e3,
     );
-    let shards: usize = flag_parse(flags, "shards", 1);
-    if shards == 0 {
-        eprintln!("serve: --shards must be >= 1");
+    let Ok(max_staleness) = Duration::try_from_secs_f64(staleness_ms / 1e3) else {
+        eprintln!("error: rejected --max-staleness-ms {staleness_ms}: must be finite and >= 0");
         return ExitCode::from(2);
-    }
-    let connections: usize = flag_parse(flags, "connections", 1);
-    if connections == 0 {
-        eprintln!("serve: --connections must be >= 1");
+    };
+    let Some(ring_slots) = flag_count(flags, "ring", 4_096) else {
         return ExitCode::from(2);
-    }
+    };
+    let Some(bound) = flag_count(flags, "bound", 1_024) else {
+        return ExitCode::from(2);
+    };
+    let Some(max_batch) = flag_count(flags, "max-batch", ingest_defaults.max_batch) else {
+        return ExitCode::from(2);
+    };
+    let Some(shards) = flag_count(flags, "shards", 1) else {
+        return ExitCode::from(2);
+    };
+    let Some(connections) = flag_count(flags, "connections", 1) else {
+        return ExitCode::from(2);
+    };
 
     let rep = build_replication(&setup, 0);
     let world = rep.world;
     let serve_config = ServeConfig {
         max_batch,
+        shards,
         ..Default::default()
     };
-    // One of the two engine shapes, behind the shared ServeSink trait:
-    // the plain engine, or the zone-sharded engine on its worker team
-    // (bit-identical decisions; shard books in the session summary).
-    enum Booted {
-        Plain(ServeEngine),
-        Sharded(ShardedServeEngine),
-    }
-    let booted = if shards > 1 {
-        ShardedServeEngine::new(
-            rep.instance,
-            &world,
-            rep.delays,
-            ErrorModel::PERFECT,
-            StuckPolicy::BestEffort,
-            serve_config,
-            rep.rng,
-            shards,
-        )
-        .map(Booted::Sharded)
-    } else {
-        ServeEngine::new(
-            rep.instance,
-            &world,
-            rep.delays,
-            ErrorModel::PERFECT,
-            StuckPolicy::BestEffort,
-            serve_config,
-            rep.rng,
-        )
-        .map(Booted::Plain)
-    };
-    let mut booted = match booted {
+    let mut engine = match ServeEngine::new(
+        rep.instance,
+        &world,
+        rep.delays,
+        ErrorModel::PERFECT,
+        StuckPolicy::BestEffort,
+        serve_config,
+        rep.rng,
+    ) {
         Ok(engine) => engine,
         Err(e) => {
             eprintln!("serve: cannot boot the engine: {e}");
@@ -444,20 +446,13 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
 
     let ingest_config = IngestConfig {
         max_batch,
-        max_staleness: Duration::from_secs_f64(staleness_ms / 1_000.0),
+        max_staleness,
     };
-    let report = match &mut booted {
-        Booted::Plain(engine) => run_ingest_stream(engine, &ring, &world, bound, ingest_config),
-        Booted::Sharded(engine) => run_ingest_stream(engine, &ring, &world, bound, ingest_config),
-    };
+    let report = run_ingest_stream(&mut engine, &ring, &world, bound, ingest_config);
     if reader.join().is_err() {
         eprintln!("serve: reader thread panicked");
     }
 
-    let engine: &ServeEngine = match &booted {
-        Booted::Plain(engine) => engine,
-        Booted::Sharded(engine) => engine.engine(),
-    };
     let stats = engine.stats();
     println!("serve: connection closed; session summary");
     println!(
@@ -485,18 +480,19 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         engine.metrics().pqos,
         engine.is_feasible()
     );
-    if let Booted::Sharded(sharded) = &booted {
-        let (ev_max, ev_min) = sharded.event_imbalance();
+    if !stats.shards.is_empty() {
+        let ev_max = stats.shards.iter().map(|b| b.events).max().unwrap_or(0);
+        let ev_min = stats.shards.iter().map(|b| b.events).min().unwrap_or(0);
         println!(
             "  shards: {}  event imbalance max {ev_max} / min {ev_min}",
-            sharded.shards()
+            stats.shards.len()
         );
-        for (shard, book) in sharded.shard_stats().iter().enumerate() {
+        for (shard, book) in stats.shards.iter().enumerate() {
             println!(
                 "    shard {shard}: {} events  flush propose p99 {:.3} ms ({} samples)",
                 book.events,
-                book.flush.quantile_upper_ns(0.99) as f64 / 1e6,
-                book.flush.count()
+                book.propose.quantile_upper_ns(0.99) as f64 / 1e6,
+                book.propose.count()
             );
         }
     }

@@ -14,6 +14,7 @@ use dve::world::{ErrorModel, IngestRing, ScenarioConfig, WorldEvent};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn small_setup() -> SimSetup {
     SimSetup {
@@ -59,6 +60,11 @@ fn read_into_ring(mut conn: TcpStream, ring: &IngestRing) {
 /// script frame by frame, the reader decodes into the ring, the pull
 /// loop commits into the engine. Population, shed counters, and
 /// latency sample counts all reconcile.
+///
+/// The whole script is on the ring before the pull loop starts, and
+/// the staleness bound is long, so the seven events form one window and
+/// client 0's two moves always coalesce. (Reader/pump overlap is
+/// covered by `two_sequential_clients_share_one_serve_loop`.)
 #[test]
 fn wire_events_over_loopback_commit_into_the_engine() {
     let setup = small_setup();
@@ -110,10 +116,14 @@ fn wire_events_over_loopback_commit_into_the_engine() {
         read_into_ring(conn, &reader_ring);
         reader_ring.close();
     });
-
-    let report = run_ingest_stream(&mut engine, &ring, &world, 256, IngestConfig::default());
     producer.join().unwrap();
     reader.join().unwrap();
+
+    let config = IngestConfig {
+        max_staleness: Duration::from_secs(3_600),
+        ..Default::default()
+    };
+    let report = run_ingest_stream(&mut engine, &ring, &world, 256, config);
 
     assert_eq!(report.arrivals, script.len() as u64);
     assert_eq!(report.shed_leaves, 0);
