@@ -11,14 +11,22 @@
 //! producer (the `dvecap serve` socket reader, or a burst replayer)
 //! enqueues [`WorldEvent`]s on the ring, and [`IngestStream::pump`]
 //! drains them into a bounded [`DeltaBuffer`], flushing into the engine
-//! on the first of three triggers: `max_batch` arrivals buffered, the
-//! oldest admission older than `max_staleness` (checked continuously
-//! while draining, so a sustained line-rate feed cannot starve the
-//! commit path), or the ring running dry with arrivals pending — the
-//! group commit that lets a flash-crowd burst amortise one repair
-//! instead of queueing behind `batch/max_batch` of them. Staleness is
-//! measured against the **ring enqueue** time, so arrival-to-commit
-//! latency covers the queueing delay end to end.
+//! on the first of three triggers: `max_batch` arrivals buffered,
+//! `max_staleness` elapsed since the consumer **popped the window's
+//! first event** (checked on every pop, so a sustained line-rate feed
+//! cannot starve the commit path), or the ring running dry with
+//! arrivals pending — the group commit that lets a flash-crowd burst
+//! amortise one repair instead of queueing behind `batch/max_batch` of
+//! them.
+//!
+//! The deadline clock is the consumer's, not the producer's: it starts
+//! when a window's first event is popped and every flush stops it.
+//! Under a backlog — the consumer behind, every queued event already
+//! older than `max_staleness` — each window therefore still fills up to
+//! `max_batch` instead of committing one event at a time; a trickle's
+//! ring runs dry after almost every event, so it commits at the
+//! ring-dry trigger. Arrival-to-commit latency is measured from the
+//! **ring enqueue** stamp, so it covers the queueing delay end to end.
 //!
 //! ## Id discipline
 //!
@@ -65,9 +73,12 @@ pub struct IngestConfig {
     /// in-flight cap under sustained backlog; a burst smaller than it
     /// commits in one flush when the ring runs dry.
     pub max_batch: usize,
-    /// Flush once the oldest pending admission is this old — the
-    /// wall-clock staleness bound that keeps arrival-to-commit latency
-    /// bounded even when the producer never lets the ring run dry.
+    /// Flush once this long has passed since the current window's
+    /// first event was popped off the ring — the wall-clock bound on
+    /// how long a popped event waits in the buffer when the producer
+    /// never lets the ring run dry. The clock starts at the pop, not at
+    /// ring enqueue, so a backlog of already-old events still commits
+    /// in windows of up to `max_batch` arrivals.
     pub max_staleness: Duration,
 }
 
@@ -126,6 +137,10 @@ pub struct IngestStream {
     /// Stable id → mirror index ([`NOT_LIVE`] when absent).
     index_of: Vec<usize>,
     config: IngestConfig,
+    /// When the consumer popped the current window's first event — the
+    /// `max_staleness` clock. `None` between windows: every flush
+    /// clears it.
+    window_opened: Option<Instant>,
     report: IngestReport,
 }
 
@@ -155,6 +170,7 @@ impl IngestStream {
             ids: (0..k as ClientId).collect(),
             index_of: (0..k).collect(),
             config,
+            window_opened: None,
             report: IngestReport::default(),
         }
     }
@@ -173,12 +189,11 @@ impl IngestStream {
         while let Some(admitted) = ring.pop() {
             popped += 1;
             self.report.arrivals += 1;
+            let now = Instant::now();
+            let opened = *self.window_opened.get_or_insert(now);
             self.accept(engine, admitted.event, admitted.admitted);
             if self.buffer.pending_events() >= self.config.max_batch
-                || self
-                    .buffer
-                    .oldest_admission()
-                    .is_some_and(|oldest| oldest.elapsed() >= self.config.max_staleness)
+                || now.duration_since(opened) >= self.config.max_staleness
             {
                 self.flush(engine);
             }
@@ -196,9 +211,7 @@ impl IngestStream {
     /// Final drain: flushes anything still buffered and returns the
     /// session's counters.
     pub fn finish<E: ServeSink>(mut self, engine: &mut E) -> IngestReport {
-        if !self.buffer.is_empty() {
-            self.flush(engine);
-        }
+        self.flush(engine);
         engine.flush_now();
         self.report
     }
@@ -292,6 +305,7 @@ impl IngestStream {
     /// with their admission stamps into the engine, flush the engine,
     /// and replay the drain's `swap_remove`s onto the id tables.
     fn flush<E: ServeSink>(&mut self, engine: &mut E) {
+        self.window_opened = None;
         if self.buffer.is_empty() {
             return;
         }
@@ -419,7 +433,7 @@ pub fn run_ingest_stream<E: ServeSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{ServeConfig, ServeEngine};
+    use crate::serve::{FailoverReport, FlushReport, RestoreReport, ServeConfig, ServeEngine};
     use crate::setup::{build_replication, SimSetup, TopologySpec};
     use dve_assign::StuckPolicy;
     use dve_topology::HierarchicalConfig;
@@ -554,6 +568,139 @@ mod tests {
         assert_eq!(engine.stats().failovers, 1);
         assert_eq!(engine.stats().recoveries, 1);
         assert_eq!(engine.num_clients(), 119);
+    }
+
+    /// Queues `events` on a fresh ring, lets all of them age past
+    /// `max_staleness`, then drains them in a single pump: the backlog a
+    /// consumer reaches late. The buffer bound is the population, so
+    /// nothing sheds.
+    fn pump_aged_backlog<E: ServeSink>(
+        sink: &mut E,
+        world: &World,
+        max_batch: usize,
+        max_staleness: Duration,
+        events: &[WorldEvent],
+    ) -> IngestReport {
+        let config = IngestConfig {
+            max_batch,
+            max_staleness,
+        };
+        let mut stream = IngestStream::new(&*sink, world, world.clients.len(), config);
+        let ring = IngestRing::with_capacity(events.len());
+        for &event in events {
+            ring.try_push(event).unwrap();
+        }
+        std::thread::sleep(max_staleness + Duration::from_millis(10));
+        assert_eq!(stream.pump(sink, &ring), events.len() as u64);
+        let report = stream.report();
+        assert_eq!((report.shed, report.dropped), (0, 0));
+        report
+    }
+
+    /// A backlog older than the deadline still group-commits: the
+    /// clock starts at the window's first pop, so windows fill to
+    /// `max_batch` (or the ring runs dry) instead of committing one
+    /// already-late event at a time.
+    #[test]
+    fn aged_backlog_commits_in_max_batch_windows() {
+        for (max_batch, windows) in [(1024, 1), (128, 3)] {
+            let (mut engine, world) = boot(&small_setup());
+            let moves: Vec<WorldEvent> = (0..300)
+                .map(|i| WorldEvent::Move {
+                    client: i % world.clients.len(),
+                    zone: i % world.zones,
+                })
+                .collect();
+            let report = pump_aged_backlog(
+                &mut engine,
+                &world,
+                max_batch,
+                Duration::from_millis(50),
+                &moves,
+            );
+            assert_eq!(report.arrivals, 300);
+            assert_eq!(report.flushes, windows, "max_batch {max_batch}");
+        }
+    }
+
+    /// Logs the engine's committed event count at each failover.
+    struct FailoverProbe {
+        engine: ServeEngine,
+        events_at_fail: Vec<u64>,
+    }
+
+    impl ServeSink for FailoverProbe {
+        fn engine(&self) -> &ServeEngine {
+            &self.engine
+        }
+        fn push_admitted(
+            &mut self,
+            event: StreamEvent,
+            at: Instant,
+        ) -> Result<Option<ClientId>, ServeError> {
+            self.engine.push_admitted(event, at)
+        }
+        fn tick(&mut self) -> Option<FlushReport> {
+            self.engine.tick()
+        }
+        fn flush_now(&mut self) -> Option<FlushReport> {
+            self.engine.flush_now()
+        }
+        fn fail_server(&mut self, server: usize) -> Result<FailoverReport, ServeError> {
+            self.events_at_fail.push(self.engine.stats().events);
+            self.engine.fail_server(server)
+        }
+        fn restore_server(&mut self, server: usize) -> Result<RestoreReport, ServeError> {
+            self.engine.restore_server(server)
+        }
+        fn begin_warmup(&mut self) {
+            self.engine.begin_warmup()
+        }
+        fn end_warmup(&mut self) {
+            self.engine.end_warmup()
+        }
+    }
+
+    /// A server fault in an aged backlog closes the window: the churn
+    /// queued before it commits as one window ahead of the failover,
+    /// the churn after it as a second.
+    #[test]
+    fn aged_backlog_commits_two_windows_around_a_failover() {
+        let (engine, world) = boot(&small_setup());
+        let hop = |client: usize, by: usize| WorldEvent::Move {
+            client,
+            zone: (world.clients[client].zone + by) % world.zones,
+        };
+        let mut events: Vec<WorldEvent> = (0..100).map(|c| hop(c, 1)).collect();
+        events.push(WorldEvent::ServerDown { server: 1 });
+        events.extend((0..100).map(|c| hop(c, 2)));
+        let mut probe = FailoverProbe {
+            engine,
+            events_at_fail: Vec::new(),
+        };
+        let report =
+            pump_aged_backlog(&mut probe, &world, 1024, Duration::from_millis(50), &events);
+        assert_eq!(report.flushes, 2);
+        assert_eq!(report.server_events, 1);
+        assert_eq!(report.committed, 201);
+        assert_eq!(
+            probe.events_at_fail,
+            vec![100],
+            "the churn before the fault commits first, whole"
+        );
+        assert_eq!(probe.engine.stats().events, 200);
+    }
+
+    /// A zero deadline still binds: every popped event is already due,
+    /// so each commits in its own flush.
+    #[test]
+    fn zero_staleness_commits_every_pop_alone() {
+        let (mut engine, world) = boot(&small_setup());
+        let moves: Vec<WorldEvent> = (0..50)
+            .map(|client| WorldEvent::Move { client, zone: 0 })
+            .collect();
+        let report = pump_aged_backlog(&mut engine, &world, 1024, Duration::ZERO, &moves);
+        assert_eq!(report.flushes, 50);
     }
 
     /// Joiner ids assigned across flush windows stay addressable

@@ -199,9 +199,6 @@ pub struct DeltaBuffer {
     /// (see [`StreamError::QueueFull`]) — the coalesce-or-shed policy of
     /// the ingest boundary.
     bound: Option<usize>,
-    /// Earliest admission stamp among the pending entries — the
-    /// staleness clock of the ingest pull loop. Cleared at flush.
-    oldest: Option<Instant>,
     shed: u64,
     coalesced: u64,
     ineffective: u64,
@@ -263,7 +260,6 @@ impl DeltaBuffer {
             joins: Vec::new(),
             events: 0,
             bound: None,
-            oldest: None,
             shed: 0,
             coalesced: 0,
             ineffective: 0,
@@ -319,15 +315,6 @@ impl DeltaBuffer {
         self.ineffective
     }
 
-    /// Earliest admission stamp among the pending entries, or `None`
-    /// when the buffer is empty — the staleness clock of the ingest pull
-    /// loop: flush when `oldest_admission().elapsed()` exceeds the
-    /// staleness budget, so arrival-to-commit latency stays bounded even
-    /// when `max_batch` is never reached.
-    pub fn oldest_admission(&self) -> Option<Instant> {
-        self.oldest
-    }
-
     /// Whether the buffer holds nothing to flush.
     pub fn is_empty(&self) -> bool {
         self.events == 0
@@ -361,7 +348,6 @@ impl DeltaBuffer {
                 }
                 self.check_room()?;
                 self.joins.push((node, zone, at));
-                self.note_admission(at);
             }
             WorldEvent::Leave { client } => {
                 self.mark(client, PendingOp::Leave, at)?;
@@ -414,14 +400,6 @@ impl DeltaBuffer {
         }
     }
 
-    /// Records `at` on the staleness clock (minimum over pending
-    /// entries; `push_at` makes out-of-order stamps possible).
-    fn note_admission(&mut self, at: Instant) {
-        if self.oldest.is_none_or(|o| at < o) {
-            self.oldest = Some(at);
-        }
-    }
-
     fn mark(&mut self, client: usize, op: PendingOp, at: Instant) -> Result<(), StreamError> {
         if client >= self.base_clients {
             return Err(StreamError::ClientOutOfRange {
@@ -441,7 +419,6 @@ impl DeltaBuffer {
                 self.ops[client] = op;
                 self.stamps[client] = at;
                 self.touched.push(client);
-                self.note_admission(at);
                 Ok(())
             }
             PendingOp::Move(_) => {
@@ -550,7 +527,6 @@ impl DeltaBuffer {
         self.touched.clear();
         self.joins.clear();
         self.events = 0;
-        self.oldest = None;
         self.base_clients = clients.len();
         self.ops.resize(self.base_clients, PendingOp::None);
         self.stamps.resize(self.base_clients, Instant::now());
@@ -639,7 +615,6 @@ impl DeltaBuffer {
         self.touched.clear();
         self.joins.clear();
         self.events = 0;
-        self.oldest = None;
         self.base_clients = world.clients.len();
         self.ops.resize(self.base_clients, PendingOp::None);
         self.stamps.resize(self.base_clients, Instant::now());
@@ -945,7 +920,6 @@ mod tests {
         buffer
             .push_at(WorldEvent::Move { client: 1, zone: 3 }, t1)
             .unwrap();
-        assert_eq!(buffer.oldest_admission(), Some(t0), "staleness clock");
         // A shed event gets no admission stamp.
         assert_eq!(
             buffer.push_or_shed(WorldEvent::Move { client: 2, zone: 3 }),
@@ -964,11 +938,6 @@ mod tests {
             assert!(admissions.moves.is_empty());
             assert_eq!(admissions.ineffective, 1);
         }
-        assert_eq!(
-            buffer.oldest_admission(),
-            None,
-            "flush resets the staleness clock"
-        );
     }
 
     /// The in-place drain commits the same window as the rebuilding
@@ -1055,7 +1024,6 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
         assert!(drain.is_empty());
-        assert_eq!(drain.oldest_admission(), None);
         // The drained buffer keeps accepting against the new indexing.
         drain
             .push(WorldEvent::Move {

@@ -26,7 +26,11 @@
 //! imbalance. `--max-batch` and `--max-staleness-ms` mirror the fields
 //! of `dve_sim::IngestConfig` and default to its `Default` values (1024
 //! arrivals, 1 ms), which is the single source of truth for the flush
-//! policy. Every flag value is checked before the engine boots: a
+//! policy: a window commits at `--max-batch` arrivals, when the ring
+//! runs dry, or `--max-staleness-ms` after the window's first event was
+//! popped off the ring. That clock starts at the pop, not at enqueue,
+//! so under a backlog each window grows up to `--max-batch` arrivals.
+//! Every flag value is checked before the engine boots: a
 //! value that does not parse, a zero count (`--ring`, `--bound`,
 //! `--max-batch`, `--shards`, `--connections`) or a staleness that is
 //! negative or not finite is rejected with exit code 2 and a message
