@@ -2,8 +2,8 @@
 //!
 //! Claim checked in release mode on every run: at the production
 //! `100s-1000z-50000c` tier, churn replayed through the full ingest
-//! path — SPSC [`IngestRing`] admission stamps, the `DeltaBuffer`
-//! coalesce-or-shed boundary, incremental engine repairs — must
+//! path — SPSC [`IngestRing`] admission stamps, the pull loop's window
+//! bound, incremental engine repairs — must
 //!
 //! * keep **p99.9 arrival-to-commit latency** under the budget (the
 //!   end-to-end stamp: ring enqueue to the end of the applying flush),
@@ -57,12 +57,13 @@ static COUNTER: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
 /// Ring capacity: deep enough to hold the largest burst chunk whole.
 const RING_CAP: usize = 4096;
 
-/// `DeltaBuffer` bound behind the ring (leaves are admitted past it).
+/// Window bound of the pull loop behind the ring (leaves are admitted
+/// past it; at `max_batch` it never binds).
 const BOUND: usize = 1024;
 
 /// Warm-up traffic flushed into [`dve_sim::ServeStats::warmup`] before
-/// the gated schedule: a multiple of `max_batch` so the buffer is empty
-/// (fully flushed) when the warm-up window closes.
+/// the gated schedule: every warm-up chunk is pumped until the ring runs
+/// dry, so nothing is pending when the warm-up window closes.
 const WARMUP_EVENTS: usize = 640;
 
 /// The p99.9 arrival-to-commit budget, nanoseconds (5 ms).
@@ -284,8 +285,6 @@ fn run_schedule(setup: &SimSetup, schedule: &Schedule) -> Row {
     report.arrivals -= warmed.arrivals;
     report.committed -= warmed.committed;
     report.flushes -= warmed.flushes;
-    report.coalesced -= warmed.coalesced;
-    report.ineffective -= warmed.ineffective;
     report.shed -= warmed.shed;
 
     let stats = engine.stats();
@@ -300,13 +299,8 @@ fn run_schedule(setup: &SimSetup, schedule: &Schedule) -> Row {
     };
     println!(
         "burst/{}: {} events in {bursts} bursts on {LARGE_TIER}: committed {} flushes {} \
-         coalesced {} dropped {}",
-        row.name,
-        row.report.arrivals,
-        row.report.committed,
-        row.report.flushes,
-        row.report.coalesced,
-        row.report.dropped
+         dropped {}",
+        row.name, row.report.arrivals, row.report.committed, row.report.flushes, row.report.dropped
     );
     println!(
         "burst/{}: migrations {} full-repairs {} failovers {}",
@@ -328,7 +322,7 @@ fn run_schedule(setup: &SimSetup, schedule: &Schedule) -> Row {
     // --- The gates. ---
     assert_eq!(
         row.report.shed_leaves, 0,
-        "burst/{}: a departure was shed at the buffer bound",
+        "burst/{}: a departure was shed at the window bound",
         row.name
     );
     assert_eq!(
@@ -410,13 +404,12 @@ fn main() {
         let row = gate_schedule(&setup, &schedule);
         rows.push(format!(
             "{{\"scenario\": \"{}\", \"events\": {}, \"committed\": {}, \"flushes\": {}, \
-             \"coalesced\": {}, \"shed_events\": {}, \"shed_leaves\": {}, \"mean_ms\": {:.6}, \
+             \"shed_events\": {}, \"shed_leaves\": {}, \"mean_ms\": {:.6}, \
              \"p99_ms\": {:.6}, \"p999_ms\": {:.6}}}",
             row.name,
             row.report.arrivals,
             row.report.committed,
             row.report.flushes,
-            row.report.coalesced,
             row.ring_shed + row.report.shed,
             row.report.shed_leaves,
             row.mean_ms,

@@ -1,6 +1,5 @@
-//! Engine-side pull loop draining an [`IngestRing`] through the
-//! [`DeltaBuffer`] coalesce-or-shed boundary into any [`ServeSink`] —
-//! a [`ServeEngine`](crate::ServeEngine) at any
+//! Engine-side pull loop draining an [`IngestRing`] into any
+//! [`ServeSink`] — a [`ServeEngine`](crate::ServeEngine) at any
 //! [`ServeConfig::shards`](crate::ServeConfig::shards) width, or a
 //! harness wrapped around one.
 //!
@@ -10,14 +9,17 @@
 //! This is the consumer half of the line-rate ingest front end: a
 //! producer (the `dvecap serve` socket reader, or a burst replayer)
 //! enqueues [`WorldEvent`]s on the ring, and [`IngestStream::pump`]
-//! drains them into a bounded [`DeltaBuffer`], flushing into the engine
-//! on the first of three triggers: `max_batch` arrivals buffered,
-//! `max_staleness` elapsed since the consumer **popped the window's
-//! first event** (checked on every pop, so a sustained line-rate feed
-//! cannot starve the commit path), or the ring running dry with
-//! arrivals pending — the group commit that lets a flash-crowd burst
-//! amortise one repair instead of queueing behind `batch/max_batch` of
-//! them.
+//! pushes each popped event straight into the engine's pending buffer,
+//! flushing it on the first of three triggers: `max_batch` arrivals in
+//! the open window, `max_staleness` elapsed since the consumer **popped
+//! the window's first event** (checked on every pop, so a sustained
+//! line-rate feed cannot starve the commit path), or the ring running
+//! dry with arrivals pending — the group commit that lets a flash-crowd
+//! burst amortise one repair instead of queueing behind
+//! `batch/max_batch` of them. The stream is only a ring drain plus
+//! these triggers: the engine's pending buffer is the one place events
+//! wait, and nothing coalesces, so every accepted arrival is applied
+//! and records one latency sample.
 //!
 //! The deadline clock is the consumer's, not the producer's: it starts
 //! when a window's first event is popped and every flush stops it.
@@ -31,59 +33,49 @@
 //! ## Id discipline
 //!
 //! Ring events address clients by **stable id** (the engine's
-//! [`ClientId`] discipline), not by base-world index: remote producers
-//! cannot track the per-flush index rebasing a [`DeltaBuffer`] does.
-//! The stream owns the translation — a mirror world the buffer is based
-//! on, an index→id table rebased from each flush's `carried_from`, and
-//! an id→index table for addressing. Joiner ids are engine-assigned at
-//! the flush that admits them and are not echoed back over the wire in
-//! this version, so a remote connection can only address the initial
-//! population; a join the engine refuses (admission shed) keeps a dead
-//! placeholder in the table so mirror and engine indexing cannot
-//! diverge. Events naming unknown or departed ids are counted in
-//! [`IngestReport::dropped`], never panicked on.
+//! [`ClientId`] discipline), and the stream passes them to the engine
+//! untranslated: the engine's id map is the only one. The engine
+//! assigns a joiner's id when it accepts the Join at pop time, so a
+//! Move or Leave naming that joiner later in the same window commits.
+//! A Join shed at the window bound or refused by admission control
+//! takes no id. Joiner ids are not echoed back over the wire in this
+//! version. Events naming unknown or departed ids, or out-of-range
+//! zones and nodes, are counted in [`IngestReport::dropped`], never
+//! panicked on.
 //!
 //! ## Backpressure and shedding
 //!
 //! The layers compose: the *ring* refuses when the consumer lags (the
-//! producer retries or sheds, counted on the ring), the *buffer* sheds
-//! joins/moves past its entry bound (counted here), and Leaves are
-//! never shed anywhere — the buffer admits them past its bound and
+//! producer retries or sheds, counted on the ring), the stream's
+//! *window bound* sheds Joins and Moves once `bound` arrivals are in
+//! the open window (counted here; it never binds while `bound >=
+//! max_batch`, since a window flushes at `max_batch`), and Leaves are
+//! never shed anywhere — the window admits them past its bound and
 //! [`IngestReport::shed_leaves`] stays zero, which the burst bench
 //! gates.
 
 use crate::serve::{ClientId, ServeError, ServeSink, StreamEvent};
-use dve_world::{DeltaBuffer, IngestRing, World, WorldEvent};
+use dve_world::{IngestRing, World, WorldEvent};
 use std::time::{Duration, Instant};
-
-/// Marks an id-table slot whose join the engine refused: the mirror
-/// world carries the client, the engine does not, and nothing can
-/// address it (never a live engine id).
-const DEAD: ClientId = ClientId::MAX;
-
-/// Marks an id→index slot that is not live.
-const NOT_LIVE: usize = usize::MAX;
 
 /// Flush policy of an [`IngestStream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
-    /// Flush the buffer into the engine once this many arrivals are
-    /// pending (coalesced arrivals count: this is the arrival counter,
-    /// matching the engine's own `max_batch` semantics). This is the
-    /// in-flight cap under sustained backlog; a burst smaller than it
-    /// commits in one flush when the ring runs dry.
+    /// Flush the engine once this many arrivals are in the open window.
+    /// This is the in-flight cap under sustained backlog; a burst
+    /// smaller than it commits in one flush when the ring runs dry.
     pub max_batch: usize,
     /// Flush once this long has passed since the current window's
     /// first event was popped off the ring — the wall-clock bound on
-    /// how long a popped event waits in the buffer when the producer
-    /// never lets the ring run dry. The clock starts at the pop, not at
-    /// ring enqueue, so a backlog of already-old events still commits
-    /// in windows of up to `max_batch` arrivals.
+    /// how long a popped event waits in the engine's pending buffer
+    /// when the producer never lets the ring run dry. The clock starts
+    /// at the pop, not at ring enqueue, so a backlog of already-old
+    /// events still commits in windows of up to `max_batch` arrivals.
     pub max_staleness: Duration,
 }
 
 impl Default for IngestConfig {
-    /// Batches capped at 1024 arrivals (the burst bench's buffer
+    /// Batches capped at 1024 arrivals (the burst bench's window
     /// bound), 1 ms staleness — the serving-SLO posture of the burst
     /// bench: bursts group-commit whole, trickles wait at most 1 ms.
     fn default() -> Self {
@@ -99,44 +91,41 @@ impl Default for IngestConfig {
 pub struct IngestReport {
     /// Events popped off the ring.
     pub arrivals: u64,
-    /// Events committed into the engine (post-coalescing delta events
-    /// plus server fault events).
+    /// Events the engine accepted (each is applied; nothing coalesces)
+    /// plus server fault events.
     pub committed: u64,
-    /// Buffer flushes into the engine.
+    /// Window flushes into the engine.
     pub flushes: u64,
-    /// Events shed at the buffer bound (joins/moves only, by policy).
+    /// Joins and Moves shed at the window bound.
     pub shed: u64,
-    /// Leaves shed anywhere — **must stay zero**: leaves bypass every
-    /// bound (a departure strictly frees capacity). The burst bench
+    /// Leaves shed — **always zero**: the window bound admits every
+    /// Leave (a departure strictly frees capacity), and producers push
+    /// Leaves onto the ring with the blocking push. The burst bench
     /// gates this.
     pub shed_leaves: u64,
-    /// Arrivals absorbed into an existing buffer entry.
+    /// Always 0: the stream no longer coalesces arrivals. Kept so the
+    /// report readers in `benchmark/` still compile.
     pub coalesced: u64,
-    /// Buffer entries dropped at flush as no-ops (move-back windows).
-    pub ineffective: u64,
     /// Invalid events dropped (unknown/departed ids, out-of-range
     /// zones or nodes, refusals after retry).
     pub dropped: u64,
-    /// Joins the engine refused at admission (shed or still queued).
+    /// Joins the engine shed at admission control.
     pub refused_joins: u64,
-    /// Server fault events routed around the buffer to the engine.
+    /// Server fault events routed to the engine.
     pub server_events: u64,
 }
 
-/// The pull-loop state machine: mirror world, id tables, bounded
-/// buffer, counters. See the module-level docs of
+/// The pull-loop state machine: the window bound, the flush triggers
+/// and the counters. See the module-level docs of
 /// [`run_ingest_stream`]'s module for the flush policy and id
 /// discipline.
 #[derive(Debug)]
 pub struct IngestStream {
-    buffer: DeltaBuffer,
-    /// Mirror of the buffer's base world, advanced by each flush.
-    world: World,
-    /// Mirror index → stable id ([`DEAD`] for engine-refused joiners).
-    ids: Vec<ClientId>,
-    /// Stable id → mirror index ([`NOT_LIVE`] when absent).
-    index_of: Vec<usize>,
+    /// Joins and Moves shed once this many arrivals are in the window.
+    bound: usize,
     config: IngestConfig,
+    /// Arrivals the engine accepted since the last flush.
+    window: usize,
     /// When the consumer popped the current window's first event — the
     /// `max_staleness` clock. `None` between windows: every flush
     /// clears it.
@@ -145,31 +134,27 @@ pub struct IngestStream {
 }
 
 impl IngestStream {
-    /// Binds a stream to `engine` and the world it was booted on.
-    /// `bound` caps the buffer's distinct entries (the coalesce-or-shed
-    /// boundary). The engine's live population must still be the boot
-    /// world's `0..k` id range (i.e. attach before serving churn). Any
-    /// [`ServeSink`] works — the engine itself or a harness wrapped
-    /// around it.
+    /// Opens a stream in front of `engine`. `bound` caps the arrivals
+    /// one window admits before Joins and Moves shed. The stream keeps
+    /// no engine or world state, so `_engine` and `_world` are unused;
+    /// they stay for the callers of this signature. Any [`ServeSink`]
+    /// works — the engine itself or a harness wrapped around it.
     pub fn new<E: ServeSink>(
-        engine: &E,
-        world: &World,
+        _engine: &E,
+        _world: &World,
         bound: usize,
         config: IngestConfig,
     ) -> Self {
-        assert_eq!(
-            engine.engine().num_clients(),
-            world.clients.len(),
-            "engine and world populations must match"
-        );
+        Self::open(bound, config)
+    }
+
+    fn open(bound: usize, config: IngestConfig) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        let k = world.clients.len();
+        assert!(bound >= 1, "a zero-arrival window cannot accept anything");
         IngestStream {
-            buffer: DeltaBuffer::with_bound(world, bound),
-            world: world.clone(),
-            ids: (0..k as ClientId).collect(),
-            index_of: (0..k).collect(),
+            bound,
             config,
+            window: 0,
             window_opened: None,
             report: IngestReport::default(),
         }
@@ -180,10 +165,10 @@ impl IngestStream {
         self.report
     }
 
-    /// Drains every event currently on the ring, flushing into the
-    /// engine per the [`IngestConfig`] policy, and returns how many
-    /// events were popped. Call in a loop (the consumer side of the
-    /// SPSC contract) until the ring is closed and empty.
+    /// Drains every event currently on the ring, flushing the engine
+    /// per the [`IngestConfig`] policy, and returns how many events
+    /// were popped. Call in a loop (the consumer side of the SPSC
+    /// contract) until the ring is closed and empty.
     pub fn pump<E: ServeSink>(&mut self, engine: &mut E, ring: &IngestRing) -> u64 {
         let mut popped = 0u64;
         while let Some(admitted) = ring.pop() {
@@ -192,23 +177,22 @@ impl IngestStream {
             let now = Instant::now();
             let opened = *self.window_opened.get_or_insert(now);
             self.accept(engine, admitted.event, admitted.admitted);
-            if self.buffer.pending_events() >= self.config.max_batch
+            if self.window >= self.config.max_batch
                 || now.duration_since(opened) >= self.config.max_staleness
             {
                 self.flush(engine);
             }
         }
-        // The ring ran dry: nothing more can coalesce into this window,
-        // so group-commit whatever the drain gathered. A burst under
-        // `max_batch` pays one repair for the whole window instead of
-        // its tail queueing behind a chain of micro-flushes.
+        // The ring ran dry: group-commit whatever the drain gathered. A
+        // burst under `max_batch` pays one repair for the whole window
+        // instead of its tail queueing behind a chain of micro-flushes.
         if popped > 0 {
             self.flush(engine);
         }
         popped
     }
 
-    /// Final drain: flushes anything still buffered and returns the
+    /// Final drain: flushes anything still pending and returns the
     /// session's counters.
     pub fn finish<E: ServeSink>(mut self, engine: &mut E) -> IngestReport {
         self.flush(engine);
@@ -216,195 +200,88 @@ impl IngestStream {
         self.report
     }
 
-    /// Routes one ring event: client churn into the buffer (translated
-    /// id → mirror index), server faults around it to the engine.
+    /// Routes one ring event: client churn into the engine's pending
+    /// buffer by stable id (through the window bound), server faults
+    /// to the engine after the open window commits.
     fn accept<E: ServeSink>(&mut self, engine: &mut E, event: WorldEvent, at: Instant) {
-        match event {
-            WorldEvent::Join { node, zone } => {
-                if node >= engine.engine().nodes() {
-                    self.report.dropped += 1;
-                    return;
-                }
-                match self
-                    .buffer
-                    .push_or_shed_at(WorldEvent::Join { node, zone }, at)
-                {
-                    Ok(true) => {}
-                    Ok(false) => self.report.shed += 1,
-                    Err(_) => self.report.dropped += 1,
-                }
-            }
-            WorldEvent::Leave { client: id } => {
-                let Some(index) = self.live_index(id as ClientId) else {
-                    self.report.dropped += 1;
-                    return;
-                };
-                // Leaves bypass the buffer bound, so the only refusals
-                // are caller bugs (AlreadyLeft after a duplicate);
-                // dropped, never shed.
-                match self
-                    .buffer
-                    .push_or_shed_at(WorldEvent::Leave { client: index }, at)
-                {
-                    Ok(true) => {}
-                    Ok(false) => self.report.shed_leaves += 1,
-                    Err(_) => self.report.dropped += 1,
-                }
-            }
-            WorldEvent::Move { client: id, zone } => {
-                let Some(index) = self.live_index(id as ClientId) else {
-                    self.report.dropped += 1;
-                    return;
-                };
-                match self.buffer.push_or_shed_at(
-                    WorldEvent::Move {
-                        client: index,
-                        zone,
-                    },
-                    at,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => self.report.shed += 1,
-                    Err(_) => self.report.dropped += 1,
-                }
-            }
+        let event = match event {
+            WorldEvent::Join { node, zone } => StreamEvent::Join { node, zone },
+            WorldEvent::Leave { client } => StreamEvent::Leave {
+                id: client as ClientId,
+            },
+            WorldEvent::Move { client, zone } => StreamEvent::Move {
+                id: client as ClientId,
+                zone,
+            },
             WorldEvent::ServerDown { server } => {
-                // Order matters: commit buffered churn first, then fail.
+                // Order matters: commit the open window first, then fail.
                 self.flush(engine);
-                match engine.fail_server(server) {
-                    Ok(_) => {
-                        self.report.server_events += 1;
-                        self.report.committed += 1;
-                    }
-                    Err(_) => self.report.dropped += 1,
-                }
+                let result = engine.fail_server(server).map(drop);
+                self.count_server_event(result);
+                return;
             }
             WorldEvent::ServerUp { server } => {
                 self.flush(engine);
-                match engine.restore_server(server) {
-                    Ok(_) => {
-                        self.report.server_events += 1;
-                        self.report.committed += 1;
-                    }
-                    Err(_) => self.report.dropped += 1,
-                }
+                let result = engine.restore_server(server).map(drop);
+                self.count_server_event(result);
+                return;
             }
-        }
-    }
-
-    fn live_index(&self, id: ClientId) -> Option<usize> {
-        match self.index_of.get(id as usize) {
-            Some(&index) if index != NOT_LIVE => Some(index),
-            _ => None,
-        }
-    }
-
-    /// Commits the buffered window: drain the buffer **into the mirror
-    /// world in place** (O(touched), not O(population) — the line-rate
-    /// property the burst bench gates), feed the delta-aligned events
-    /// with their admission stamps into the engine, flush the engine,
-    /// and replay the drain's `swap_remove`s onto the id tables.
-    fn flush<E: ServeSink>(&mut self, engine: &mut E) {
-        self.window_opened = None;
-        if self.buffer.is_empty() {
+        };
+        // The window bound sheds Joins and Moves only: a Leave strictly
+        // frees capacity, and shedding one would leave the engine
+        // serving a phantom client forever.
+        if self.window >= self.bound && !matches!(event, StreamEvent::Leave { .. }) {
+            self.report.shed += 1;
             return;
         }
-        let (delta, admissions) = self.buffer.drain_in_place(&mut self.world);
-        self.report.flushes += 1;
-        // Feed against pre-drain indices — the id tables are rebased
-        // only after the engine has taken the window.
-        for (&index, &at) in delta.leaves.iter().zip(&admissions.leaves) {
-            let id = self.ids[index];
-            self.feed(engine, StreamEvent::Leave { id }, at);
-        }
-        for (&(index, zone), &at) in delta.moves.iter().zip(&admissions.moves) {
-            let id = self.ids[index];
-            self.feed(engine, StreamEvent::Move { id, zone }, at);
-        }
-        let mut joined: Vec<ClientId> = Vec::with_capacity(delta.joins.len());
-        for (&(node, zone), &at) in delta.joins.iter().zip(&admissions.joins) {
-            match self.feed(engine, StreamEvent::Join { node, zone }, at) {
-                Some(Some(id)) => joined.push(id),
-                // Refused (admission shed, counted in `feed`) or
-                // dropped: the mirror carries the client under a dead
-                // placeholder so indexing cannot diverge.
-                Some(None) | None => joined.push(DEAD),
-            }
-        }
-        engine.flush_now();
-
-        // Replay the drain's index moves onto the id tables: departures
-        // are swap_removes from the highest index down, joiners append.
-        for &index in delta.leaves.iter().rev() {
-            let id = self.ids.swap_remove(index);
-            if id != DEAD {
-                self.index_of[id as usize] = NOT_LIVE;
-            }
-            if index < self.ids.len() {
-                let swapped = self.ids[index];
-                if swapped != DEAD {
-                    self.index_of[swapped as usize] = index;
-                }
-            }
-        }
-        for id in joined {
-            let index = self.ids.len();
-            self.ids.push(id);
-            self.note_live(id, index);
-        }
-        debug_assert_eq!(self.ids.len(), self.world.clients.len());
-        self.report.coalesced = self.buffer.coalesced_events();
-        self.report.ineffective = self.buffer.ineffective_events();
-        self.report.shed = self.buffer.shed_events();
+        self.feed(engine, event, at);
     }
 
-    fn note_live(&mut self, id: ClientId, index: usize) {
-        if id == DEAD {
-            return;
+    fn count_server_event(&mut self, result: Result<(), ServeError>) {
+        match result {
+            Ok(()) => {
+                self.report.server_events += 1;
+                self.report.committed += 1;
+            }
+            Err(_) => self.report.dropped += 1,
         }
-        let slot = id as usize;
-        if slot >= self.index_of.len() {
-            self.index_of.resize(slot + 1, NOT_LIVE);
-        }
-        self.index_of[slot] = index;
     }
 
     /// Pushes one event into the engine with its admission stamp,
-    /// retrying once across an engine flush on `QueueFull`. Returns
-    /// `None` when the event was dropped, `Some(join_result)` when the
-    /// engine took it.
-    fn feed<E: ServeSink>(
-        &mut self,
-        engine: &mut E,
-        event: StreamEvent,
-        at: Instant,
-    ) -> Option<Option<ClientId>> {
+    /// retrying once across a flush on `QueueFull`.
+    fn feed<E: ServeSink>(&mut self, engine: &mut E, event: StreamEvent, at: Instant) {
         let mut attempt = engine.push_admitted(event, at);
         if matches!(attempt, Err(ServeError::QueueFull { .. })) {
-            engine.flush_now();
+            self.flush(engine);
             attempt = engine.push_admitted(event, at);
         }
         match attempt {
-            Ok(id) => {
+            Ok(_) => {
+                self.window += 1;
                 self.report.committed += 1;
-                Some(id)
             }
-            Err(ServeError::Shed { .. }) => {
-                self.report.refused_joins += 1;
-                Some(None)
-            }
-            Err(_) => {
-                self.report.dropped += 1;
-                None
-            }
+            Err(ServeError::Shed { .. }) => self.report.refused_joins += 1,
+            Err(_) => self.report.dropped += 1,
         }
+    }
+
+    /// Commits the open window: one engine flush, unless the window
+    /// took nothing.
+    fn flush<E: ServeSink>(&mut self, engine: &mut E) {
+        self.window_opened = None;
+        if self.window == 0 {
+            return;
+        }
+        self.window = 0;
+        self.report.flushes += 1;
+        engine.flush_now();
     }
 }
 
 /// Runs the pull loop to completion: pumps `ring` into `engine` until
 /// the ring is closed and drained, then flushes the tail and returns
-/// the session counters. `world` must be the world `engine` was booted
-/// on (the id-discipline anchor); `bound` caps the buffer entries.
+/// the session counters. `bound` caps the arrivals one window admits
+/// before Joins and Moves shed.
 ///
 /// The latency histogram in
 /// [`ServeEngine::stats`](crate::ServeEngine::stats) measures each
@@ -413,11 +290,10 @@ impl IngestStream {
 pub fn run_ingest_stream<E: ServeSink>(
     engine: &mut E,
     ring: &IngestRing,
-    world: &World,
     bound: usize,
     config: IngestConfig,
 ) -> IngestReport {
-    let mut stream = IngestStream::new(engine, world, bound, config);
+    let mut stream = IngestStream::open(bound, config);
     loop {
         let popped = stream.pump(engine, ring);
         if ring.is_closed() && ring.is_empty() {
@@ -437,7 +313,7 @@ mod tests {
     use crate::setup::{build_replication, SimSetup, TopologySpec};
     use dve_assign::StuckPolicy;
     use dve_topology::HierarchicalConfig;
-    use dve_world::{ErrorModel, ScenarioConfig};
+    use dve_world::{DeltaBuffer, ErrorModel, ScenarioConfig};
 
     fn small_setup() -> SimSetup {
         SimSetup {
@@ -467,102 +343,151 @@ mod tests {
         (engine, rep.world)
     }
 
-    /// Ring → buffer → engine end to end: events committed, population
-    /// tracks joins and leaves, zero shed leaves.
+    /// One window per ring drain: no deadline and no batch cap bind.
+    fn one_window() -> IngestConfig {
+        IngestConfig {
+            max_batch: 1_000,
+            max_staleness: Duration::from_secs(3_600),
+        }
+    }
+
+    /// Queues `events` on a closed ring and serves them to completion.
+    fn serve(
+        engine: &mut ServeEngine,
+        events: &[WorldEvent],
+        bound: usize,
+        config: IngestConfig,
+    ) -> IngestReport {
+        let ring = IngestRing::with_capacity(events.len().max(1));
+        for &event in events {
+            ring.try_push(event).unwrap();
+        }
+        ring.close();
+        run_ingest_stream(engine, &ring, bound, config)
+    }
+
+    /// The zone client `id` is in, if live.
+    fn zone_of(engine: &ServeEngine, id: ClientId) -> Option<usize> {
+        engine.index_of(id).map(|c| engine.instance().zone_of(c))
+    }
+
+    /// Latency samples the engine recorded, warm-up included.
+    fn samples(engine: &ServeEngine) -> u64 {
+        engine.stats().latency.count() + engine.stats().warmup.count()
+    }
+
+    /// Ring → engine end to end: every accepted arrival commits (a
+    /// same-zone move included), population tracks joins and leaves,
+    /// zero shed leaves.
     #[test]
     fn ring_events_commit_into_the_engine() {
-        let (mut engine, world) = boot(&small_setup());
-        let ring = IngestRing::with_capacity(256);
-        ring.try_push(WorldEvent::Leave { client: 3 }).unwrap();
-        ring.try_push(WorldEvent::Move { client: 5, zone: 2 })
-            .unwrap();
-        ring.try_push(WorldEvent::Join { node: 1, zone: 4 })
-            .unwrap();
-        ring.try_push(WorldEvent::Leave { client: 7 }).unwrap();
-        ring.close();
-        let report = run_ingest_stream(&mut engine, &ring, &world, 64, IngestConfig::default());
+        let (mut engine, _) = boot(&small_setup());
+        let events = [
+            WorldEvent::Leave { client: 3 },
+            WorldEvent::Move { client: 5, zone: 2 },
+            WorldEvent::Join { node: 1, zone: 4 },
+            WorldEvent::Leave { client: 7 },
+        ];
+        let report = serve(&mut engine, &events, 64, IngestConfig::default());
         assert_eq!(report.arrivals, 4);
         assert_eq!(report.shed_leaves, 0);
         assert_eq!(report.dropped, 0);
-        // 2 leaves + 1 join + 1 move, unless the move was a no-op.
-        let moved = u64::from(world.clients[5].zone != 2);
-        assert_eq!(report.committed, 3 + moved);
+        assert_eq!(report.committed, 4);
         assert_eq!(engine.num_clients(), 119);
-        assert_eq!(engine.stats().events, 3 + moved);
-        assert_eq!(
-            engine.stats().latency.count() + engine.stats().warmup.count(),
-            3 + moved,
-            "one latency sample per committed event"
-        );
+        assert_eq!(engine.stats().events, 4);
+        assert_eq!(samples(&engine), 4, "one latency sample per arrival");
         // Departed ids are gone; survivors keep their ids.
         assert_eq!(engine.index_of(3), None);
         assert_eq!(engine.index_of(7), None);
-        assert!(engine.index_of(5).is_some());
+        assert_eq!(zone_of(&engine, 5), Some(2));
     }
 
     /// Stale ids (departed clients) and bad zones are dropped, never
     /// panicked on — a remote producer cannot crash the engine.
     #[test]
     fn invalid_events_are_dropped_not_fatal() {
-        let (mut engine, world) = boot(&small_setup());
-        let ring = IngestRing::with_capacity(64);
-        ring.try_push(WorldEvent::Leave { client: 2 }).unwrap();
-        // Same id again: departed by the time the second arrives in
-        // the same window (AlreadyLeft inside the buffer).
-        ring.try_push(WorldEvent::Leave { client: 2 }).unwrap();
-        // Unknown id and out-of-range zone.
-        ring.try_push(WorldEvent::Leave { client: 9_999 }).unwrap();
-        ring.try_push(WorldEvent::Move {
-            client: 4,
-            zone: 9_999,
-        })
-        .unwrap();
-        ring.close();
-        let report = run_ingest_stream(&mut engine, &ring, &world, 64, IngestConfig::default());
+        let (mut engine, _) = boot(&small_setup());
+        let events = [
+            WorldEvent::Leave { client: 2 },
+            // Same id again: already leaving by the time the second
+            // arrives in the same window.
+            WorldEvent::Leave { client: 2 },
+            // Unknown id and out-of-range zone.
+            WorldEvent::Leave { client: 9_999 },
+            WorldEvent::Move {
+                client: 4,
+                zone: 9_999,
+            },
+        ];
+        let report = serve(&mut engine, &events, 64, IngestConfig::default());
         assert_eq!(report.arrivals, 4);
         assert_eq!(report.committed, 1);
         assert_eq!(report.dropped, 3);
         assert_eq!(engine.num_clients(), 119);
     }
 
-    /// The buffer bound sheds joins/moves under pressure but never a
-    /// leave, and the ring/buffer shed counters compose with committed
-    /// counts to account for every arrival.
+    /// The window bound sheds moves under pressure but never a leave,
+    /// and the shed counter composes with committed counts to account
+    /// for every arrival.
     #[test]
     fn bounded_buffer_sheds_moves_not_leaves() {
-        let (mut engine, world) = boot(&small_setup());
-        let ring = IngestRing::with_capacity(256);
-        // Tight bound of 4 entries, huge batch: everything buffers in
-        // one window, so arrivals past the bound shed.
-        for client in 0..8 {
-            ring.try_push(WorldEvent::Move { client, zone: 9 }).unwrap();
-        }
-        for client in 8..12 {
-            ring.try_push(WorldEvent::Leave { client }).unwrap();
-        }
-        ring.close();
-        let config = IngestConfig {
-            max_batch: 1_000,
-            max_staleness: Duration::from_secs(3_600),
-        };
-        let report = run_ingest_stream(&mut engine, &ring, &world, 4, config);
+        let (mut engine, _) = boot(&small_setup());
+        // Tight bound of 4 arrivals, one window: arrivals past the
+        // bound shed.
+        let mut events: Vec<WorldEvent> = (0..8)
+            .map(|client| WorldEvent::Move { client, zone: 9 })
+            .collect();
+        events.extend((8..12).map(|client| WorldEvent::Leave { client }));
+        let report = serve(&mut engine, &events, 4, one_window());
         assert_eq!(report.arrivals, 12);
         assert_eq!(report.shed, 4, "moves past the bound shed");
         assert_eq!(report.shed_leaves, 0, "leaves all admitted past it");
+        assert_eq!(report.committed + report.shed, report.arrivals);
         assert_eq!(engine.num_clients(), 116, "all four leaves committed");
     }
 
-    /// Server fault events route around the buffer in order: churn
-    /// buffered before the fault commits first.
+    /// Regression: a Leave must never be shed at the window bound.
+    /// Shedding a departure would leave the engine serving a phantom
+    /// client forever — a leave strictly frees capacity, so it is
+    /// admitted past the bound, while new Moves and Joins shed there.
+    #[test]
+    fn leave_is_never_shed_at_the_bound() {
+        let (mut engine, world) = boot(&small_setup());
+        let events = [
+            WorldEvent::Move { client: 0, zone: 1 },
+            WorldEvent::Move { client: 1, zone: 1 },
+            // The window is at its bound of 2: these shed...
+            WorldEvent::Move { client: 2, zone: 1 },
+            WorldEvent::Join { node: 0, zone: 0 },
+            // ...and these are admitted past it.
+            WorldEvent::Leave { client: 3 },
+            WorldEvent::Leave { client: 4 },
+            WorldEvent::Leave { client: 5 },
+        ];
+        let report = serve(&mut engine, &events, 2, one_window());
+        assert_eq!(report.flushes, 1, "one window");
+        assert_eq!(report.shed, 2);
+        assert_eq!(report.shed_leaves, 0);
+        assert_eq!(report.committed, 5);
+        assert_eq!(engine.num_clients(), 117, "all three leaves committed");
+        for id in 3..6 {
+            assert_eq!(engine.index_of(id), None);
+        }
+        assert_eq!(zone_of(&engine, 2), Some(world.clients[2].zone));
+        assert_eq!(engine.index_of(120), None, "a shed join takes no id");
+    }
+
+    /// Server fault events route around the window in order: churn
+    /// popped before the fault commits first.
     #[test]
     fn server_faults_route_to_the_engine_in_order() {
-        let (mut engine, world) = boot(&small_setup());
-        let ring = IngestRing::with_capacity(64);
-        ring.try_push(WorldEvent::Leave { client: 0 }).unwrap();
-        ring.try_push(WorldEvent::ServerDown { server: 1 }).unwrap();
-        ring.try_push(WorldEvent::ServerUp { server: 1 }).unwrap();
-        ring.close();
-        let report = run_ingest_stream(&mut engine, &ring, &world, 64, IngestConfig::default());
+        let (mut engine, _) = boot(&small_setup());
+        let events = [
+            WorldEvent::Leave { client: 0 },
+            WorldEvent::ServerDown { server: 1 },
+            WorldEvent::ServerUp { server: 1 },
+        ];
+        let report = serve(&mut engine, &events, 64, IngestConfig::default());
         assert_eq!(report.server_events, 2);
         assert_eq!(report.dropped, 0);
         assert_eq!(engine.stats().failovers, 1);
@@ -570,9 +495,165 @@ mod tests {
         assert_eq!(engine.num_clients(), 119);
     }
 
+    /// A joiner's id is assigned when the engine accepts its Join, so a
+    /// Move and a Leave naming it in the same window commit.
+    #[test]
+    fn a_joiner_is_addressable_in_its_own_window() {
+        let (mut engine, _) = boot(&small_setup());
+        let events = [
+            WorldEvent::Join { node: 2, zone: 5 },
+            WorldEvent::Move {
+                client: 120,
+                zone: 6,
+            },
+            WorldEvent::Leave { client: 120 },
+        ];
+        let report = serve(&mut engine, &events, 64, one_window());
+        assert_eq!(report.flushes, 1, "one window");
+        assert_eq!(report.dropped, 0);
+        assert_eq!(report.committed, 3);
+        assert_eq!(engine.num_clients(), 120);
+        assert_eq!(engine.index_of(120), None, "the joiner came and went");
+        assert_eq!(samples(&engine), 3);
+    }
+
+    /// Every accepted arrival records exactly one latency sample, each
+    /// measured from its ring enqueue: the queueing delay on the ring
+    /// is part of it. Shed arrivals record none.
+    #[test]
+    fn admission_timestamps_align_with_the_committed_delta() {
+        let (mut engine, _) = boot(&small_setup());
+        let ring = IngestRing::with_capacity(8);
+        ring.try_push(WorldEvent::Leave { client: 0 }).unwrap();
+        ring.try_push(WorldEvent::Move { client: 1, zone: 3 })
+            .unwrap();
+        // The window bound is 2: these two shed.
+        ring.try_push(WorldEvent::Move { client: 2, zone: 3 })
+            .unwrap();
+        ring.try_push(WorldEvent::Join { node: 0, zone: 3 })
+            .unwrap();
+        ring.close();
+        let queued = Duration::from_millis(20);
+        std::thread::sleep(queued);
+        let report = run_ingest_stream(&mut engine, &ring, 2, one_window());
+        assert_eq!((report.committed, report.shed), (2, 2));
+        assert_eq!(samples(&engine), report.committed);
+        assert!(
+            engine.stats().latency.min_ns() >= queued.as_nanos() as u64,
+            "every sample covers the ring queueing delay"
+        );
+    }
+
+    /// Nothing coalesces: two moves of one client in one window are
+    /// two samples, and the first keeps its own, earlier stamp.
+    #[test]
+    fn coalesced_entries_keep_the_first_arrival_stamp() {
+        let (mut engine, world) = boot(&small_setup());
+        let base = world.clients[0].zone;
+        let a = (base + 1) % world.zones;
+        let b = (base + 2) % world.zones;
+        let ring = IngestRing::with_capacity(8);
+        ring.try_push(WorldEvent::Move { client: 0, zone: a })
+            .unwrap();
+        let gap = Duration::from_millis(30);
+        std::thread::sleep(gap);
+        ring.try_push(WorldEvent::Move { client: 0, zone: b })
+            .unwrap();
+        ring.close();
+        let report = run_ingest_stream(&mut engine, &ring, 64, one_window());
+        assert_eq!(report.committed, 2);
+        assert_eq!(report.coalesced, 0);
+        assert_eq!(zone_of(&engine, 0), Some(b), "last destination wins");
+        let latency = &engine.stats().latency;
+        assert_eq!(latency.count(), 2, "two arrivals, two samples");
+        assert!(
+            latency.max_ns() >= latency.min_ns() + gap.as_nanos() as u64,
+            "the first arrival is measured from its own stamp"
+        );
+    }
+
+    /// A move-then-move-back pair is two accepted arrivals and two
+    /// samples in whichever window it lands, and an invalid event
+    /// records none: sample counts always equal committed churn.
+    #[test]
+    fn move_then_move_back_yields_consistent_sample_counts() {
+        let (mut engine, world) = boot(&small_setup());
+        let mut events = Vec::new();
+        for client in [6, 9, 11] {
+            let base = world.clients[client].zone;
+            let other = (base + 1) % world.zones;
+            events.push(WorldEvent::Move {
+                client,
+                zone: other,
+            });
+            events.push(WorldEvent::Move { client, zone: base });
+        }
+        events.push(WorldEvent::Leave { client: 9_999 });
+        // Windows of 4 split one pair across a flush.
+        let config = IngestConfig {
+            max_batch: 4,
+            ..one_window()
+        };
+        let report = serve(&mut engine, &events, 64, config);
+        assert_eq!(report.flushes, 2);
+        assert_eq!((report.committed, report.dropped), (6, 1));
+        assert_eq!(samples(&engine), report.committed);
+        for client in [6, 9, 11] {
+            let id = client as ClientId;
+            assert_eq!(zone_of(&engine, id), Some(world.clients[client].zone));
+        }
+    }
+
+    /// The serving path commits the same window as the batch reference:
+    /// feeding it through the ring and through [`DeltaBuffer::flush`]
+    /// ends in the same population with every survivor in the same
+    /// zone, the joiner included.
+    #[test]
+    fn drain_in_place_matches_flush_semantics() {
+        let (mut engine, world) = boot(&small_setup());
+        let base = 4;
+        let away = (world.clients[base].zone + 1) % world.zones;
+        let events = [
+            WorldEvent::Leave { client: 2 },
+            WorldEvent::Move { client: 5, zone: 9 },
+            WorldEvent::Leave { client: 7 },
+            WorldEvent::Join { node: 3, zone: 1 },
+            // Moved away and back: both paths end where it started.
+            WorldEvent::Move {
+                client: base,
+                zone: away,
+            },
+            WorldEvent::Move {
+                client: base,
+                zone: world.clients[base].zone,
+            },
+        ];
+        let mut buffer = DeltaBuffer::new(&world);
+        for &event in &events {
+            buffer.push(event).unwrap();
+        }
+        let outcome = buffer.flush(&world);
+        let report = serve(&mut engine, &events, 64, one_window());
+        assert_eq!(report.committed, events.len() as u64);
+
+        assert_eq!(engine.num_clients(), outcome.world.clients.len());
+        for (new, &old) in outcome.carried_from.iter().enumerate() {
+            // Initial ids are boot-world indices; the joiner took 120.
+            let id = old.map_or(120, |old| old as ClientId);
+            assert_eq!(
+                zone_of(&engine, id),
+                Some(outcome.world.clients[new].zone),
+                "client {id}"
+            );
+        }
+        for id in [2, 7] {
+            assert_eq!(engine.index_of(id), None);
+        }
+    }
+
     /// Queues `events` on a fresh ring, lets all of them age past
     /// `max_staleness`, then drains them in a single pump: the backlog a
-    /// consumer reaches late. The buffer bound is the population, so
+    /// consumer reaches late. The window bound is `max_batch`, so
     /// nothing sheds.
     fn pump_aged_backlog<E: ServeSink>(
         sink: &mut E,
@@ -585,7 +666,7 @@ mod tests {
             max_batch,
             max_staleness,
         };
-        let mut stream = IngestStream::new(&*sink, world, world.clients.len(), config);
+        let mut stream = IngestStream::new(&*sink, world, max_batch, config);
         let ring = IngestRing::with_capacity(events.len());
         for &event in events {
             ring.try_push(event).unwrap();
@@ -703,39 +784,30 @@ mod tests {
         assert_eq!(report.flushes, 50);
     }
 
-    /// Joiner ids assigned across flush windows stay addressable
-    /// in-process (the stream's id table follows the engine), and a
-    /// move-then-move-back window costs no engine event.
+    /// A move-then-move-back window commits both arrivals, which net
+    /// out to no change: the client ends in its base zone and each
+    /// arrival records its own sample.
     #[test]
     fn move_back_window_commits_nothing() {
         let (mut engine, world) = boot(&small_setup());
         let base = world.clients[6].zone;
         let other = (base + 1) % world.zones;
-        let ring = IngestRing::with_capacity(64);
-        ring.try_push(WorldEvent::Move {
-            client: 6,
-            zone: other,
-        })
-        .unwrap();
-        ring.try_push(WorldEvent::Move {
-            client: 6,
-            zone: base,
-        })
-        .unwrap();
-        ring.close();
-        let config = IngestConfig {
-            max_batch: 1_000,
-            max_staleness: Duration::from_secs(3_600),
-        };
-        let report = run_ingest_stream(&mut engine, &ring, &world, 64, config);
+        let events = [
+            WorldEvent::Move {
+                client: 6,
+                zone: other,
+            },
+            WorldEvent::Move {
+                client: 6,
+                zone: base,
+            },
+        ];
+        let report = serve(&mut engine, &events, 64, one_window());
         assert_eq!(report.arrivals, 2);
-        assert_eq!(report.coalesced, 1);
-        assert_eq!(report.ineffective, 1);
-        assert_eq!(report.committed, 0, "a no-op window commits nothing");
-        assert_eq!(
-            engine.stats().latency.count() + engine.stats().warmup.count(),
-            0,
-            "no committed event, no latency sample"
-        );
+        assert_eq!(report.coalesced, 0);
+        assert_eq!(report.committed, 2, "both arrivals are applied");
+        assert_eq!(samples(&engine), 2, "one latency sample per arrival");
+        assert_eq!(zone_of(&engine, 6), Some(base), "no net change");
+        assert_eq!(engine.num_clients(), world.clients.len());
     }
 }

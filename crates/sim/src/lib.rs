@@ -12,17 +12,18 @@
 //! * [`run_churn`] — the delta-aware churn engine: `CostMatrix` carried
 //!   across epochs via `WorldDelta`, incremental repair per epoch;
 //! * [`ServeEngine`] / [`run_stream`] — the always-on streaming serving
-//!   layer: per-event joins/leaves/moves coalesced into micro-batches,
+//!   layer: per-event joins/leaves/moves batched into micro-batches,
 //!   applied in place with a zone-scoped incremental repair and a
 //!   per-event latency histogram ([`run_stream_batch_compat`] pins the
 //!   stream path to `run_churn` bit for bit at epoch granularity);
 //! * [`run_ingest_stream`] / [`IngestStream`] — the line-rate ingest
 //!   front end: drains a `dve_world::IngestRing` (fed in-process or by
-//!   the `dvecap serve` wire protocol) through a bounded `DeltaBuffer`
-//!   into the engine, translating stable client ids to buffer indices
-//!   and carrying ring-enqueue admission stamps so latency is
-//!   arrival-to-commit end to end (the wire frames the ring speaks are
-//!   specified in `docs/WIRE.md` at the repository root);
+//!   the `dvecap serve` wire protocol) straight into the engine's
+//!   pending buffer by stable client id, behind a window bound that
+//!   sheds Joins and Moves but never a Leave, and decides when the
+//!   engine flushes; it carries ring-enqueue admission stamps so
+//!   latency is arrival-to-commit end to end (the wire frames the ring
+//!   speaks are specified in `docs/WIRE.md` at the repository root);
 //! * [`ServeConfig::shards`] — the one serving-width setting: above 1
 //!   the engine serves on a persistent `dve_par::WorkerTeam`, shard `i`
 //!   owns zones `z % shards == i`, large flushes propose in parallel and

@@ -8,13 +8,13 @@
 //! that serving layer:
 //!
 //! * [`ServeEngine`] — an online engine addressed by stable
-//!   [`ClientId`]s. Events are buffered and coalesced into micro-batches
-//!   under a [`ServeConfig`] policy (flush at `max_batch` buffered
-//!   events, or after `max_staleness` idle [`ServeEngine::tick`]s), then
-//!   applied **in place**: the carried
-//!   [`CapInstance`] advances by slot-recycling swap-remove ops
-//!   (`stream_leave`/`stream_join`/`stream_move`), the carried
-//!   [`CostMatrix`] by per-client column updates with a deferred
+//!   [`ClientId`]s. Events are buffered into micro-batches (never
+//!   coalesced: each accepted event is applied) under a [`ServeConfig`]
+//!   policy (flush at `max_batch` buffered events, or after
+//!   `max_staleness` idle [`ServeEngine::tick`]s), then applied **in
+//!   place**: the carried [`CapInstance`] advances by slot-recycling
+//!   swap-remove ops (`stream_leave`/`stream_join`/`stream_move`), the
+//!   carried [`CostMatrix`] by per-client column updates with a deferred
 //!   per-touched-zone refresh. No O(k) work happens anywhere in a flush —
 //!   the probe numbers that motivated this: at 100s-1000z-50000c a
 //!   batch-path epoch costs ~35 ms (full repair ~33 ms, instance carry
@@ -259,7 +259,8 @@ pub struct DegradationPolicy {
     pub headroom: f64,
     /// Bound on the engine's ingest buffer: a push arriving with this
     /// many events already pending is refused with
-    /// [`ServeError::QueueFull`] (backpressure). `None` = unbounded;
+    /// [`ServeError::QueueFull`] (backpressure). At least 1 when set
+    /// ([`ServeEngine::new`] panics on `Some(0)`); `None` = unbounded;
     /// the auto-flush at `max_batch` keeps the buffer short either way,
     /// so this matters when flushes are deliberately deferred.
     pub max_pending: Option<usize>,
@@ -277,7 +278,7 @@ impl Default for DegradationPolicy {
     }
 }
 
-/// Micro-batch coalescing policy of a [`ServeEngine`].
+/// Micro-batch flush policy of a [`ServeEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Flush as soon as this many events are buffered (1 = apply every
@@ -731,6 +732,10 @@ impl ServeEngine {
             (0.0..1.0).contains(&config.degradation.headroom),
             "headroom must be in [0, 1)"
         );
+        assert!(
+            config.degradation.max_pending != Some(0),
+            "max_pending must be at least 1"
+        );
         assert_eq!(
             delays.num_servers(),
             instance.num_servers(),
@@ -924,9 +929,7 @@ impl ServeEngine {
     /// carries its own admission stamp and contributes exactly one
     /// sample to the latency histogram at the flush that applies it —
     /// the engine does not coalesce, so sample counts always equal
-    /// accepted-event counts (the upstream [`DeltaBuffer`] layer keys
-    /// its stamps to surviving entries instead; see
-    /// `dve_world::FlushAdmissions`).
+    /// accepted-event counts.
     pub fn push(&mut self, event: StreamEvent) -> Result<Option<ClientId>, ServeError> {
         self.push_admitted(event, Instant::now())
     }
@@ -3510,6 +3513,24 @@ mod tests {
         assert_eq!(engine.pending_events(), 1);
         engine.flush_now();
         assert_engine_consistent(&engine);
+    }
+
+    /// A zero-event ingest bound would refuse every push, Leaves
+    /// included, and a retry after a flush would be refused again: the
+    /// engine rejects it at boot.
+    #[test]
+    #[should_panic(expected = "max_pending must be at least 1")]
+    fn zero_max_pending_is_rejected_at_boot() {
+        boot_engine(
+            &small_setup(),
+            ServeConfig {
+                degradation: DegradationPolicy {
+                    max_pending: Some(0),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
     }
 
     /// Mass evacuation: failing a server moves every hosted zone to a

@@ -2,14 +2,14 @@
 //! path.
 //!
 //! An [`IngestRing`] is a fixed-capacity single-producer/single-consumer
-//! queue of [`WorldEvent`]s, admission-stamped at enqueue. It sits
-//! *before* the [`DeltaBuffer`](crate::DeltaBuffer) coalesce-or-shed
-//! boundary: a network reader (or a burst replayer) pushes decoded
-//! events onto the ring at line rate, and the engine-side pull loop
-//! drains it in batches, carrying each event's **enqueue** time into the
-//! buffer so arrival-to-commit latency is measured end to end — the
-//! queueing delay on the ring is part of the event's latency, not hidden
-//! before the measurement starts.
+//! queue of [`WorldEvent`]s, admission-stamped at enqueue. It sits in
+//! front of the serving engine: a network reader (or a burst replayer)
+//! pushes decoded events onto the ring at line rate, and the
+//! engine-side pull loop (`dve-sim`'s `IngestStream`) drains it in
+//! windows, carrying each event's **enqueue** time into the engine so
+//! arrival-to-commit latency is measured end to end — the queueing
+//! delay on the ring is part of the event's latency, not hidden before
+//! the measurement starts.
 //!
 //! The ring is lock-free and allocation-free after construction. Events
 //! are packed into per-slot atomics (the crate forbids `unsafe`, so
@@ -22,9 +22,11 @@
 //!
 //! Backpressure composes across the two layers: a full ring refuses
 //! events with [`IngestError::RingFull`] (the producer retries or sheds
-//! via [`IngestRing::push_or_shed`], counted), and a full `DeltaBuffer`
-//! downstream sheds via its own counter — total arrivals = committed +
-//! ring-shed + buffer-shed, which the property tests assert.
+//! via [`IngestRing::push_or_shed`], counted), and the pull loop's
+//! window bound downstream sheds Joins and Moves via its own counter —
+//! every event is shed at the ring, shed at the window, committed,
+//! dropped as invalid, or refused at admission, which the property
+//! tests assert.
 
 use crate::stream::WorldEvent;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

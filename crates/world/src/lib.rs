@@ -14,9 +14,9 @@
 //! * [`ErrorModel`] — King/IDMaps-style delay estimation error (Table 4);
 //! * [`apply_dynamics`] — join/leave/move population dynamics (Table 3);
 //! * [`WorldEvent`] / [`DeltaBuffer`] — the same dynamics as a continuous
-//!   event stream, coalesced into batch-shaped deltas for the serving
-//!   engine in `dve-sim`; the buffer optionally carries a capacity bound
-//!   with a coalesce-or-shed overload policy and admission timestamps;
+//!   event stream; the buffer coalesces a window of events into one
+//!   batch-shaped delta, the reference the serving engine in `dve-sim`
+//!   is proven batch-equivalent against;
 //! * [`FaultSchedule`] — deterministic seeded server failure/recovery
 //!   schedules ([`WorldEvent::ServerDown`]/[`WorldEvent::ServerUp`]) for
 //!   the robustness scenarios: single failure, correlated multi-failure,
@@ -25,7 +25,7 @@
 //!   [`DelaySource`] plus the gathered node→server RTT table, replacing
 //!   the dense node×node `DelayMatrix` everywhere downstream
 //!   (O(nodes × servers) instead of O(nodes²) or O(clients × servers));
-//! * [`IngestRing`] — bounded SPSC ring in front of the [`DeltaBuffer`]:
+//! * [`IngestRing`] — bounded SPSC ring in front of the serving engine:
 //!   the line-rate ingest seam, admission-stamping events at enqueue so
 //!   latency is arrival-to-commit end to end;
 //! * [`wire`] — the length-prefixed wire protocol `dvecap serve` speaks
@@ -45,7 +45,7 @@
 //! zone), `0x04` ServerDown(server), `0x05` ServerUp(server) — so Join
 //! and Move frames are 17 body bytes, the rest 9. On the wire `client`
 //! is a *stable* client id (the serving engine's id discipline), not a
-//! base-world index; the engine-side pull loop owns the translation. A
+//! base-world index, handed to the engine untranslated. A
 //! length prefix past [`wire::MAX_FRAME`] is refused outright. See
 //! [`wire`] for the encoder and the incremental [`wire::FrameReader`],
 //! and `docs/WIRE.md` at the repository root for the standalone spec
@@ -53,26 +53,23 @@
 //!
 //! ## Ingest invariants
 //!
-//! The ring and the buffer are the two backpressure layers in front of
-//! the serving engine, and they hold distinct contracts:
-//!
 //! * **[`IngestRing`] is strictly SPSC and never blocks.** One producer
 //!   (`try_push`), one consumer (`pop`); a full ring *refuses* —
 //!   the producer decides whether to retry or shed, and every refusal
 //!   is counted on the ring. Events are admission-stamped at enqueue,
 //!   so downstream latency accounting covers time spent queued.
-//! * **[`DeltaBuffer`] coalesces per client and sheds at its bound —
-//!   except Leaves.** A bounded buffer refuses *new entries* past the
-//!   bound (joins, first-touch moves), but a departure strictly frees
-//!   capacity everywhere downstream, so a Leave is admitted past any
-//!   bound, unconditionally. **Never shed a Leave**: a shed Leave
-//!   would leave a phantom client holding server capacity forever.
-//!   The burst bench and the ingest tests gate `shed_leaves == 0`.
-//! * **Coalescing preserves batch semantics.** Draining the buffer
-//!   yields the same [`WorldDelta`] a batch [`apply_dynamics`] step
-//!   would produce for the net effect of the window (move-then-back
-//!   windows vanish as no-ops), which is what keeps the streaming
-//!   path bit-compatible with the batch carry.
+//! * **Never shed a Leave.** The ring's producers push Leaves with the
+//!   blocking push, and the second backpressure layer — the window
+//!   bound of `dve-sim`'s `IngestStream`, which sheds Joins and Moves —
+//!   admits Leaves past it: a departure strictly frees capacity, and a
+//!   shed Leave would leave a phantom client holding server capacity
+//!   forever. The burst bench and the ingest tests gate
+//!   `shed_leaves == 0`.
+//! * **Coalescing preserves batch semantics.** Flushing a
+//!   [`DeltaBuffer`] yields the same [`WorldDelta`] a batch
+//!   [`apply_dynamics`] step would produce for the net effect of the
+//!   window (move-then-back windows vanish as no-ops), which is what
+//!   the batch-equivalence harness pins the streaming engine against.
 //!
 //! ```
 //! use dve_world::{ScenarioConfig, World};
@@ -118,5 +115,5 @@ pub use fault::{FaultKind, FaultSchedule};
 pub use ingest::{Admitted, IngestError, IngestRing};
 pub use mobility::{MobilityModel, ZoneGrid};
 pub use scenario::{CapacityPolicy, NotationError, ScenarioConfig};
-pub use stream::{DeltaBuffer, DrainDelta, FlushAdmissions, StreamError, WorldEvent};
+pub use stream::{DeltaBuffer, StreamError, WorldEvent};
 pub use world::{Client, Server, World, WorldError};

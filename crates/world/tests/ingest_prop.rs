@@ -1,26 +1,13 @@
-//! Property tests for the ingest front end: the SPSC ring preserves
-//! arrival order and never loses an admitted event, and its
-//! backpressure composes with the `DeltaBuffer` bound — shed counters
-//! across both layers plus committed entries account for every event.
+//! Property tests for the ingest ring: the SPSC ring preserves arrival
+//! order, never loses an admitted event, and counts every refusal. How
+//! its backpressure composes with the serving layer's window bound is
+//! property-tested in `dve-sim` (`crates/sim/tests/ingest_prop.rs`).
 
 use dve_world::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-fn labels(nodes: usize, regions: usize) -> Vec<u16> {
-    (0..nodes).map(|n| (n % regions.max(1)) as u16).collect()
-}
-
-fn small_world(seed: u64, zones: usize, clients: usize) -> World {
-    let mut config = ScenarioConfig::default();
-    config.servers = 4;
-    config.zones = zones;
-    config.clients = clients;
-    let mut rng = StdRng::seed_from_u64(seed);
-    World::generate(&config, 50, &labels(50, 5), &mut rng).unwrap()
-}
 
 /// Draws a random churn event against a fixed population/zone range.
 fn draw_event(rng: &mut StdRng, clients: usize, zones: usize) -> WorldEvent {
@@ -36,31 +23,6 @@ fn draw_event(rng: &mut StdRng, clients: usize, zones: usize) -> WorldEvent {
             client: rng.gen_range(0..clients),
             zone: rng.gen_range(0..zones),
         },
-    }
-}
-
-/// Drains the ring into the buffer through the coalesce-or-shed
-/// boundary, asserting a Leave is never among the shed.
-fn drain(
-    ring: &IngestRing,
-    buffer: &mut DeltaBuffer,
-    buffered: &mut u64,
-    drained_leaves: &mut u64,
-) {
-    while let Some(adm) = ring.pop() {
-        match buffer.push_or_shed_at(adm.event, adm.admitted) {
-            Ok(true) => {
-                *buffered += 1;
-                if matches!(adm.event, WorldEvent::Leave { .. }) {
-                    *drained_leaves += 1;
-                }
-            }
-            Ok(false) => assert!(
-                !matches!(adm.event, WorldEvent::Leave { .. }),
-                "a leave must never shed at the buffer"
-            ),
-            Err(e) => panic!("unexpected stream error: {e}"),
-        }
     }
 }
 
@@ -104,70 +66,6 @@ proptest! {
         }
         // Every attempt is accounted for: admitted or shed.
         prop_assert_eq!(pushed.len() as u64 + ring.shed_events(), attempts);
-    }
-
-    /// Backpressure composes across the two layers: total arrivals =
-    /// ring-shed + buffer-shed + entries that reached the buffer, and a
-    /// Leave is never among the shed at either layer (the producer uses
-    /// blocking pushes for leaves; the buffer admits them past its
-    /// bound).
-    #[test]
-    fn shed_counters_compose_across_ring_and_buffer(seed in any::<u64>(),
-                                                    ring_cap in 1usize..24,
-                                                    bound in 1usize..24,
-                                                    events in 1usize..150) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let world = small_world(seed, 10, 60);
-        let ring = IngestRing::with_capacity(ring_cap);
-        let mut buffer = DeltaBuffer::with_bound(&world, bound);
-
-        let mut sent = 0u64;
-        let mut buffered = 0u64;
-        let mut drained_leaves = 0u64;
-        let mut sent_leaves = 0u64;
-        // A well-behaved producer never addresses a departed client
-        // (the engine-side pull loop counts such events as dropped, a
-        // different property).
-        let mut gone = [false; 60];
-        for _ in 0..events {
-            let ev = draw_event(&mut rng, 60, 10);
-            match ev {
-                WorldEvent::Leave { client } | WorldEvent::Move { client, .. }
-                    if gone[client] =>
-                {
-                    continue;
-                }
-                _ => {}
-            }
-            if let WorldEvent::Leave { client } = ev {
-                gone[client] = true;
-                sent_leaves += 1;
-                // Single-threaded here, so instead of push_blocking
-                // (which would spin with no consumer running) a full
-                // ring drains inline — either way a leave is never
-                // shed at this layer.
-                while ring.try_push(ev) == Err(IngestError::RingFull { capacity: ring_cap }) {
-                    drain(&ring, &mut buffer, &mut buffered, &mut drained_leaves);
-                }
-                sent += 1;
-            } else if ring.push_or_shed(ev).unwrap() {
-                sent += 1;
-            }
-            // Drain roughly half the time so the ring backpressure
-            // path actually exercises.
-            if rng.gen_bool(0.5) {
-                drain(&ring, &mut buffer, &mut buffered, &mut drained_leaves);
-            }
-        }
-        drain(&ring, &mut buffer, &mut buffered, &mut drained_leaves);
-        // Every sent event is accounted for across the two layers.
-        prop_assert_eq!(buffered + buffer.shed_events(), sent);
-        // push_blocking never sheds, the buffer never sheds a leave:
-        // every leave sent arrived.
-        prop_assert_eq!(drained_leaves, sent_leaves);
-        // The buffer never exceeded its bound by more than the leaves
-        // admitted past it.
-        prop_assert!(buffer.pending_entries() <= bound + drained_leaves as usize);
     }
 }
 

@@ -3,8 +3,8 @@
 //! with join/leave churn on top — but instead of re-executing the
 //! solver against a rebuilt snapshot, every event travels the ingest
 //! path: a producer thread speaks into the SPSC `IngestRing`, and the
-//! engine-side pull loop drains it through the coalesce-or-shed
-//! boundary into incremental repairs.
+//! engine-side pull loop drains it through its window bound into the
+//! engine's pending buffer and incremental repairs.
 //!
 //! The interesting numbers are the ones a batch re-solve cannot give
 //! you: arrival-to-commit latency quantiles under the burst, and the
@@ -107,13 +107,13 @@ fn main() {
         }
         producer_ring.close();
     });
-    let report = run_ingest_stream(&mut engine, &ring, &world, 512, IngestConfig::default());
+    let report = run_ingest_stream(&mut engine, &ring, 512, IngestConfig::default());
     producer.join().unwrap();
 
     let stats = engine.stats();
     println!(
-        "served: arrivals {}  committed {}  flushes {}  coalesced {}  dropped {}",
-        report.arrivals, report.committed, report.flushes, report.coalesced, report.dropped
+        "served: arrivals {}  committed {}  flushes {}  dropped {}",
+        report.arrivals, report.committed, report.flushes, report.dropped
     );
     println!(
         "shed: ring {}  buffer {}  leaves {} (must be 0)",

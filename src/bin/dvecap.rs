@@ -30,17 +30,24 @@
 //! runs dry, or `--max-staleness-ms` after the window's first event was
 //! popped off the ring. That clock starts at the pop, not at enqueue,
 //! so under a backlog each window grows up to `--max-batch` arrivals.
-//! Every flag value is checked before the engine boots: a
-//! value that does not parse, a zero count (`--ring`, `--bound`,
-//! `--max-batch`, `--shards`, `--connections`) or a staleness that is
-//! negative or not finite is rejected with exit code 2 and a message
-//! naming the flag. On the wire,
-//! clients are addressed by stable id (the engine's discipline: the
-//! initial population is `0..k`); joiner ids are not echoed back in
-//! this version, so a connection can address only the initial
-//! population. The session summary (arrival-to-commit latency
-//! quantiles, shed counters, final pQoS) prints when the producer hangs
-//! up.
+//! `--bound N` (default 1024) is the window bound: once N arrivals are
+//! in the open window, Joins and Moves shed (counted as `buffer` shed
+//! in the summary) while Leaves are still admitted; it never binds
+//! while it is at least `--max-batch`. Every event popped off the ring
+//! goes straight into the engine's pending buffer by stable id; nothing
+//! coalesces, so every accepted arrival is applied and records one
+//! latency sample. Every flag value is checked before the engine
+//! boots: a value that does not parse, a zero count (`--ring`,
+//! `--bound`, `--max-batch`, `--shards`, `--connections`) or a
+//! staleness that is negative or not finite is rejected with exit code
+//! 2 and a message naming the flag. On the wire, clients are addressed
+//! by stable id (the engine's discipline: the initial population is
+//! `0..k`, and each joiner takes the next id when the engine accepts
+//! its Join, so a Move or Leave naming it in the same window commits);
+//! joiner ids are not echoed back in this version, so a producer can
+//! predict them only while none of its Joins was shed. The session
+//! summary (arrival-to-commit latency quantiles, shed counters, final
+//! pQoS) prints when the producer hangs up.
 
 use dve::assign::{
     evaluate, iap_lower_bound, iap_lp_bound, iap_total_cost, solve, CapAlgorithm, CapInstance,
@@ -452,7 +459,7 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         max_batch,
         max_staleness,
     };
-    let report = run_ingest_stream(&mut engine, &ring, &world, bound, ingest_config);
+    let report = run_ingest_stream(&mut engine, &ring, bound, ingest_config);
     if reader.join().is_err() {
         eprintln!("serve: reader thread panicked");
     }
@@ -464,12 +471,10 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         report.arrivals, report.committed, report.flushes, report.dropped, report.server_events
     );
     println!(
-        "  shed: ring {} + buffer {} (leaves shed: {})  coalesced {}  ineffective {}",
+        "  shed: ring {} + buffer {} (leaves shed: {})",
         ring.shed_events(),
         report.shed,
-        report.shed_leaves,
-        report.coalesced,
-        report.ineffective
+        report.shed_leaves
     );
     println!(
         "  arrival-to-commit: mean {:.3} ms  p99 {:.3} ms  p99.9 {:.3} ms ({} samples)",

@@ -62,9 +62,10 @@ fn read_into_ring(mut conn: TcpStream, ring: &IngestRing) {
 /// latency sample counts all reconcile.
 ///
 /// The whole script is on the ring before the pull loop starts, and
-/// the staleness bound is long, so the seven events form one window and
-/// client 0's two moves always coalesce. (Reader/pump overlap is
-/// covered by `two_sequential_clients_share_one_serve_loop`.)
+/// the staleness bound is long, so the eight events form one window:
+/// the Move naming the first joiner's id commits in the window that
+/// admitted the Join. (Reader/pump overlap is covered by
+/// `two_sequential_clients_share_one_serve_loop`.)
 #[test]
 fn wire_events_over_loopback_commit_into_the_engine() {
     let setup = small_setup();
@@ -91,6 +92,10 @@ fn wire_events_over_loopback_commit_into_the_engine() {
         WorldEvent::Move { client: 0, zone: 3 },
         WorldEvent::Leave { client: 1 },
         WorldEvent::Join { node: 2, zone: 5 },
+        WorldEvent::Move {
+            client: 120,
+            zone: 6,
+        },
         WorldEvent::Move { client: 0, zone: 4 },
         WorldEvent::Move { client: 2, zone: 9 },
         WorldEvent::Leave { client: 3 },
@@ -123,28 +128,27 @@ fn wire_events_over_loopback_commit_into_the_engine() {
         max_staleness: Duration::from_secs(3_600),
         ..Default::default()
     };
-    let report = run_ingest_stream(&mut engine, &ring, &world, 256, config);
+    let report = run_ingest_stream(&mut engine, &ring, 256, config);
 
     assert_eq!(report.arrivals, script.len() as u64);
     assert_eq!(report.shed_leaves, 0);
     assert_eq!(report.dropped, 0);
     assert_eq!(ring.shed_events(), 0);
-    // 2 leaves + 2 joins; moves commit unless they were no-ops (the
-    // coalesced final destination equals the base zone).
-    let moved0 = u64::from(world.clients[0].zone != 4);
-    let moved2 = u64::from(world.clients[2].zone != 9);
-    assert_eq!(report.committed, 4 + moved0 + moved2);
-    assert_eq!(report.coalesced, 1, "the second move of client 0");
+    // Nothing coalesces: every arrival commits, both moves of client 0
+    // and the joiner's move included.
+    assert_eq!(report.committed, report.arrivals);
     assert_eq!(engine.num_clients(), 120, "2 leaves + 2 joins net zero");
     assert_eq!(
         engine.stats().latency.count() + engine.stats().warmup.count(),
         report.committed - report.server_events,
         "one latency sample per committed churn event"
     );
-    // Departed ids are gone; the joiners took the next ids.
+    // Departed ids are gone; the joiners took the next ids, and the
+    // first one moved in its own window.
     assert_eq!(engine.index_of(1), None);
     assert_eq!(engine.index_of(3), None);
-    assert!(engine.index_of(120).is_some(), "first joiner's id");
+    let first = engine.index_of(120).expect("first joiner's id");
+    assert_eq!(engine.instance().zone_of(first), 6, "the joiner's move");
     assert!(engine.index_of(121).is_some(), "second joiner's id");
 }
 
@@ -216,14 +220,14 @@ fn two_sequential_clients_share_one_serve_loop() {
         reader_ring.close();
     });
 
-    // max_batch = 3 pins a flush right after each client's script, so
-    // client 1's joiner id is live before client 2 addresses it no
-    // matter how the pump interleaves with the socket reads.
+    // max_batch = 3 pins a flush right after each client's script. The
+    // joiner's id would be addressable without it: the engine assigns
+    // it when it accepts the Join.
     let config = IngestConfig {
         max_batch: 3,
         ..Default::default()
     };
-    let report = run_ingest_stream(&mut engine, &ring, &world, 256, config);
+    let report = run_ingest_stream(&mut engine, &ring, 256, config);
     producer.join().unwrap();
     reader.join().unwrap();
 
