@@ -11,6 +11,11 @@
 //! the stream bench are asserted alongside, so pooling can never buy
 //! its budget by slowing serving down.
 //!
+//! `BENCH_alloc.json` declares what `bench_diff` gates against the
+//! committed copy: `allocs_per_event` against the absolute budget (a
+//! crept-up baseline cannot launder more creep), and `bytes_per_event`
+//! at most +25% (floored at 8 bytes/event).
+//!
 //! The counting allocator only exists under the `count-allocs` feature
 //! (its atomics would tax every other bench for nothing), so this bench
 //! refuses to run without it:
@@ -37,6 +42,7 @@ fn main() {
 #[cfg(feature = "count-allocs")]
 fn main() {
     use dve_assign::StuckPolicy;
+    use dve_bench::diff::{metric, Rule};
     use dve_sim::experiments::scaling::LARGE_TIER;
     use dve_sim::{
         build_replication, ClientId, ServeConfig, ServeEngine, SimSetup, StreamEvent, TopologySpec,
@@ -50,6 +56,9 @@ fn main() {
     /// must hold (the landing budget; ratchet toward 0 as the tail of
     /// unpooled paths shrinks).
     const ALLOC_BUDGET_PER_EVENT: f64 = 2.0;
+    /// Noise floor of the bytes drift gate: at most this many bytes per
+    /// steady event is allocator bookkeeping, not a leak.
+    const BYTES_FLOOR_PER_EVENT: f64 = 8.0;
     /// Steady epochs measured (600 events each, as in the stream bench).
     const EPOCHS: usize = 5;
     /// Warm-up epochs before the counters are snapshotted: the first
@@ -194,6 +203,21 @@ fn main() {
             ("steady_mean_ns", format!("{mean:.0}")),
             ("steady_p99_ns", format!("{p99}")),
             ("pqos", format!("{pqos:.6}")),
+        ],
+        &[
+            metric(
+                "allocs_per_event",
+                allocs_per_event,
+                Rule::Max(ALLOC_BUDGET_PER_EVENT),
+            ),
+            metric(
+                "bytes_per_event",
+                bytes_per_event,
+                Rule::Lower {
+                    rel: 0.25,
+                    floor: BYTES_FLOOR_PER_EVENT,
+                },
+            ),
         ],
     );
     println!("alloc: record written to {path}");

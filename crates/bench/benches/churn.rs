@@ -168,6 +168,7 @@ fn main() {
             ("delta_update_ms_per_epoch", format!("{delta_ms:.3}")),
             ("speedup", format!("{:.3}", full_ms / delta_ms)),
         ],
+        &[],
     );
     println!("churn: record written to {path}");
 }

@@ -34,8 +34,7 @@
 //!   and — at >= 4 workers — gates the sharded steady p99 **below**
 //!   the committed width-1 `steady_p99_ns` in `BENCH_million.json`
 //!   (default 1: the phase is skipped and the headline run stays the
-//!   single-core claim);
-//! * `DVE_MILLION_JSON` — output path, default `BENCH_million.json`.
+//!   single-core claim).
 //!
 //! ```bash
 //! cargo bench -p dve-bench --bench million
@@ -487,11 +486,7 @@ fn main() {
             ("pqos_mobility", format!("{pqos_mobility:.6}")),
             ("wall_s", format!("{elapsed_s:.3}")),
         ],
+        &[],
     );
-    // Legacy override: mirror the record wherever the operator asked.
-    if let Ok(extra) = std::env::var("DVE_MILLION_JSON") {
-        std::fs::copy(&json_path, &extra)
-            .unwrap_or_else(|e| panic!("could not copy record to {extra}: {e}"));
-    }
     println!("million: PASS ({json_path} written)");
 }

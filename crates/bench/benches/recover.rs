@@ -16,15 +16,17 @@
 //! (m→m−1), a correlated multi-server loss under Queue admission
 //! control (the degraded-mode drill), and fail-then-recover (m→m−1→m,
 //! the re-admission path). The trajectories land in
-//! `BENCH_recover.json`, which `bench_diff` compares against the
-//! committed baseline (events-to-recover must not grow past the
-//! threshold; full repairs must stay zero).
+//! `BENCH_recover.json`, whose `metrics` declare what `bench_diff`
+//! gates against the committed copy, per scenario: `events_to_recover`
+//! may grow at most +25% (floored at one epoch), and `full_repairs`
+//! must stay zero.
 //!
 //! ```bash
 //! cargo bench -p dve-bench --bench recover
 //! ```
 
 use dve_assign::StuckPolicy;
+use dve_bench::diff::{metric, Rule};
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{
     run_recovery_stream, AdmissionPolicy, DegradationPolicy, QualityEstimator, RecoveryReport,
@@ -47,6 +49,11 @@ const EVENT_BUDGET: u64 = 2_400;
 
 /// Floor below which the trough counts as quality collapse.
 const TROUGH_FLOOR: f64 = 0.5;
+
+/// Noise floor of the `events_to_recover` gate: one 600-event churn
+/// epoch. Recovery is observed at epoch boundaries, so deltas inside
+/// one epoch are quantization.
+const RECOVER_FLOOR_EVENTS: f64 = 600.0;
 
 /// One gated schedule shape.
 struct Scenario {
@@ -176,8 +183,23 @@ fn run_scenario(scenario: &Scenario) -> RecoveryReport {
 
 fn main() {
     let mut rows = Vec::new();
+    let mut metrics = Vec::new();
     for scenario in scenarios() {
         let report = run_scenario(&scenario);
+        let events = report.events_to_recover.expect("gated above");
+        metrics.push(metric(
+            format!("{}/events_to_recover", scenario.name),
+            events as f64,
+            Rule::Lower {
+                rel: 0.25,
+                floor: RECOVER_FLOOR_EVENTS,
+            },
+        ));
+        metrics.push(metric(
+            format!("{}/full_repairs", scenario.name),
+            report.stats.full_repairs as f64,
+            Rule::Max(0.0),
+        ));
         rows.push(format!(
             "{{\"scenario\": \"{}\", \"pre_pqos\": {:.6}, \"trough_pqos\": {:.6}, \
              \"recovered_epoch\": {}, \"events_to_recover\": {}, \"full_repairs\": {}, \
@@ -186,7 +208,7 @@ fn main() {
             report.pre_pqos,
             report.trough_pqos,
             report.recovered_at.expect("gated above"),
-            report.events_to_recover.expect("gated above"),
+            events,
             report.stats.full_repairs,
             report.stats.shed_events,
             report.stats.queued_joins,
@@ -202,6 +224,7 @@ fn main() {
             ("event_budget", format!("{EVENT_BUDGET}")),
             ("scenarios", format!("[{}]", rows.join(", "))),
         ],
+        &metrics,
     );
     println!("recover: record written to {path}");
 }

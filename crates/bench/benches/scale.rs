@@ -166,6 +166,7 @@ fn main() {
             ("large_solve_s", format!("{solve_s:.3}")),
             ("large_pqos", format!("{pqos:.6}")),
         ],
+        &[],
     );
     println!("scale: record written to {path}");
 }

@@ -20,19 +20,21 @@
 //! Besides the headline width, the run measures the **speedup curve**
 //! at every [`CURVE_WIDTHS`] width the machine can host and records it
 //! as a `curve` array of `{threads, events_per_s}` points, so the
-//! scale trajectory of the serving path is machine-readable and
-//! `bench_diff` can gate each width a committed baseline carries.
+//! scale trajectory of the serving path is machine-readable.
 //!
 //! Results land in `BENCH_serve_mc.json` keyed by `threads` +
-//! `peak_rss_bytes`, so committed baselines are compared like for like
-//! (`bench_diff` refuses cross-width diffs and gates `events_per_s`
-//! plus every shared curve point).
+//! `peak_rss_bytes`, so committed baselines are compared like for like.
+//! Its `metrics` declare `events_per_s` and every curve width's
+//! `curve/<threads>/events_per_s` as throughputs that may fall to no
+//! less than 1/1.25 of the committed value; `bench_diff` refuses a
+//! committed record of another width (exit 3).
 //!
 //! ```bash
 //! cargo bench -p dve-bench --bench serve_mc
 //! ```
 
 use dve_assign::StuckPolicy;
+use dve_bench::diff::{metric, Rule};
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{
     build_replication, LatencyHistogram, ServeConfig, ServeEngine, SimSetup, StreamEvent,
@@ -68,7 +70,7 @@ const MIN_GATE_WIDTH: usize = 4;
 const GATE_SPEEDUP: f64 = 3.0;
 
 /// Widths the speedup curve samples (capped at the machine's worker
-/// count): the shape `bench_diff` gates point by point.
+/// count): each one is a gated metric of the record.
 const CURVE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 fn boot(setup: &SimSetup, shards: usize) -> ServeEngine {
@@ -209,6 +211,13 @@ fn main() {
             .join(", ")
     );
 
+    // Throughput: lower is the regression, so each number may lose at
+    // most a factor of 1.25 against the committed record.
+    let throughput = Rule::Higher { rel: 0.25 };
+    let mut metrics = vec![metric("events_per_s", wide_eps, throughput)];
+    for &(w, eps) in &curve {
+        metrics.push(metric(format!("curve/{w}/events_per_s"), eps, throughput));
+    }
     dve_bench::write_bench_record(
         "serve_mc",
         &[
@@ -227,6 +236,7 @@ fn main() {
             ("event_imbalance_max", format!("{ev_max}")),
             ("event_imbalance_min", format!("{ev_min}")),
         ],
+        &metrics,
     );
 
     if threads < MIN_GATE_WIDTH {

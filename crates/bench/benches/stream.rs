@@ -279,6 +279,7 @@ fn main() {
             ("steady_p99_ns", format!("{p99_ns}")),
             ("pqos", format!("{pqos:.6}")),
         ],
+        &[],
     );
     println!("stream: record written to {path}");
     #[cfg(feature = "count-allocs")]

@@ -1,6 +1,7 @@
 //! Regenerates every table and figure in one go and writes the rendered
-//! outputs to `results/` (plus stdout). The EXPERIMENTS.md numbers were
-//! produced by this binary.
+//! outputs to `results/` (plus stdout), and the Table 1 record to
+//! `BENCH_table1.json` at the workspace root. The EXPERIMENTS.md numbers
+//! were produced by this binary.
 //!
 //! ```bash
 //! cargo run --release -p dve-bench --bin run_all            # paper scale
@@ -36,14 +37,10 @@ fn main() {
     let t = Instant::now();
     let table1_result = table1::run(&options, 2);
     emit(dir, "table1", &table1_result.render());
-    // Machine-readable per-algorithm solve-time baseline: later PRs diff
-    // their timings against this trajectory file.
-    let json_path = Path::new("BENCH_table1.json");
-    if let Err(e) = fs::write(json_path, table1_result.to_json(&options)) {
-        eprintln!("warning: could not write {}: {e}", json_path.display());
-    } else {
-        eprintln!("wrote {}", json_path.display());
-    }
+    // Machine-readable per-algorithm solve-time record, gated by
+    // `bench_diff BENCH_table1.json` against its committed copy.
+    let json_path = dve_bench::write_table1_record(&table1_result, &options);
+    eprintln!("wrote {json_path}");
     eprintln!("table1 done in {:.1}s", t.elapsed().as_secs_f64());
 
     let t = Instant::now();

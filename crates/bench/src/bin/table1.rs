@@ -1,13 +1,13 @@
 //! Regenerates Table 1: `pQoS (R)` for the four DVE configurations, all
 //! heuristics plus the exact solver on the two small configurations.
-//! `--json PATH` additionally writes the machine-readable baseline (the
-//! same document `run_all` writes to `BENCH_table1.json`) — what CI's
-//! bench-diff step regenerates and compares against the committed copy.
+//! `--json` additionally rewrites `BENCH_table1.json` at the workspace
+//! root (the record `run_all` writes too), which `bench_diff` then
+//! gates against its committed copy.
 //!
 //! ```bash
 //! cargo run --release -p dve-bench --bin table1            # paper scale (50 runs)
 //! cargo run --release -p dve-bench --bin table1 -- --quick # CI scale
-//! cargo run --release -p dve-bench --bin table1 -- --quick --json fresh.json
+//! cargo run --release -p dve-bench --bin table1 -- --quick --json
 //! ```
 
 use dve_sim::experiments::table1;
@@ -15,15 +15,14 @@ use dve_sim::experiments::table1;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (options, rest) = dve_bench::parse_options(&args);
-    let mut json_path: Option<String> = None;
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
+    let mut json = false;
+    for arg in &rest {
         match arg.as_str() {
-            "--json" => json_path = Some(iter.next().expect("--json needs a path").clone()),
+            "--json" => json = true,
             other => {
                 eprintln!(
                     "unknown flag {other}; supported: --quick --large --runs N --exact-runs N \
-                     --seed S --json PATH"
+                     --seed S --json"
                 );
                 std::process::exit(2);
             }
@@ -35,9 +34,10 @@ fn main() {
     );
     let result = table1::run(&options, 2);
     println!("{}", result.render());
-    if let Some(path) = json_path {
-        std::fs::write(&path, result.to_json(&options))
-            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
+    if json {
+        eprintln!(
+            "wrote {}",
+            dve_bench::write_table1_record(&result, &options)
+        );
     }
 }

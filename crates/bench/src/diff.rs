@@ -1,13 +1,25 @@
-//! Perf-trajectory regression checking for `BENCH_table1.json`.
+//! The bench-regression gate: one record form, one comparator.
 //!
-//! `run_all` (and `table1 --json`) emit a machine-readable baseline of
-//! per-algorithm solve times. CI regenerates a fresh copy and runs
-//! [`compare`] against the committed one, failing the build when any
-//! (configuration, algorithm) pair regressed by more than the threshold
-//! — the bench-regression gate of the perf trajectory. The gated
-//! statistic is the **minimum** over the replications (see
-//! [`BenchEntry::exec_ms`]): timing noise is additive, so minima are
-//! the stable signal on shared runners.
+//! Every gated `BENCH_*.json` record declares the numbers it gates. The
+//! bench that measures them writes them, each with its [`Rule`], into
+//! the record's `metrics` object through `write_bench_record`:
+//!
+//! ```json
+//! "metrics": {
+//!   "flash_crowd/p999_ms": {"value": 4.73, "better": "lower", "rel": 0.25, "floor": 2},
+//!   "flash_crowd/shed_leaves": {"value": 0, "max": 0},
+//!   "events_per_s": {"value": 5463341.4, "better": "higher", "rel": 0.25}
+//! }
+//! ```
+//!
+//! [`compare`] holds a freshly measured record against the committed
+//! one, metric by metric, with the rules the fresh record declares. A
+//! committed metric the fresh record lacks fails; a fresh metric the
+//! committed record lacks is reported as added (a `max` rule still
+//! gates it); a record with no `metrics` object gates nothing. The two
+//! records must come from the same experiment and the same worker
+//! width, and a changed `tier` fails. [`exit_code`] maps every outcome
+//! to the `bench_diff` exit status.
 //!
 //! The workspace's serde is a vendored no-op stub (`vendor/README.md`),
 //! so this module carries its own minimal JSON reader: [`parse`]
@@ -255,674 +267,480 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
     Ok(value)
 }
 
-/// One (configuration, algorithm) measurement from a baseline file.
+/// How one gated metric may move between the committed record and a
+/// fresh one. [`compare`] applies the fresh record's rule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// Lower is better (a time, an event count, bytes): fails when
+    /// `fresh > max((1 + rel) · baseline, floor)`, so nothing at or
+    /// under the noise floor fails.
+    Lower {
+        /// Allowed relative growth (0.25: +25%).
+        rel: f64,
+        /// Noise floor, in the metric's unit.
+        floor: f64,
+    },
+    /// Higher is better (a throughput): fails when
+    /// `fresh < baseline / (1 + rel)`.
+    Higher {
+        /// Allowed relative loss (0.25: down to 1/1.25 of the baseline).
+        rel: f64,
+    },
+    /// An absolute ceiling: fails when `fresh > max`, whatever the
+    /// committed record holds, including when it lacks the metric.
+    Max(f64),
+}
+
+impl Rule {
+    /// The bound this rule holds a fresh value to, given the committed
+    /// value. A relative rule has no bound when the committed record
+    /// lacks the metric.
+    pub fn limit(self, baseline: Option<f64>) -> Option<f64> {
+        match self {
+            Rule::Lower { rel, floor } => baseline.map(|b| ((1.0 + rel) * b).max(floor)),
+            Rule::Higher { rel } => baseline.map(|b| b / (1.0 + rel)),
+            Rule::Max(max) => Some(max),
+        }
+    }
+
+    /// Whether `fresh` lies on the wrong side of `limit`.
+    fn breaks(self, fresh: f64, limit: f64) -> bool {
+        match self {
+            Rule::Higher { .. } => fresh < limit,
+            Rule::Lower { .. } | Rule::Max(_) => fresh > limit,
+        }
+    }
+}
+
+/// One gated number of a record.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// Scenario notation, e.g. `20s-80z-1000c-500cp`.
-    pub config: String,
-    /// Algorithm display name.
-    pub algorithm: String,
-    /// **Minimum** solve time across the replications, milliseconds —
-    /// the statistic the gate compares. Wall-clock noise on shared CI
-    /// runners is strictly additive, so min-of-N is far more stable than
-    /// the mean (observed on a busy single-core box: means of identical
-    /// builds swing ±45%, minima stay within ~10–20%).
-    pub exec_ms: f64,
-    /// Mean solve time, milliseconds (reported, not gated).
-    pub exec_mean_ms: f64,
-    /// Replications behind the statistics. With a single sample the
-    /// "minimum" is just that sample, so [`compare`] gates such pairs at
-    /// double the threshold (long exact-solver runs amortise scheduler
-    /// noise, but one sample deserves slack).
-    pub samples: u64,
-    /// Mean pQoS (carried along for the report; not gated).
-    pub pqos: f64,
+pub struct Metric {
+    /// Name, unique within the record (e.g. `flash_crowd/p999_ms`).
+    pub name: String,
+    /// The measured value.
+    pub value: f64,
+    /// How the value is gated.
+    pub rule: Rule,
 }
 
-/// Extracts the per-algorithm measurements of a `BENCH_table1.json`
-/// document.
-pub fn entries(doc: &Json) -> Result<Vec<BenchEntry>, String> {
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'rows' array")?;
-    let mut out = Vec::new();
-    for row in rows {
-        let config = row
-            .get("config")
-            .and_then(Json::as_str)
-            .ok_or("row without 'config'")?;
-        let algorithms = row
-            .get("algorithms")
-            .and_then(Json::as_arr)
-            .ok_or("row without 'algorithms'")?;
-        for algo in algorithms {
-            let name = algo
-                .get("algorithm")
-                .and_then(Json::as_str)
-                .ok_or("algorithm without a name")?;
-            let exec_ms = algo
-                .get("exec_ms")
-                .and_then(|s| s.get("min"))
-                .and_then(Json::as_num)
-                .ok_or("algorithm without exec_ms.min")?;
-            let exec_mean_ms = algo
-                .get("exec_ms")
-                .and_then(|s| s.get("mean"))
-                .and_then(Json::as_num)
-                .ok_or("algorithm without exec_ms.mean")?;
-            let samples = algo
-                .get("exec_ms")
-                .and_then(|s| s.get("n"))
-                .and_then(Json::as_num)
-                .ok_or("algorithm without exec_ms.n")? as u64;
-            let pqos = algo
-                .get("pqos")
-                .and_then(|s| s.get("mean"))
-                .and_then(Json::as_num)
-                .ok_or("algorithm without pqos.mean")?;
-            out.push(BenchEntry {
-                config: config.to_string(),
-                algorithm: name.to_string(),
-                exec_ms,
-                exec_mean_ms,
-                samples,
-                pqos,
-            });
-        }
+/// Builds one [`Metric`]: what a bench hands `write_bench_record` for
+/// each number it gates.
+pub fn metric(name: impl Into<String>, value: f64, rule: Rule) -> Metric {
+    Metric {
+        name: name.into(),
+        value,
+        rule,
     }
-    Ok(out)
 }
 
-/// One scenario row of a `BENCH_recover.json` document — the recovery
-/// gate's shape (see `benches/recover.rs`): how many serving events the
-/// engine needed between the first failure and pQoS restoration, and
-/// whether the failure path ever escalated to the full repair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoverEntry {
-    /// Schedule shape, e.g. `single` / `correlated` / `fail_recover`.
-    pub scenario: String,
-    /// Serving events between the first failure and recovery — the
-    /// gated statistic (deterministic, but epoch-quantized: recovery is
-    /// only observed at epoch boundaries, so it moves in ~600-event
-    /// steps).
-    pub events_to_recover: f64,
-    /// Full-repair fallbacks during the replay. Gated at **zero**
-    /// regardless of the baseline: the failure path promises bounded
-    /// zone-scoped work.
-    pub full_repairs: f64,
-    /// Load shed during the replay (reported, not gated — admission
-    /// policy, not a regression signal).
-    pub shed_events: f64,
-    /// Worst pQoS observed after the failure (reported, not gated —
-    /// the bench itself asserts the collapse floor).
-    pub trough_pqos: f64,
-}
-
-/// Whether a parsed document is a recovery record (`BENCH_recover.json`)
-/// rather than a Table 1 perf baseline — `bench_diff` dispatches on
-/// this.
-pub fn is_recover_doc(doc: &Json) -> bool {
-    doc.get("experiment").and_then(Json::as_str) == Some("recover")
-}
-
-/// Extracts the per-scenario measurements of a `BENCH_recover.json`
-/// document.
-pub fn recover_entries(doc: &Json) -> Result<Vec<RecoverEntry>, String> {
-    let rows = doc
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'scenarios' array")?;
-    let mut out = Vec::new();
-    for row in rows {
-        let num = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("scenario without '{key}'"))
+impl Metric {
+    /// The metric's member of a record's `metrics` object, in the form
+    /// [`metrics`] reads back. A non-finite number is written as `null`,
+    /// which [`metrics`] refuses.
+    pub fn to_json(&self) -> String {
+        let num = |x: f64| {
+            if x.is_finite() {
+                format!("{x}")
+            } else {
+                "null".to_string()
+            }
         };
-        out.push(RecoverEntry {
-            scenario: row
-                .get("scenario")
-                .and_then(Json::as_str)
-                .ok_or("scenario without a name")?
-                .to_string(),
-            events_to_recover: num("events_to_recover")?,
-            full_repairs: num("full_repairs")?,
-            shed_events: num("shed_events")?,
-            trough_pqos: num("trough_pqos")?,
-        });
-    }
-    Ok(out)
-}
-
-/// Compares fresh recovery measurements against the committed baseline.
-///
-/// Gates, per scenario:
-/// * `full_repairs` must be **zero** in the fresh record (reported as a
-///   regression against the scenario even when the baseline also had
-///   them — the invariant is absolute, not relative);
-/// * `events_to_recover` must not exceed
-///   `baseline * (1 + threshold)` — unless both sides sit at or under
-///   `floor_events` (recovery within the first post-failure epoch:
-///   epoch quantization dominates and there is nothing to gate);
-/// * scenarios present in the baseline must still be measured
-///   (vanished rows fail, like vanished Table 1 pairs); new scenarios
-///   are additions and never gated.
-///
-/// Reuses [`DiffReport`]: `config` carries the scenario name and
-/// `algorithm` the gated statistic, with event counts in the `_ms`
-/// fields.
-pub fn compare_recover(
-    fresh: &[RecoverEntry],
-    baseline: &[RecoverEntry],
-    threshold: f64,
-    floor_events: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    for new in fresh {
-        if new.full_repairs > 0.0 {
-            report.regressions.push(Regression {
-                config: new.scenario.clone(),
-                algorithm: "full_repairs".to_string(),
-                baseline_ms: 0.0,
-                fresh_ms: new.full_repairs,
-            });
-        }
-        if !baseline.iter().any(|e| e.scenario == new.scenario) {
-            report.added.push(new.scenario.clone());
-        }
-    }
-    for base in baseline {
-        let Some(new) = fresh.iter().find(|e| e.scenario == base.scenario) else {
-            report.missing.push(base.scenario.clone());
-            continue;
+        let rule = match self.rule {
+            Rule::Lower { rel, floor } => format!(
+                "\"better\": \"lower\", \"rel\": {}, \"floor\": {}",
+                num(rel),
+                num(floor)
+            ),
+            Rule::Higher { rel } => format!("\"better\": \"higher\", \"rel\": {}", num(rel)),
+            Rule::Max(max) => format!("\"max\": {}", num(max)),
         };
-        if base.events_to_recover <= floor_events && new.events_to_recover <= floor_events {
-            report.below_floor += 1;
-            continue;
-        }
-        report.compared += 1;
-        if new.events_to_recover > base.events_to_recover * (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: base.scenario.clone(),
-                algorithm: "events_to_recover".to_string(),
-                baseline_ms: base.events_to_recover,
-                fresh_ms: new.events_to_recover,
-            });
-        }
+        format!(
+            "\"{}\": {{\"value\": {}, {rule}}}",
+            self.name,
+            num(self.value)
+        )
     }
-    report
 }
 
-/// One scenario row of a `BENCH_burst.json` document — the ingest
-/// front end's burst gate (see `benches/burst.rs`): arrival-to-commit
-/// tail latency and shed accounting for one replayed schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BurstEntry {
-    /// Schedule shape, e.g. `flash_crowd` / `exponential`.
-    pub scenario: String,
-    /// p99.9 arrival-to-commit latency, milliseconds — the gated
-    /// statistic (best-of-attempts in the bench, so the committed
-    /// number is already noise-shielded).
-    pub p999_ms: f64,
-    /// Events shed across the ring and the buffer bound (reported and
-    /// bounded by the bench itself; diffed only through the baseline).
-    pub shed_events: f64,
-    /// Departures shed at the buffer bound. Gated at **zero**
-    /// regardless of the baseline: a shed Leave is a phantom client.
-    pub shed_leaves: f64,
-    /// Gated arrivals in the replay (reported, not gated).
-    pub events: f64,
-}
-
-/// Whether a parsed document is a burst record (`BENCH_burst.json`) —
-/// `bench_diff` dispatches on this.
-pub fn is_burst_doc(doc: &Json) -> bool {
-    doc.get("experiment").and_then(Json::as_str) == Some("burst")
-}
-
-/// Extracts the per-scenario measurements of a `BENCH_burst.json`
-/// document.
-pub fn burst_entries(doc: &Json) -> Result<Vec<BurstEntry>, String> {
-    let rows = doc
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'scenarios' array")?;
-    let mut out = Vec::new();
-    for row in rows {
-        let num = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("scenario without '{key}'"))
-        };
-        out.push(BurstEntry {
-            scenario: row
-                .get("scenario")
-                .and_then(Json::as_str)
-                .ok_or("scenario without a name")?
-                .to_string(),
-            p999_ms: num("p999_ms")?,
-            shed_events: num("shed_events")?,
-            shed_leaves: num("shed_leaves")?,
-            events: num("events")?,
-        });
-    }
-    Ok(out)
-}
-
-/// Compares fresh burst measurements against the committed baseline.
-///
-/// Gates, per scenario:
-/// * `shed_leaves` must be **zero** in the fresh record (absolute, like
-///   the recovery gate's `full_repairs` — the invariant holds no matter
-///   what the baseline says);
-/// * `p999_ms` must not exceed `baseline * (1 + threshold)` — unless
-///   both sides sit at or under `floor_ms` (tail latencies under the
-///   floor are scheduler jitter on a shared runner, not signal);
-/// * scenarios present in the baseline must still be measured; new
-///   scenarios are additions and never gated.
-///
-/// Reuses [`DiffReport`]: `config` carries the scenario name and
-/// `algorithm` the gated statistic.
-pub fn compare_burst(
-    fresh: &[BurstEntry],
-    baseline: &[BurstEntry],
-    threshold: f64,
-    floor_ms: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    for new in fresh {
-        if new.shed_leaves > 0.0 {
-            report.regressions.push(Regression {
-                config: new.scenario.clone(),
-                algorithm: "shed_leaves".to_string(),
-                baseline_ms: 0.0,
-                fresh_ms: new.shed_leaves,
-            });
-        }
-        if !baseline.iter().any(|e| e.scenario == new.scenario) {
-            report.added.push(new.scenario.clone());
-        }
-    }
-    for base in baseline {
-        let Some(new) = fresh.iter().find(|e| e.scenario == base.scenario) else {
-            report.missing.push(base.scenario.clone());
-            continue;
-        };
-        if base.p999_ms <= floor_ms && new.p999_ms <= floor_ms {
-            report.below_floor += 1;
-            continue;
-        }
-        report.compared += 1;
-        if new.p999_ms > base.p999_ms * (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: base.scenario.clone(),
-                algorithm: "p999_ms".to_string(),
-                baseline_ms: base.p999_ms,
-                fresh_ms: new.p999_ms,
-            });
-        }
-    }
-    report
-}
-
-/// The single measurement row of a `BENCH_serve_mc.json` document —
-/// the zone-sharded serving acceptance record (see
-/// `benches/serve_mc.rs`): event throughput at the recorded width, with
-/// the in-process single-shard comparison alongside.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeMcEntry {
-    /// Scenario notation the trace ran on (e.g. the production
-    /// `100s-1000z-50000c-65000cp` tier).
-    pub tier: String,
-    /// Serving throughput at the recorded width, events per second —
-    /// the gated statistic.
-    pub events_per_s: f64,
-    /// In-process single-shard throughput, events per second (reported;
-    /// the bench itself gates the width-over-1 ratio).
-    pub events_per_s_1shard: f64,
-    /// In-process width-over-single-shard speedup (reported).
-    pub speedup_in_process: f64,
-    /// The speedup curve: `(threads, events_per_s)` per measured width,
-    /// ascending. Empty for baselines predating the curve. Each width a
-    /// committed baseline carries is gated individually — a regression
-    /// confined to one width (say, 4 workers stopped scaling while 8
-    /// still clears) must not hide behind the headline number.
-    pub curve: Vec<(u64, f64)>,
-}
-
-/// Whether a parsed document is a sharded-serving record
-/// (`BENCH_serve_mc.json`) — `bench_diff` dispatches on this.
-pub fn is_serve_mc_doc(doc: &Json) -> bool {
-    doc.get("experiment").and_then(Json::as_str) == Some("serve_mc")
-}
-
-/// Extracts the measurement of a `BENCH_serve_mc.json` document.
-pub fn serve_mc_entry(doc: &Json) -> Result<ServeMcEntry, String> {
-    let num = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing '{key}'"))
+/// Reads a record's `metrics` object. A record without one declares no
+/// gates. An entry without a numeric `value`, or in none of the three
+/// rule forms, is refused.
+pub fn metrics(doc: &Json) -> Result<Vec<Metric>, String> {
+    let members = match doc.get("metrics") {
+        None => return Ok(Vec::new()),
+        Some(Json::Obj(members)) => members,
+        Some(_) => return Err("'metrics' is not an object".to_string()),
     };
-    let mut curve = Vec::new();
-    if let Some(points) = doc.get("curve").and_then(Json::as_arr) {
-        for point in points {
-            let threads = point
-                .get("threads")
-                .and_then(Json::as_num)
-                .ok_or("curve point without 'threads'")? as u64;
-            let events_per_s = point
-                .get("events_per_s")
-                .and_then(Json::as_num)
-                .ok_or("curve point without 'events_per_s'")?;
-            curve.push((threads, events_per_s));
-        }
-    }
-    Ok(ServeMcEntry {
-        tier: doc
-            .get("tier")
-            .and_then(Json::as_str)
-            .ok_or("missing 'tier'")?
-            .to_string(),
-        events_per_s: num("events_per_s")?,
-        events_per_s_1shard: num("events_per_s_1shard")?,
-        speedup_in_process: num("speedup_in_process")?,
-        curve,
-    })
+    members
+        .iter()
+        .map(|(name, entry)| {
+            let num = |key: &str| entry.get(key).and_then(Json::as_num);
+            let value = num("value").ok_or_else(|| format!("metric '{name}' has no value"))?;
+            let rule = match (entry.get("better").map(Json::as_str), num("max")) {
+                (None, Some(max)) => Some(Rule::Max(max)),
+                (Some(Some("lower")), None) => num("rel")
+                    .zip(num("floor"))
+                    .map(|(rel, floor)| Rule::Lower { rel, floor }),
+                (Some(Some("higher")), None) => num("rel").map(|rel| Rule::Higher { rel }),
+                _ => None,
+            }
+            .ok_or_else(|| format!("metric '{name}' has no valid rule"))?;
+            Ok(metric(name.as_str(), value, rule))
+        })
+        .collect()
 }
 
-/// Compares a fresh sharded-serving measurement against the committed
-/// baseline: `events_per_s` (throughput — *higher* is better, unlike
-/// the solve-time gates) must not fall below
-/// `baseline / (1 + threshold)`. A tier change makes the documents
-/// incomparable and is reported as a missing measurement. The
-/// cross-width refusal is [`thread_mismatch`], shared with every other
-/// record kind.
-///
-/// The speedup **curve** is gated point by point: every width the
-/// baseline's curve carries must still be measured (a vanished width
-/// fails like a vanished Table 1 pair) and must hold its throughput to
-/// the same threshold — parallel efficiency lost at one width is a
-/// regression even when the headline width still clears. Fresh widths
-/// absent from the baseline are additions.
-pub fn compare_serve_mc(
-    fresh: &ServeMcEntry,
-    baseline: &ServeMcEntry,
-    threshold: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    if fresh.tier != baseline.tier {
-        report.missing.push(baseline.tier.clone());
-        return report;
-    }
-    report.compared = 1;
-    if fresh.events_per_s < baseline.events_per_s / (1.0 + threshold) {
-        report.regressions.push(Regression {
-            config: baseline.tier.clone(),
-            algorithm: "events_per_s".to_string(),
-            baseline_ms: baseline.events_per_s,
-            fresh_ms: fresh.events_per_s,
-        });
-    }
-    for &(threads, base_eps) in &baseline.curve {
-        let Some(&(_, new_eps)) = fresh.curve.iter().find(|(w, _)| *w == threads) else {
-            report
-                .missing
-                .push(format!("{} @ {threads} workers", baseline.tier));
-            continue;
-        };
-        report.compared += 1;
-        if new_eps < base_eps / (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: format!("{} @ {threads} workers", baseline.tier),
-                algorithm: "events_per_s".to_string(),
-                baseline_ms: base_eps,
-                fresh_ms: new_eps,
-            });
-        }
-    }
-    for &(threads, _) in &fresh.curve {
-        if !baseline.curve.iter().any(|(w, _)| *w == threads) {
-            report
-                .added
-                .push(format!("{} @ {threads} workers", fresh.tier));
-        }
-    }
-    report
-}
-
-/// The single measurement row of a `BENCH_alloc.json` document — the
-/// steady-state allocation gate (see `benches/alloc.rs`): amortized
-/// allocator traffic per steady serve event at the production tier,
-/// measured under the `count-allocs` counting allocator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AllocEntry {
-    /// Scenario notation the steady stream replayed (the production
-    /// `100s-1000z-50000c-65000cp` tier).
-    pub tier: String,
-    /// Amortized allocations per steady-state serve event — the gated
-    /// statistic (absolute budget, not drift).
-    pub allocs_per_event: f64,
-    /// Amortized allocated bytes per steady-state serve event (gated
-    /// relative to the baseline).
-    pub bytes_per_event: f64,
-    /// Steady events measured (reported, not gated).
-    pub steady_events: f64,
-}
-
-/// Whether a parsed document is an allocation record
-/// (`BENCH_alloc.json`) — `bench_diff` dispatches on this.
-pub fn is_alloc_doc(doc: &Json) -> bool {
-    doc.get("experiment").and_then(Json::as_str) == Some("alloc")
-}
-
-/// Extracts the measurement of a `BENCH_alloc.json` document.
-pub fn alloc_entry(doc: &Json) -> Result<AllocEntry, String> {
-    let num = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing '{key}'"))
-    };
-    Ok(AllocEntry {
-        tier: doc
-            .get("tier")
-            .and_then(Json::as_str)
-            .ok_or("missing 'tier'")?
-            .to_string(),
-        allocs_per_event: num("allocs_per_event")?,
-        bytes_per_event: num("bytes_per_event")?,
-        steady_events: num("steady_events")?,
-    })
-}
-
-/// Compares a fresh allocation measurement against the committed
-/// baseline.
-///
-/// Gates:
-/// * `allocs_per_event` against the **absolute** `alloc_budget` — the
-///   zero-alloc claim is a property of the HEAD build, so a baseline
-///   that itself crept up must not launder further creep;
-/// * `bytes_per_event` against `baseline * (1 + threshold)` — unless
-///   both sides sit at or under `floor_bytes` (single-digit bytes per
-///   event are allocator bookkeeping noise, not a leak);
-/// * a tier change makes the documents incomparable and is reported as
-///   a missing measurement.
-pub fn compare_alloc(
-    fresh: &AllocEntry,
-    baseline: &AllocEntry,
-    threshold: f64,
-    alloc_budget: f64,
-    floor_bytes: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    if fresh.tier != baseline.tier {
-        report.missing.push(baseline.tier.clone());
-        return report;
-    }
-    report.compared = 1;
-    if fresh.allocs_per_event > alloc_budget {
-        report.regressions.push(Regression {
-            config: fresh.tier.clone(),
-            algorithm: "allocs_per_event".to_string(),
-            baseline_ms: alloc_budget,
-            fresh_ms: fresh.allocs_per_event,
-        });
-    }
-    if fresh.bytes_per_event <= floor_bytes && baseline.bytes_per_event <= floor_bytes {
-        report.below_floor += 1;
-    } else {
-        report.compared += 1;
-        if fresh.bytes_per_event > baseline.bytes_per_event * (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: baseline.tier.clone(),
-                algorithm: "bytes_per_event".to_string(),
-                baseline_ms: baseline.bytes_per_event,
-                fresh_ms: fresh.bytes_per_event,
-            });
-        }
-    }
-    report
-}
-
-/// The top-level `threads` field of a baseline document, when present
-/// (baselines predating the field have none).
+/// The top-level `threads` field of a record: the worker width it was
+/// measured at.
 pub fn doc_threads(doc: &Json) -> Option<u64> {
     doc.get("threads").and_then(Json::as_num).map(|x| x as u64)
 }
 
-/// Returns `(fresh, baseline)` worker widths when both documents declare
-/// them and they differ. Timings from different widths are not
-/// like-for-like — a 1-thread baseline would hide a multi-core
-/// regression (or flag a phantom one) — so the gate must **refuse** to
-/// diff such documents instead of silently comparing them.
-pub fn thread_mismatch(fresh: &Json, baseline: &Json) -> Option<(u64, u64)> {
-    match (doc_threads(fresh), doc_threads(baseline)) {
-        (Some(f), Some(b)) if f != b => Some((f, b)),
-        _ => None,
-    }
-}
-
-/// One over-threshold slowdown.
+/// Why two records cannot be compared at all.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Scenario notation.
-    pub config: String,
-    /// Algorithm display name.
-    pub algorithm: String,
-    /// Committed baseline minimum, ms.
-    pub baseline_ms: f64,
-    /// Freshly measured minimum, ms.
-    pub fresh_ms: f64,
+pub enum DiffError {
+    /// A usage error, an unreadable or malformed record, or records of
+    /// different experiments.
+    Invalid(String),
+    /// The records were measured at different worker widths. Timings
+    /// from different widths are not like for like, so the gate refuses
+    /// them instead of comparing.
+    Widths {
+        /// Width of the fresh record.
+        fresh: u64,
+        /// Width of the committed record.
+        baseline: u64,
+    },
 }
 
-impl Regression {
-    /// Slowdown factor (fresh / baseline).
-    pub fn ratio(&self) -> f64 {
-        self.fresh_ms / self.baseline_ms
+impl std::fmt::Display for DiffError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DiffError::Invalid(message) => f.write_str(message),
+            DiffError::Widths { fresh, baseline } => write!(
+                f,
+                "refusing to compare: the fresh record was measured on {fresh} thread(s), the \
+                 committed one on {baseline}; widths must match (re-measure at the committed \
+                 width, or commit a record for this width)"
+            ),
+        }
     }
 }
 
-/// Outcome of comparing a fresh baseline against the committed one.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DiffReport {
-    /// Pairs actually compared against the threshold.
-    pub compared: usize,
-    /// Pairs skipped because either side's gated minimum sat below the
-    /// noise floor.
-    pub below_floor: usize,
-    /// Baseline pairs with no fresh counterpart (renamed/removed tiers
-    /// fail the gate: a silently dropped measurement is a regression).
-    pub missing: Vec<String>,
-    /// Fresh pairs with no baseline counterpart — **additions, not
-    /// regressions** (a new tier or algorithm landing in the same PR as
-    /// its first measurement). Reported so the operator commits the
-    /// fresh file as the next baseline; never fails the gate.
-    pub added: Vec<String>,
-    /// Over-threshold slowdowns.
-    pub regressions: Vec<Regression>,
+/// One fresh metric held to its rule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gated {
+    /// The fresh metric, with the rule applied.
+    pub metric: Metric,
+    /// The committed value, when the committed record has the metric.
+    pub baseline: Option<f64>,
+    /// The bound applied ([`Rule::limit`]).
+    pub limit: f64,
 }
 
-impl DiffReport {
+impl Gated {
+    /// Whether the fresh value is within its limit.
+    pub fn passed(&self) -> bool {
+        !self.metric.rule.breaks(self.metric.value, self.limit)
+    }
+}
+
+/// Outcome of comparing a fresh record against the committed one.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Report {
+    /// The experiment both records come from.
+    pub experiment: String,
+    /// The worker width both records were measured at.
+    pub threads: u64,
+    /// Every fresh metric that has a limit: each relative rule with a
+    /// committed value, and each `max` rule.
+    pub gated: Vec<Gated>,
+    /// Committed metrics the fresh record lacks. These fail: a dropped
+    /// measurement can hide a regression.
+    pub missing: Vec<String>,
+    /// Fresh metrics the committed record lacks. These are additions,
+    /// reported but not failed (a `max` rule still gates its value).
+    pub added: Vec<String>,
+    /// `(fresh, committed)` tiers when they differ (`-` for none). The
+    /// numbers are then not comparable, so this fails.
+    pub tier_changed: Option<(String, String)>,
+}
+
+impl Report {
+    /// The gated metrics that broke their limit.
+    pub fn regressions(&self) -> impl Iterator<Item = &Gated> {
+        self.gated.iter().filter(|g| !g.passed())
+    }
+
     /// Whether the gate passes.
     pub fn passed(&self) -> bool {
-        self.missing.is_empty() && self.regressions.is_empty()
+        self.missing.is_empty()
+            && self.tier_changed.is_none()
+            && self.gated.iter().all(Gated::passed)
     }
 }
 
-/// Compares `fresh` measurements against the committed `baseline`.
-///
-/// The gated statistic is each pair's **minimum** solve time
-/// ([`BenchEntry::exec_ms`]); a pair regresses when
-/// `fresh > baseline * (1 + threshold)`. Pairs where either side's
-/// minimum is under `floor_ms` are reported but not gated: sub-floor
-/// timings are scheduler noise, and failing CI on a 3 µs → 5 µs
-/// "regression" would make the gate useless. Pairs where either side
-/// has a single replication (the exact solver in CI) are gated at
-/// **double** the threshold — one sample of a long solve amortises
-/// noise well, but has no minimum-of-N protection. Extra fresh entries
-/// (new tiers/algorithms) are listed in [`DiffReport::added`] and never
-/// gated — they become the baseline when committed.
-pub fn compare(
-    fresh: &[BenchEntry],
-    baseline: &[BenchEntry],
-    threshold: f64,
-    floor_ms: f64,
-) -> DiffReport {
-    let mut report = DiffReport::default();
-    for new in fresh {
-        if !baseline
-            .iter()
-            .any(|e| e.config == new.config && e.algorithm == new.algorithm)
-        {
-            report
-                .added
-                .push(format!("{} / {}", new.config, new.algorithm));
-        }
+/// Compares a `fresh` record against the committed `baseline`, metric
+/// by metric, with the rules the fresh record declares (see the module
+/// docs). Records of different experiments, and records without
+/// `experiment` or `threads` or with a malformed `metrics` object, are
+/// [`DiffError::Invalid`]; records of different widths are refused
+/// with [`DiffError::Widths`].
+pub fn compare(fresh: &Json, baseline: &Json) -> Result<Report, DiffError> {
+    fn identity<'a>(doc: &'a Json, side: &str) -> Result<(&'a str, u64, Vec<Metric>), DiffError> {
+        let invalid = |what: String| DiffError::Invalid(format!("the {side} record {what}"));
+        let experiment = doc
+            .get("experiment")
+            .and_then(Json::as_str)
+            .ok_or_else(|| invalid("has no 'experiment'".to_string()))?;
+        let threads = doc_threads(doc).ok_or_else(|| invalid("has no 'threads'".to_string()))?;
+        let declared = metrics(doc).map_err(|e| invalid(format!("is malformed: {e}")))?;
+        Ok((experiment, threads, declared))
     }
-    for base in baseline {
-        let Some(new) = fresh
+    let (experiment, threads, declared) = identity(fresh, "fresh")?;
+    let (committed_experiment, committed_threads, committed) = identity(baseline, "committed")?;
+    if experiment != committed_experiment {
+        return Err(DiffError::Invalid(format!(
+            "refusing to compare a {experiment} record with a {committed_experiment} record"
+        )));
+    }
+    if threads != committed_threads {
+        return Err(DiffError::Widths {
+            fresh: threads,
+            baseline: committed_threads,
+        });
+    }
+    let tier = |doc: &Json| {
+        doc.get("tier")
+            .and_then(Json::as_str)
+            .unwrap_or("-")
+            .to_string()
+    };
+    let mut report = Report {
+        experiment: experiment.to_string(),
+        threads,
+        missing: committed
             .iter()
-            .find(|e| e.config == base.config && e.algorithm == base.algorithm)
-        else {
-            report
-                .missing
-                .push(format!("{} / {}", base.config, base.algorithm));
-            continue;
-        };
-        if base.exec_ms < floor_ms || new.exec_ms < floor_ms {
-            report.below_floor += 1;
-            continue;
+            .filter(|b| !declared.iter().any(|m| m.name == b.name))
+            .map(|b| b.name.clone())
+            .collect(),
+        tier_changed: (tier(fresh) != tier(baseline)).then(|| (tier(fresh), tier(baseline))),
+        ..Report::default()
+    };
+    for metric in declared {
+        let baseline = committed
+            .iter()
+            .find(|b| b.name == metric.name)
+            .map(|b| b.value);
+        if baseline.is_none() {
+            report.added.push(metric.name.clone());
         }
-        report.compared += 1;
-        let threshold = if base.samples < 2 || new.samples < 2 {
-            threshold * 2.0
-        } else {
-            threshold
-        };
-        if new.exec_ms > base.exec_ms * (1.0 + threshold) {
-            report.regressions.push(Regression {
-                config: base.config.clone(),
-                algorithm: base.algorithm.clone(),
-                baseline_ms: base.exec_ms,
-                fresh_ms: new.exec_ms,
+        if let Some(limit) = metric.rule.limit(baseline) {
+            report.gated.push(Gated {
+                metric,
+                baseline,
+                limit,
             });
         }
     }
-    report
+    Ok(report)
+}
+
+/// The `bench_diff` exit status of an outcome: 0 when the gate passes;
+/// 1 when a metric regressed or is missing, or the tier changed; 2 on a
+/// usage error, an unreadable or malformed record, or a different
+/// experiment; 3 when the records' widths differ.
+pub fn exit_code(outcome: &Result<Report, DiffError>) -> i32 {
+    match outcome {
+        Ok(report) if report.passed() => 0,
+        Ok(_) => 1,
+        Err(DiffError::Invalid(_)) => 2,
+        Err(DiffError::Widths { .. }) => 3,
+    }
+}
+
+/// A number to four significant digits, for the report.
+fn short(x: f64) -> String {
+    let digits = if x == 0.0 || !x.is_finite() {
+        0
+    } else {
+        (3 - x.abs().log10().floor() as i64).max(0) as usize
+    };
+    format!("{x:.digits$}")
+}
+
+impl std::fmt::Display for Report {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "bench_diff: {} record at {} thread(s), {} metric(s) gated",
+            self.experiment,
+            self.threads,
+            self.gated.len()
+        )?;
+        for g in &self.gated {
+            let m = &g.metric;
+            let rule = match m.rule {
+                Rule::Lower { rel, floor } => format!("lower, rel {rel}, floor {floor}"),
+                Rule::Higher { rel } => format!("higher, rel {rel}"),
+                Rule::Max(_) => "max".to_string(),
+            };
+            let change = g.baseline.filter(|&b| b != 0.0).map_or(String::new(), |b| {
+                format!(" ({:+.1}%)", (m.value / b - 1.0) * 100.0)
+            });
+            writeln!(
+                f,
+                "  {:<10} {:<44} {:>10} -> {:<10}{change:<10} limit {} ({rule})",
+                if g.passed() { "ok" } else { "REGRESSION" },
+                m.name,
+                g.baseline.map_or("-".to_string(), short),
+                short(m.value),
+                short(g.limit)
+            )?;
+        }
+        for name in &self.added {
+            writeln!(f, "  NEW (no committed value): {name}")?;
+        }
+        for name in &self.missing {
+            writeln!(f, "  MISSING from the fresh record: {name}")?;
+        }
+        if let Some((fresh, committed)) = &self.tier_changed {
+            writeln!(f, "  TIER CHANGED: {committed} -> {fresh}")?;
+        }
+        if self.passed() {
+            writeln!(f, "bench_diff: PASS")
+        } else {
+            writeln!(
+                f,
+                "bench_diff: FAIL ({} regressed, {} missing{})",
+                self.regressions().count(),
+                self.missing.len(),
+                if self.tier_changed.is_some() {
+                    ", tier changed"
+                } else {
+                    ""
+                }
+            )
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table1_exec_rule;
 
-    fn entry(config: &str, algorithm: &str, exec_ms: f64) -> BenchEntry {
-        BenchEntry {
-            config: config.to_string(),
-            algorithm: algorithm.to_string(),
-            exec_ms,
-            exec_mean_ms: exec_ms * 1.2,
-            samples: 10,
-            pqos: 0.9,
+    const TIER: &str = "100s-1000z-50000c-65000cp";
+
+    /// The lower-is-better rule at +25% over `floor`.
+    fn lower(floor: f64) -> Rule {
+        Rule::Lower { rel: 0.25, floor }
+    }
+
+    /// A width-1 record of `experiment` on `tier`, declaring `metrics`.
+    fn record(experiment: &str, tier: &str, metrics: &[Metric]) -> Json {
+        let members: Vec<String> = metrics.iter().map(Metric::to_json).collect();
+        parse(&format!(
+            r#"{{"experiment": "{experiment}", "threads": 1, "tier": "{tier}",
+                "metrics": {{{}}}}}"#,
+            members.join(", ")
+        ))
+        .unwrap()
+    }
+
+    fn diff(fresh: &Json, baseline: &Json) -> Report {
+        compare(fresh, baseline).expect("comparable records")
+    }
+
+    fn regressed(report: &Report) -> Vec<&str> {
+        report
+            .regressions()
+            .map(|g| g.metric.name.as_str())
+            .collect()
+    }
+
+    /// A Table 1 record of `(config/algorithm, min exec_ms, replications)`
+    /// pairs, under the rule the table1 writer declares.
+    fn table1(pairs: &[(&str, f64, u64)]) -> Json {
+        let metrics: Vec<Metric> = pairs
+            .iter()
+            .map(|&(pair, ms, n)| metric(format!("{pair}/exec_ms"), ms, table1_exec_rule(n)))
+            .collect();
+        record("table1", "-", &metrics)
+    }
+
+    /// A recover record of `(scenario, events_to_recover, full_repairs)`.
+    fn recover(rows: &[(&str, f64, f64)]) -> Json {
+        let metrics: Vec<Metric> = rows
+            .iter()
+            .flat_map(|&(s, events, full_repairs)| {
+                [
+                    metric(format!("{s}/events_to_recover"), events, lower(600.0)),
+                    metric(format!("{s}/full_repairs"), full_repairs, Rule::Max(0.0)),
+                ]
+            })
+            .collect();
+        record("recover", TIER, &metrics)
+    }
+
+    /// A burst record of `(scenario, p999_ms, shed_leaves)`.
+    fn burst(rows: &[(&str, f64, f64)]) -> Json {
+        let metrics: Vec<Metric> = rows
+            .iter()
+            .flat_map(|&(s, p999_ms, shed_leaves)| {
+                [
+                    metric(format!("{s}/p999_ms"), p999_ms, lower(2.0)),
+                    metric(format!("{s}/shed_leaves"), shed_leaves, Rule::Max(0.0)),
+                ]
+            })
+            .collect();
+        record("burst", TIER, &metrics)
+    }
+
+    /// A serve_mc record: headline throughput plus `(threads, events/s)`
+    /// curve points.
+    fn serve_mc(tier: &str, events_per_s: f64, curve: &[(u64, f64)]) -> Json {
+        let higher = Rule::Higher { rel: 0.25 };
+        let mut metrics = vec![metric("events_per_s", events_per_s, higher)];
+        for &(w, eps) in curve {
+            metrics.push(metric(format!("curve/{w}/events_per_s"), eps, higher));
+        }
+        record("serve_mc", tier, &metrics)
+    }
+
+    /// An alloc record.
+    fn alloc(tier: &str, allocs_per_event: f64, bytes_per_event: f64) -> Json {
+        let metrics = [
+            metric("allocs_per_event", allocs_per_event, Rule::Max(2.0)),
+            metric("bytes_per_event", bytes_per_event, lower(8.0)),
+        ];
+        record("alloc", tier, &metrics)
+    }
+
+    /// A committed record at the workspace root.
+    fn committed(file: &str) -> Json {
+        let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// A committed record passes against itself, which also holds every
+    /// absolute (`max`) gate it declares.
+    fn assert_self_compares(doc: &Json) -> Report {
+        let report = diff(doc, doc);
+        assert!(report.passed(), "{report}");
+        report
+    }
+
+    /// Refuses each `metrics` object in `bad`.
+    fn assert_refused(experiment: &str, bad: &[&str]) {
+        for members in bad {
+            let doc = parse(&format!(
+                r#"{{"experiment": "{experiment}", "threads": 1, "metrics": {members}}}"#
+            ))
+            .unwrap();
+            assert!(metrics(&doc).is_err(), "{members}");
+            assert!(matches!(compare(&doc, &doc), Err(DiffError::Invalid(_))));
         }
     }
 
@@ -949,16 +767,17 @@ mod tests {
 
     #[test]
     fn single_sample_pairs_get_doubled_threshold() {
-        let mut base = entry("tier1", "lp_solve", 100.0);
-        base.samples = 1;
-        // +40% on a single-sample pair: inside the doubled (+50%) limit.
-        let mut fresh = entry("tier1", "lp_solve", 140.0);
-        fresh.samples = 1;
-        let report = compare(&[fresh.clone()], &[base.clone()], 0.25, 0.05);
+        let base = table1(&[("tier1/lp_solve", 100.0, 1)]);
+        // +40% on a single-sample pair: inside the doubled (+50%) limit,
+        // and the report prints the limit it applied.
+        let report = diff(&table1(&[("tier1/lp_solve", 140.0, 1)]), &base);
         assert!(report.passed());
+        assert_eq!(report.gated[0].limit, 150.0);
+        assert!(report.to_string().contains("limit 150.0"), "{report}");
         // +60% fails even with the slack.
-        fresh.exec_ms = 160.0;
-        assert!(!compare(&[fresh], &[base], 0.25, 0.05).passed());
+        assert!(!diff(&table1(&[("tier1/lp_solve", 160.0, 1)]), &base).passed());
+        // The fresh record's rule applies: a replicated pair gets none.
+        assert!(!diff(&table1(&[("tier1/lp_solve", 140.0, 20)]), &base).passed());
     }
 
     #[test]
@@ -973,77 +792,96 @@ mod tests {
 
     #[test]
     fn thread_mismatch_refusal_logic() {
-        let one = parse(r#"{"threads": 1, "rows": []}"#).unwrap();
-        let eight = parse(r#"{"threads": 8, "rows": []}"#).unwrap();
-        let unmarked = parse(r#"{"rows": []}"#).unwrap();
+        let at = |threads: &str| {
+            parse(&format!(
+                r#"{{"experiment": "table1"{threads}, "rows": []}}"#
+            ))
+            .unwrap()
+        };
+        let (one, eight, unmarked) = (at(r#", "threads": 1"#), at(r#", "threads": 8"#), at(""));
         assert_eq!(doc_threads(&one), Some(1));
         assert_eq!(doc_threads(&unmarked), None);
         // Mismatched widths are refused in both directions.
-        assert_eq!(thread_mismatch(&eight, &one), Some((8, 1)));
-        assert_eq!(thread_mismatch(&one, &eight), Some((1, 8)));
-        // Same width, or a legacy unmarked side, still compares.
-        assert_eq!(thread_mismatch(&one, &one), None);
-        assert_eq!(thread_mismatch(&one, &unmarked), None);
-        assert_eq!(thread_mismatch(&unmarked, &eight), None);
+        let refused = |fresh, baseline| Err(DiffError::Widths { fresh, baseline });
+        assert_eq!(compare(&eight, &one), refused(8, 1));
+        assert_eq!(compare(&one, &eight), refused(1, 8));
+        // The same width compares.
+        assert!(diff(&one, &one).passed());
+        // A record without `threads` is malformed, on either side.
+        assert!(matches!(
+            compare(&one, &unmarked),
+            Err(DiffError::Invalid(_))
+        ));
+        assert!(matches!(
+            compare(&unmarked, &eight),
+            Err(DiffError::Invalid(_))
+        ));
     }
 
     #[test]
     fn parses_the_committed_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_table1.json");
-        let text = std::fs::read_to_string(path).expect("committed baseline exists");
-        let doc = parse(&text).expect("committed baseline parses");
-        let list = entries(&doc).expect("committed baseline has the expected shape");
+        let doc = committed("BENCH_table1.json");
+        let list = metrics(&doc).expect("committed baseline declares its metrics");
         assert!(list.len() >= 16, "4 tiers x 4 heuristics at least");
+        // Every pair is gated on its replication minimum, under the
+        // rule the table1 writer declares for its replication count.
+        for row in doc.get("rows").and_then(Json::as_arr).unwrap() {
+            let config = row.get("config").and_then(Json::as_str).unwrap();
+            for algo in row.get("algorithms").and_then(Json::as_arr).unwrap() {
+                let name = algo.get("algorithm").and_then(Json::as_str).unwrap();
+                let exec = algo.get("exec_ms").unwrap();
+                let m = list
+                    .iter()
+                    .find(|m| m.name == format!("{config}/{name}/exec_ms"))
+                    .unwrap_or_else(|| panic!("{config}/{name} is not gated"));
+                assert_eq!(Some(m.value), exec.get("min").and_then(Json::as_num));
+                let n = exec.get("n").and_then(Json::as_num).unwrap() as u64;
+                assert_eq!(m.rule, table1_exec_rule(n));
+            }
+        }
         assert!(list
             .iter()
-            .any(|e| e.algorithm == "GreZ-GreC" && e.config == "30s-160z-2000c-1000cp"));
-        for e in &list {
-            assert!(e.exec_ms >= 0.0);
-            assert!((0.0..=1.0).contains(&e.pqos));
-        }
-        // Identical files never regress against themselves.
-        let report = compare(&list, &list, 0.25, 0.05);
-        assert!(report.passed());
-        assert!(report.compared > 0);
+            .any(|m| m.name == "30s-160z-2000c-1000cp/GreZ-GreC/exec_ms"));
+        assert_eq!(assert_self_compares(&doc).gated.len(), list.len());
     }
 
     #[test]
     fn flags_regressions_over_threshold_only() {
-        let baseline = vec![entry("tier1", "A", 10.0), entry("tier1", "B", 10.0)];
-        let fresh = vec![entry("tier1", "A", 12.4), entry("tier1", "B", 12.6)];
-        let report = compare(&fresh, &baseline, 0.25, 0.05);
-        assert_eq!(report.compared, 2);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "B");
-        assert!((report.regressions[0].ratio() - 1.26).abs() < 1e-9);
+        let baseline = table1(&[("tier1/A", 10.0, 20), ("tier1/B", 10.0, 20)]);
+        let fresh = table1(&[("tier1/A", 12.4, 20), ("tier1/B", 12.6, 20)]);
+        let report = diff(&fresh, &baseline);
+        assert_eq!(report.gated.len(), 2);
+        assert_eq!(regressed(&report), ["tier1/B/exec_ms"]);
+        let r = report.regressions().next().unwrap();
+        assert!((r.metric.value / r.baseline.unwrap() - 1.26).abs() < 1e-9);
         assert!(!report.passed());
     }
 
     #[test]
     fn noise_floor_suppresses_micro_timings() {
-        let baseline = vec![entry("tier1", "A", 0.003)];
-        let fresh = vec![entry("tier1", "A", 0.010)]; // 3.3x but microseconds
-        let report = compare(&fresh, &baseline, 0.25, 0.05);
-        assert_eq!(report.below_floor, 1);
+        // 3.3x, but microseconds: held to the 0.05 ms floor, not +25%.
+        let report = diff(
+            &table1(&[("tier1/A", 0.010, 20)]),
+            &table1(&[("tier1/A", 0.003, 20)]),
+        );
         assert!(report.passed());
+        assert_eq!(report.gated[0].limit, 0.05);
+    }
+
+    #[test]
+    fn a_sub_floor_baseline_is_held_to_the_floor() {
+        // A pair under the floor is gated once the fresh minimum leaves
+        // the floor: it fails past both the floor and +25%.
+        let base = table1(&[("tier1/A", 0.046, 20)]);
+        assert!(diff(&table1(&[("tier1/A", 0.057, 20)]), &base).passed());
+        assert!(!diff(&table1(&[("tier1/A", 0.058, 20)]), &base).passed());
     }
 
     #[test]
     fn missing_pairs_fail_the_gate() {
-        let baseline = vec![entry("tier1", "A", 10.0)];
-        let report = compare(&[], &baseline, 0.25, 0.05);
-        assert_eq!(report.missing, vec!["tier1 / A".to_string()]);
+        let report = diff(&table1(&[]), &table1(&[("tier1/A", 10.0, 20)]));
+        assert_eq!(report.missing, ["tier1/A/exec_ms"]);
         assert!(!report.passed());
-    }
-
-    fn recover_entry(scenario: &str, events: f64, full_repairs: f64) -> RecoverEntry {
-        RecoverEntry {
-            scenario: scenario.to_string(),
-            events_to_recover: events,
-            full_repairs,
-            shed_events: 0.0,
-            trough_pqos: 0.8,
-        }
     }
 
     #[test]
@@ -1053,101 +891,95 @@ mod tests {
                 {"scenario": "single", "pre_pqos": 0.95, "trough_pqos": 0.8,
                  "recovered_epoch": 4, "events_to_recover": 600, "full_repairs": 0,
                  "shed_events": 0, "queued_joins": 0, "zones_migrated": 42}
-            ]}"#,
+            ], "metrics": {
+                "single/events_to_recover":
+                    {"value": 600, "better": "lower", "rel": 0.25, "floor": 600},
+                "single/full_repairs": {"value": 0, "max": 0}
+            }}"#,
         )
         .unwrap();
-        assert!(is_recover_doc(&doc));
-        let list = recover_entries(&doc).unwrap();
-        assert_eq!(list.len(), 1);
-        assert_eq!(list[0].scenario, "single");
-        assert_eq!(list[0].events_to_recover, 600.0);
-        assert_eq!(list[0].full_repairs, 0.0);
-        // A Table 1 baseline is not a recovery record.
-        let table1 = parse(r#"{"rows": []}"#).unwrap();
-        assert!(!is_recover_doc(&table1));
-        assert!(recover_entries(&table1).is_err());
+        assert_eq!(
+            metrics(&doc).unwrap(),
+            [
+                metric("single/events_to_recover", 600.0, lower(600.0)),
+                metric("single/full_repairs", 0.0, Rule::Max(0.0)),
+            ]
+        );
+        // A record without a metrics object declares no gates.
+        let bare = parse(r#"{"experiment": "recover", "threads": 1}"#).unwrap();
+        assert_eq!(metrics(&bare), Ok(vec![]));
+        assert!(diff(&bare, &bare).gated.is_empty());
+        // No value, or a lower rule without its floor, is refused.
+        assert_refused(
+            "recover",
+            &[
+                r#"{"single/full_repairs": {"max": 0}}"#,
+                r#"{"single/events_to_recover": {"value": 600, "better": "lower", "rel": 0.25}}"#,
+            ],
+        );
     }
 
     #[test]
     fn recover_gate_bounds_events_and_forbids_full_repairs() {
-        let baseline = vec![
-            recover_entry("single", 1200.0, 0.0),
-            recover_entry("correlated", 1800.0, 0.0),
-        ];
+        let baseline = recover(&[("single", 1200.0, 0.0), ("correlated", 1800.0, 0.0)]);
         // Within threshold: passes.
-        let fresh = vec![
-            recover_entry("single", 1400.0, 0.0),
-            recover_entry("correlated", 1800.0, 0.0),
-        ];
-        let report = compare_recover(&fresh, &baseline, 0.25, 600.0);
+        let fresh = recover(&[("single", 1400.0, 0.0), ("correlated", 1800.0, 0.0)]);
+        let report = diff(&fresh, &baseline);
         assert!(report.passed());
-        assert_eq!(report.compared, 2);
+        assert_eq!(report.gated.len(), 4);
         // Recovery slowed past the threshold: fails.
-        let slow = vec![
-            recover_entry("single", 1600.0, 0.0),
-            recover_entry("correlated", 1800.0, 0.0),
-        ];
-        let report = compare_recover(&slow, &baseline, 0.25, 600.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "events_to_recover");
+        let slow = recover(&[("single", 1600.0, 0.0), ("correlated", 1800.0, 0.0)]);
+        let report = diff(&slow, &baseline);
+        assert_eq!(regressed(&report), ["single/events_to_recover"]);
         assert!(!report.passed());
         // A full repair on the failure path fails even when events shrink —
         // and even when the (broken) baseline had one too.
-        let escalated = vec![
-            recover_entry("single", 600.0, 1.0),
-            recover_entry("correlated", 1800.0, 0.0),
-        ];
-        let mut broken_baseline = baseline.clone();
-        broken_baseline[0].full_repairs = 2.0;
-        let report = compare_recover(&escalated, &broken_baseline, 0.25, 600.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "full_repairs");
+        let escalated = recover(&[("single", 600.0, 1.0), ("correlated", 1800.0, 0.0)]);
+        let broken_baseline = recover(&[("single", 1200.0, 2.0), ("correlated", 1800.0, 0.0)]);
+        let report = diff(&escalated, &broken_baseline);
+        assert_eq!(regressed(&report), ["single/full_repairs"]);
         assert!(!report.passed());
     }
 
     #[test]
     fn recover_gate_floors_epoch_quantization_and_tracks_row_churn() {
         // Both sides within one epoch: quantization, not a regression.
-        let baseline = vec![recover_entry("single", 600.0, 0.0)];
-        let fresh = vec![recover_entry("single", 600.0, 0.0)];
-        let report = compare_recover(&fresh, &baseline, 0.25, 600.0);
-        assert!(report.passed());
-        assert_eq!(report.below_floor, 1);
-        assert_eq!(report.compared, 0);
-        // New scenarios are additions; vanished scenarios fail.
-        let moved = vec![recover_entry("fail_recover", 600.0, 0.0)];
-        let report = compare_recover(&moved, &baseline, 0.25, 600.0);
-        assert_eq!(report.added, vec!["fail_recover".to_string()]);
-        assert_eq!(report.missing, vec!["single".to_string()]);
+        let baseline = recover(&[("correlated", 396.0, 0.0)]);
+        assert!(diff(&recover(&[("correlated", 600.0, 0.0)]), &baseline).passed());
+        assert!(!diff(&recover(&[("correlated", 601.0, 0.0)]), &baseline).passed());
+        // New scenarios are additions (their max rule still gates);
+        // vanished scenarios fail.
+        let baseline = recover(&[("single", 600.0, 0.0)]);
+        let report = diff(&recover(&[("fail_recover", 600.0, 0.0)]), &baseline);
+        assert_eq!(
+            report.added,
+            [
+                "fail_recover/events_to_recover",
+                "fail_recover/full_repairs"
+            ]
+        );
+        assert_eq!(
+            report.missing,
+            ["single/events_to_recover", "single/full_repairs"]
+        );
+        assert_eq!(report.gated.len(), 1);
         assert!(!report.passed());
     }
 
     #[test]
     fn parses_the_committed_recovery_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recover.json");
-        let text = std::fs::read_to_string(path).expect("committed recovery baseline exists");
-        let doc = parse(&text).expect("committed recovery baseline parses");
-        assert!(is_recover_doc(&doc));
-        let list = recover_entries(&doc).expect("committed recovery baseline has the shape");
-        assert!(list.len() >= 3, "single + correlated + fail_recover");
-        for e in &list {
-            assert_eq!(e.full_repairs, 0.0, "{}: gated at zero", e.scenario);
-            assert!(e.events_to_recover >= 0.0);
-            assert!((0.0..=1.0).contains(&e.trough_pqos));
+        let doc = committed("BENCH_recover.json");
+        let list = metrics(&doc).expect("committed recovery baseline declares its metrics");
+        for scenario in ["single", "correlated", "fail_recover"] {
+            let find = |stat: &str| {
+                list.iter()
+                    .find(|m| m.name == format!("{scenario}/{stat}"))
+                    .unwrap_or_else(|| panic!("{scenario}/{stat} is not gated"))
+            };
+            assert!(find("events_to_recover").value >= 0.0);
+            assert_eq!(find("full_repairs").rule, Rule::Max(0.0));
         }
-        // Identical files never regress against themselves.
-        let report = compare_recover(&list, &list, 0.25, 600.0);
-        assert!(report.passed());
-    }
-
-    fn burst_entry(scenario: &str, p999_ms: f64, shed_leaves: f64) -> BurstEntry {
-        BurstEntry {
-            scenario: scenario.to_string(),
-            p999_ms,
-            shed_events: 0.0,
-            shed_leaves,
-            events: 16000.0,
-        }
+        assert_self_compares(&doc);
     }
 
     #[test]
@@ -1155,186 +987,146 @@ mod tests {
         let doc = parse(
             r#"{"experiment": "burst", "threads": 1, "scenarios": [
                 {"scenario": "flash_crowd", "events": 16000, "committed": 16000,
-                 "flushes": 125, "coalesced": 0, "shed_events": 0, "shed_leaves": 0,
+                 "flushes": 125, "shed_events": 0, "shed_leaves": 0,
                  "mean_ms": 1.6, "p99_ms": 3.1, "p999_ms": 4.5}
-            ]}"#,
+            ], "metrics": {
+                "flash_crowd/p999_ms": {"value": 4.5, "better": "lower", "rel": 0.25, "floor": 2},
+                "flash_crowd/shed_leaves": {"value": 0, "max": 0}
+            }}"#,
         )
         .unwrap();
-        assert!(is_burst_doc(&doc));
-        assert!(!is_recover_doc(&doc));
-        let list = burst_entries(&doc).unwrap();
-        assert_eq!(list.len(), 1);
-        assert_eq!(list[0].scenario, "flash_crowd");
-        assert_eq!(list[0].p999_ms, 4.5);
-        assert_eq!(list[0].shed_leaves, 0.0);
-        assert_eq!(list[0].events, 16000.0);
-        // Neither a Table 1 nor a recovery record is a burst record.
-        let table1 = parse(r#"{"rows": []}"#).unwrap();
-        assert!(!is_burst_doc(&table1));
-        assert!(burst_entries(&table1).is_err());
-        // A scenario row missing the gated statistic refuses to parse.
-        let truncated = parse(
-            r#"{"experiment": "burst", "scenarios": [
-                {"scenario": "flash_crowd", "events": 16000,
-                 "shed_events": 0, "shed_leaves": 0}
-            ]}"#,
-        )
-        .unwrap();
-        assert!(burst_entries(&truncated).is_err());
+        let list = metrics(&doc).unwrap();
+        assert_eq!(list.len(), 2);
+        assert_eq!(list[0].name, "flash_crowd/p999_ms");
+        assert_eq!(list[0].value, 4.5);
+        assert_eq!(list[0].rule, lower(2.0));
+        assert_eq!(list[1].rule, Rule::Max(0.0));
+        // A non-numeric ceiling, or two rules at once, is refused.
+        assert_refused(
+            "burst",
+            &[
+                r#"{"flash_crowd/shed_leaves": {"value": 0, "max": "0"}}"#,
+                r#"{"flash_crowd/p999_ms": {"value": 4.5, "better": "lower", "rel": 0.25,
+                    "floor": 2, "max": 5}}"#,
+            ],
+        );
     }
 
     #[test]
     fn burst_gate_bounds_p999_and_forbids_shed_leaves() {
-        let baseline = vec![
-            burst_entry("flash_crowd", 4.5, 0.0),
-            burst_entry("exponential", 2.5, 0.0),
-        ];
+        let baseline = burst(&[("flash_crowd", 4.5, 0.0), ("exponential", 2.5, 0.0)]);
         // Within threshold: passes.
-        let fresh = vec![
-            burst_entry("flash_crowd", 5.0, 0.0),
-            burst_entry("exponential", 2.5, 0.0),
-        ];
-        let report = compare_burst(&fresh, &baseline, 0.25, 2.0);
+        let fresh = burst(&[("flash_crowd", 5.0, 0.0), ("exponential", 2.5, 0.0)]);
+        let report = diff(&fresh, &baseline);
         assert!(report.passed());
-        assert_eq!(report.compared, 2);
+        assert_eq!(report.gated.len(), 4);
         // Tail latency past the threshold: fails.
-        let slow = vec![
-            burst_entry("flash_crowd", 6.0, 0.0),
-            burst_entry("exponential", 2.5, 0.0),
-        ];
-        let report = compare_burst(&slow, &baseline, 0.25, 2.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "p999_ms");
+        let slow = burst(&[("flash_crowd", 6.0, 0.0), ("exponential", 2.5, 0.0)]);
+        let report = diff(&slow, &baseline);
+        assert_eq!(regressed(&report), ["flash_crowd/p999_ms"]);
         assert!(!report.passed());
         // A shed Leave fails even with a faster tail — and even when the
         // (broken) baseline shed one too.
-        let shedding = vec![
-            burst_entry("flash_crowd", 3.0, 1.0),
-            burst_entry("exponential", 2.5, 0.0),
-        ];
-        let mut broken_baseline = baseline.clone();
-        broken_baseline[0].shed_leaves = 2.0;
-        let report = compare_burst(&shedding, &broken_baseline, 0.25, 2.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "shed_leaves");
+        let shedding = burst(&[("flash_crowd", 3.0, 1.0), ("exponential", 2.5, 0.0)]);
+        let broken_baseline = burst(&[("flash_crowd", 4.5, 2.0), ("exponential", 2.5, 0.0)]);
+        let report = diff(&shedding, &broken_baseline);
+        assert_eq!(regressed(&report), ["flash_crowd/shed_leaves"]);
         assert!(!report.passed());
     }
 
     #[test]
     fn burst_gate_floors_jitter_and_tracks_row_churn() {
         // Both tails under the floor: runner jitter, not a regression.
-        let baseline = vec![burst_entry("exponential", 1.0, 0.0)];
-        let fresh = vec![burst_entry("exponential", 1.9, 0.0)];
-        let report = compare_burst(&fresh, &baseline, 0.25, 2.0);
-        assert!(report.passed());
-        assert_eq!(report.below_floor, 1);
-        assert_eq!(report.compared, 0);
-        // New scenarios are additions; vanished scenarios fail.
-        let moved = vec![burst_entry("diurnal", 1.0, 0.0)];
-        let report = compare_burst(&moved, &baseline, 0.25, 2.0);
-        assert_eq!(report.added, vec!["diurnal".to_string()]);
-        assert_eq!(report.missing, vec!["exponential".to_string()]);
+        let baseline = burst(&[("exponential", 1.0, 0.0)]);
+        assert!(diff(&burst(&[("exponential", 1.9, 0.0)]), &baseline).passed());
+        // New scenarios are additions, and a shed Leave in one still
+        // fails; vanished scenarios fail.
+        let report = diff(&burst(&[("diurnal", 1.0, 0.0)]), &baseline);
+        assert_eq!(report.added, ["diurnal/p999_ms", "diurnal/shed_leaves"]);
+        assert_eq!(
+            report.missing,
+            ["exponential/p999_ms", "exponential/shed_leaves"]
+        );
         assert!(!report.passed());
+        let report = diff(
+            &burst(&[("exponential", 1.0, 0.0), ("diurnal", 1.0, 1.0)]),
+            &baseline,
+        );
+        assert_eq!(regressed(&report), ["diurnal/shed_leaves"]);
     }
 
     #[test]
     fn parses_the_committed_burst_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_burst.json");
-        let text = std::fs::read_to_string(path).expect("committed burst baseline exists");
-        let doc = parse(&text).expect("committed burst baseline parses");
-        assert!(is_burst_doc(&doc));
+        let doc = committed("BENCH_burst.json");
         assert_eq!(doc_threads(&doc), Some(1), "baselines are single-core");
-        let list = burst_entries(&doc).expect("committed burst baseline has the shape");
-        assert!(list.len() >= 2, "flash_crowd + exponential");
-        for e in &list {
-            assert_eq!(e.shed_leaves, 0.0, "{}: gated at zero", e.scenario);
-            assert!(e.p999_ms <= 5.0, "{}: inside the bench budget", e.scenario);
-            assert!(e.events > 0.0);
+        let list = metrics(&doc).expect("committed burst baseline declares its metrics");
+        for scenario in ["flash_crowd", "exponential"] {
+            let find = |stat: &str| {
+                list.iter()
+                    .find(|m| m.name == format!("{scenario}/{stat}"))
+                    .unwrap_or_else(|| panic!("{scenario}/{stat} is not gated"))
+            };
+            assert!(
+                find("p999_ms").value <= 5.0,
+                "{scenario}: inside the bench budget"
+            );
+            assert_eq!(find("shed_leaves").rule, Rule::Max(0.0));
         }
-        // Identical files never regress against themselves.
-        let report = compare_burst(&list, &list, 0.25, 2.0);
-        assert!(report.passed());
+        assert_self_compares(&doc);
     }
 
     #[test]
     fn serve_mc_documents_are_recognised_and_parsed() {
         let doc = parse(
-            r#"{"experiment": "serve_mc", "threads": 8, "peak_rss_bytes": 1000,
-                "tier": "100s-1000z-50000c-65000cp", "runs": 3, "events": 24000,
-                "batch": 512, "serve_min_ms": 120.0, "serve_min_ms_1shard": 300.0,
-                "events_per_s": 200000.0, "events_per_s_1shard": 80000.0,
-                "speedup_in_process": 2.5,
-                "curve": [{"threads": 1, "events_per_s": 80000.0},
-                          {"threads": 2, "events_per_s": 140000.0},
-                          {"threads": 4, "events_per_s": 200000.0}]}"#,
+            r#"{"experiment": "serve_mc", "threads": 8,
+                "tier": "100s-1000z-50000c-65000cp", "events_per_s": 200000.0,
+                "curve": [{"threads": 1, "events_per_s": 80000.0}],
+                "metrics": {
+                    "events_per_s": {"value": 200000.0, "better": "higher", "rel": 0.25},
+                    "curve/1/events_per_s": {"value": 80000.0, "better": "higher", "rel": 0.25}
+                }}"#,
         )
         .unwrap();
-        assert!(is_serve_mc_doc(&doc));
-        assert!(!is_burst_doc(&doc));
-        assert!(!is_recover_doc(&doc));
         assert_eq!(doc_threads(&doc), Some(8));
-        let entry = serve_mc_entry(&doc).unwrap();
-        assert_eq!(entry.tier, "100s-1000z-50000c-65000cp");
-        assert_eq!(entry.events_per_s, 200000.0);
-        assert_eq!(entry.speedup_in_process, 2.5);
+        let higher = Rule::Higher { rel: 0.25 };
         assert_eq!(
-            entry.curve,
-            vec![(1, 80000.0), (2, 140000.0), (4, 200000.0)]
+            metrics(&doc).unwrap(),
+            [
+                metric("events_per_s", 200000.0, higher),
+                metric("curve/1/events_per_s", 80000.0, higher),
+            ]
         );
-        // A pre-curve baseline still parses, with an empty curve.
-        let legacy = parse(
-            r#"{"experiment": "serve_mc", "tier": "x", "events_per_s": 1.0,
-                "events_per_s_1shard": 1.0, "speedup_in_process": 1.0}"#,
-        )
-        .unwrap();
-        assert_eq!(serve_mc_entry(&legacy).unwrap().curve, vec![]);
-        // A document missing the gated statistic refuses to parse.
-        let truncated = parse(r#"{"experiment": "serve_mc", "tier": "x"}"#).unwrap();
-        assert!(serve_mc_entry(&truncated).is_err());
-        // A curve point missing its statistic refuses to parse.
-        let bad_point = parse(
-            r#"{"experiment": "serve_mc", "tier": "x", "events_per_s": 1.0,
-                "events_per_s_1shard": 1.0, "speedup_in_process": 1.0,
-                "curve": [{"threads": 2}]}"#,
-        )
-        .unwrap();
-        assert!(serve_mc_entry(&bad_point).is_err());
+        // A higher rule without its tolerance, or an unknown direction,
+        // is refused.
+        assert_refused(
+            "serve_mc",
+            &[
+                r#"{"events_per_s": {"value": 1.0, "better": "higher"}}"#,
+                r#"{"events_per_s": {"value": 1.0, "better": "faster", "rel": 0.25}}"#,
+            ],
+        );
     }
 
     /// The serving-throughput gate is inverted relative to the solve
     /// gates: lower events/s is the regression.
     #[test]
     fn serve_mc_gate_bounds_throughput_loss() {
-        let base = ServeMcEntry {
-            tier: "100s-1000z-50000c-65000cp".to_string(),
-            events_per_s: 100_000.0,
-            events_per_s_1shard: 40_000.0,
-            speedup_in_process: 2.5,
-            curve: vec![],
-        };
-        // Within threshold: 25% slower at the 25% threshold passes.
-        let ok = ServeMcEntry {
-            events_per_s: 80_001.0,
-            ..base.clone()
-        };
-        assert!(compare_serve_mc(&ok, &base, 0.25).passed());
+        let base = serve_mc(TIER, 100_000.0, &[]);
+        // Within threshold: 20% slower at the 25% threshold passes.
+        assert!(diff(&serve_mc(TIER, 80_001.0, &[]), &base).passed());
         // Past it: fails with the throughput numbers attached.
-        let slow = ServeMcEntry {
-            events_per_s: 70_000.0,
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&slow, &base, 0.25);
+        let report = diff(&serve_mc(TIER, 70_000.0, &[]), &base);
         assert!(!report.passed());
-        assert_eq!(report.regressions[0].algorithm, "events_per_s");
-        // A tier change is incomparable, reported as missing.
-        let moved = ServeMcEntry {
-            tier: "10s-100z-5000c".to_string(),
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&moved, &base, 0.25);
-        assert_eq!(report.missing, vec![base.tier.clone()]);
+        assert_eq!(regressed(&report), ["events_per_s"]);
+        // A tier change is incomparable: it fails.
+        let report = diff(&serve_mc("10s-100z-5000c", 100_000.0, &[]), &base);
+        assert!(!report.passed());
+        assert_eq!(
+            report.tier_changed,
+            Some(("10s-100z-5000c".to_string(), TIER.to_string()))
+        );
         // Identical records never regress against themselves.
-        assert!(compare_serve_mc(&base, &base, 0.25).passed());
+        assert!(diff(&base, &base).passed());
     }
 
     /// Each width of a committed speedup curve is gated on its own: a
@@ -1342,61 +1134,49 @@ mod tests {
     /// clears, and a fresh extra width is an addition.
     #[test]
     fn serve_mc_gate_holds_every_curve_width() {
-        let base = ServeMcEntry {
-            tier: "100s-1000z-50000c-65000cp".to_string(),
-            events_per_s: 200_000.0,
-            events_per_s_1shard: 80_000.0,
-            speedup_in_process: 2.5,
-            curve: vec![(1, 80_000.0), (2, 140_000.0), (4, 200_000.0)],
-        };
+        let curve = [(1, 80_000.0), (2, 140_000.0), (4, 200_000.0)];
+        let base = serve_mc(TIER, 200_000.0, &curve);
         // Identical curves never regress, and every point is compared.
-        let report = compare_serve_mc(&base, &base, 0.25);
+        let report = diff(&base, &base);
         assert!(report.passed());
-        assert_eq!(report.compared, 1 + 3);
+        assert_eq!(report.gated.len(), 1 + 3);
         // One mid-curve width loses its scaling while the headline
         // holds: still a regression, pinned to that width.
-        let sagging = ServeMcEntry {
-            curve: vec![(1, 80_000.0), (2, 90_000.0), (4, 200_000.0)],
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&sagging, &base, 0.25);
+        let sagging = serve_mc(
+            TIER,
+            200_000.0,
+            &[(1, 80_000.0), (2, 90_000.0), (4, 200_000.0)],
+        );
+        let report = diff(&sagging, &base);
         assert!(!report.passed());
-        assert_eq!(report.regressions.len(), 1);
-        assert!(report.regressions[0].config.contains("@ 2 workers"));
+        assert_eq!(regressed(&report), ["curve/2/events_per_s"]);
         // A vanished width fails; a new wider point is an addition.
-        let reshaped = ServeMcEntry {
-            curve: vec![(1, 80_000.0), (4, 200_000.0), (8, 320_000.0)],
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&reshaped, &base, 0.25);
+        let reshaped = serve_mc(
+            TIER,
+            200_000.0,
+            &[(1, 80_000.0), (4, 200_000.0), (8, 320_000.0)],
+        );
+        let report = diff(&reshaped, &base);
         assert!(!report.passed());
-        assert_eq!(report.missing.len(), 1);
-        assert!(report.missing[0].contains("@ 2 workers"));
-        assert_eq!(report.added.len(), 1);
-        assert!(report.added[0].contains("@ 8 workers"));
-        // A legacy baseline with no curve gates only the headline, so a
-        // fresh record that *gains* a curve passes with additions.
-        let legacy = ServeMcEntry {
-            curve: vec![],
-            ..base.clone()
-        };
-        let report = compare_serve_mc(&base, &legacy, 0.25);
+        assert_eq!(report.missing, ["curve/2/events_per_s"]);
+        assert_eq!(report.added, ["curve/8/events_per_s"]);
+        // A baseline with no curve gates only the headline, so a fresh
+        // record that *gains* a curve passes with additions.
+        let report = diff(&base, &serve_mc(TIER, 200_000.0, &[]));
         assert!(report.passed());
         assert_eq!(report.added.len(), 3);
     }
 
     #[test]
     fn parses_the_committed_serve_mc_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve_mc.json");
-        let text = std::fs::read_to_string(path).expect("committed serve_mc baseline exists");
-        let doc = parse(&text).expect("committed serve_mc baseline parses");
-        assert!(is_serve_mc_doc(&doc));
+        let doc = committed("BENCH_serve_mc.json");
         assert!(doc_threads(&doc).is_some(), "baseline is width-keyed");
-        let entry = serve_mc_entry(&doc).expect("committed serve_mc baseline has the shape");
-        assert!(entry.events_per_s > 0.0);
-        assert!(entry.events_per_s_1shard > 0.0);
-        let report = compare_serve_mc(&entry, &entry, 0.25);
-        assert!(report.passed());
+        let list = metrics(&doc).expect("committed serve_mc baseline declares its metrics");
+        let headline = list.iter().find(|m| m.name == "events_per_s").unwrap();
+        assert!(headline.value > 0.0);
+        assert_eq!(headline.rule, Rule::Higher { rel: 0.25 });
+        assert!(list.iter().any(|m| m.name == "curve/1/events_per_s"));
+        assert_self_compares(&doc);
     }
 
     /// New (tier, algorithm) pairs appearing only in the fresh JSON are
@@ -1405,112 +1185,142 @@ mod tests {
     /// hides a regression, adding one cannot.
     #[test]
     fn new_pairs_are_reported_as_additions_not_failures() {
-        let baseline = vec![entry("tier1", "A", 10.0)];
-        let fresh = vec![
-            entry("tier1", "A", 10.0),
-            entry("tier9", "Z", 1.0),
-            entry("tier1", "B", 2.0),
-        ];
-        let report = compare(&fresh, &baseline, 0.25, 0.05);
+        let baseline = table1(&[("tier1/A", 10.0, 20)]);
+        let fresh = table1(&[
+            ("tier1/A", 10.0, 20),
+            ("tier9/Z", 1.0, 20),
+            ("tier1/B", 2.0, 20),
+        ]);
+        let report = diff(&fresh, &baseline);
         assert!(report.passed());
-        assert_eq!(
-            report.added,
-            vec!["tier9 / Z".to_string(), "tier1 / B".to_string()]
-        );
-        assert_eq!(report.compared, 1);
+        assert_eq!(report.added, ["tier9/Z/exec_ms", "tier1/B/exec_ms"]);
+        assert_eq!(report.gated.len(), 1);
         // Both directions at once: additions reported, the vanished pair
         // still fails.
-        let moved = vec![entry("tier2", "A", 10.0)];
-        let report = compare(&moved, &baseline, 0.25, 0.05);
+        let report = diff(&table1(&[("tier2/A", 10.0, 20)]), &baseline);
         assert!(!report.passed());
-        assert_eq!(report.added, vec!["tier2 / A".to_string()]);
-        assert_eq!(report.missing, vec!["tier1 / A".to_string()]);
-    }
-
-    fn alloc_doc(tier: &str, allocs_per_event: f64, bytes_per_event: f64) -> AllocEntry {
-        AllocEntry {
-            tier: tier.to_string(),
-            allocs_per_event,
-            bytes_per_event,
-            steady_events: 3000.0,
-        }
+        assert_eq!(report.added, ["tier2/A/exec_ms"]);
+        assert_eq!(report.missing, ["tier1/A/exec_ms"]);
     }
 
     #[test]
     fn alloc_documents_are_recognised_and_parsed() {
         let doc = parse(
-            r#"{"experiment": "alloc", "threads": 1, "peak_rss_bytes": 1000,
+            r#"{"experiment": "alloc", "threads": 1,
                 "tier": "100s-1000z-50000c-65000cp", "epochs": 5,
                 "steady_events": 3000, "steady_allocs": 722, "steady_bytes": 72318,
                 "allocs_per_event": 0.2407, "bytes_per_event": 24.1,
-                "steady_mean_ns": 100253, "steady_p99_ns": 720895, "pqos": 0.942849}"#,
+                "steady_mean_ns": 100253, "steady_p99_ns": 720895, "pqos": 0.942849,
+                "metrics": {
+                    "allocs_per_event": {"value": 0.2407, "max": 2},
+                    "bytes_per_event": {"value": 24.1, "better": "lower", "rel": 0.25, "floor": 8}
+                }}"#,
         )
         .unwrap();
-        assert!(is_alloc_doc(&doc));
-        assert!(!is_burst_doc(&doc));
-        assert!(!is_recover_doc(&doc));
-        assert!(!is_serve_mc_doc(&doc));
-        let entry = alloc_entry(&doc).unwrap();
-        assert_eq!(entry.tier, "100s-1000z-50000c-65000cp");
-        assert_eq!(entry.allocs_per_event, 0.2407);
-        assert_eq!(entry.bytes_per_event, 24.1);
-        assert_eq!(entry.steady_events, 3000.0);
-        // A document missing the gated statistic refuses to parse.
-        let truncated = parse(r#"{"experiment": "alloc", "tier": "x"}"#).unwrap();
-        assert!(alloc_entry(&truncated).is_err());
+        let list = metrics(&doc).unwrap();
+        assert_eq!(list[0], metric("allocs_per_event", 0.2407, Rule::Max(2.0)));
+        assert_eq!(list[1].name, "bytes_per_event");
+        assert_eq!(list[1].value, 24.1);
+        // A null value, or a metrics member that is not an object, is
+        // refused.
+        assert_refused(
+            "alloc",
+            &[r#"{"allocs_per_event": {"value": null, "max": 2}}"#, "[]"],
+        );
     }
 
     #[test]
     fn alloc_gate_is_absolute_on_allocs_and_relative_on_bytes() {
-        let baseline = alloc_doc("tier", 0.25, 24.0);
+        let baseline = alloc(TIER, 0.25, 24.0);
         // Under budget and within the bytes threshold: passes, even when
         // allocs drifted *up* relative to the baseline.
-        let fresh = alloc_doc("tier", 1.5, 26.0);
-        let report = compare_alloc(&fresh, &baseline, 0.25, 2.0, 8.0);
+        let report = diff(&alloc(TIER, 1.5, 26.0), &baseline);
         assert!(report.passed());
-        assert_eq!(report.compared, 2);
+        assert_eq!(report.gated.len(), 2);
         // Over the absolute budget: fails no matter what the baseline
         // says — even a crept-up baseline cannot launder it.
-        let hungry = alloc_doc("tier", 2.5, 24.0);
-        let crept = alloc_doc("tier", 3.0, 24.0);
-        let report = compare_alloc(&hungry, &crept, 0.25, 2.0, 8.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "allocs_per_event");
+        let report = diff(&alloc(TIER, 2.5, 24.0), &alloc(TIER, 3.0, 24.0));
+        assert_eq!(regressed(&report), ["allocs_per_event"]);
         assert!(!report.passed());
         // Bytes past the relative threshold: fails.
-        let leaky = alloc_doc("tier", 0.25, 40.0);
-        let report = compare_alloc(&leaky, &baseline, 0.25, 2.0, 8.0);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].algorithm, "bytes_per_event");
-        // Both byte rates under the floor: bookkeeping noise, skipped.
-        let quiet_base = alloc_doc("tier", 0.0, 2.0);
-        let quiet_fresh = alloc_doc("tier", 0.0, 7.0);
-        let report = compare_alloc(&quiet_fresh, &quiet_base, 0.25, 2.0, 8.0);
-        assert!(report.passed());
-        assert_eq!(report.below_floor, 1);
-        assert_eq!(report.compared, 1);
+        let report = diff(&alloc(TIER, 0.25, 40.0), &baseline);
+        assert_eq!(regressed(&report), ["bytes_per_event"]);
+        // Both byte rates under the floor: bookkeeping noise.
+        assert!(diff(&alloc(TIER, 0.0, 7.0), &alloc(TIER, 0.0, 2.0)).passed());
         // A tier change is incomparable, not a silent pass.
-        let moved = alloc_doc("other", 0.25, 24.0);
-        let report = compare_alloc(&moved, &baseline, 0.25, 2.0, 8.0);
+        let report = diff(&alloc("other", 0.25, 24.0), &baseline);
         assert!(!report.passed());
-        assert_eq!(report.missing, vec!["tier".to_string()]);
+        assert!(report.tier_changed.is_some());
     }
 
     #[test]
     fn parses_the_committed_alloc_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_alloc.json");
-        let text = std::fs::read_to_string(path).expect("committed alloc baseline exists");
-        let doc = parse(&text).expect("committed alloc baseline parses");
-        assert!(is_alloc_doc(&doc));
+        let doc = committed("BENCH_alloc.json");
         assert_eq!(doc_threads(&doc), Some(1), "baselines are single-core");
-        let entry = alloc_entry(&doc).expect("committed alloc baseline has the shape");
-        assert!(
-            entry.allocs_per_event <= 2.0,
-            "committed baseline must itself clear the landing budget"
-        );
-        assert!(entry.steady_events > 0.0);
-        // Identical files never regress against themselves.
-        let report = compare_alloc(&entry, &entry, 0.25, 2.0, 8.0);
-        assert!(report.passed());
+        let list = metrics(&doc).expect("committed alloc baseline declares its metrics");
+        let allocs = list.iter().find(|m| m.name == "allocs_per_event").unwrap();
+        assert_eq!(allocs.rule, Rule::Max(2.0), "the landing budget");
+        assert!(list.iter().any(|m| m.name == "bytes_per_event"));
+        assert_self_compares(&doc);
+    }
+
+    #[test]
+    fn every_committed_record_parses_and_passes_against_itself() {
+        const GATED: [&str; 5] = ["table1", "recover", "burst", "serve_mc", "alloc"];
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut gated = Vec::new();
+        for entry in std::fs::read_dir(root).unwrap() {
+            let file = entry.unwrap().file_name().into_string().unwrap();
+            if !(file.starts_with("BENCH_") && file.ends_with(".json")) {
+                continue;
+            }
+            let doc = committed(&file);
+            assert_self_compares(&doc);
+            let experiment = doc.get("experiment").and_then(Json::as_str).unwrap();
+            if GATED.contains(&experiment) {
+                assert!(!metrics(&doc).unwrap().is_empty(), "{file} gates nothing");
+                gated.push(experiment.to_string());
+            }
+        }
+        gated.sort();
+        let mut expected = GATED.map(String::from);
+        expected.sort();
+        assert_eq!(gated, expected);
+    }
+
+    #[test]
+    fn metrics_round_trip_for_every_rule() {
+        let declared = [
+            metric("flash_crowd/p999_ms", 4.731469, lower(2.0)),
+            metric(
+                "curve/4/events_per_s",
+                0.1 + 0.2,
+                Rule::Higher { rel: 0.25 },
+            ),
+            metric("allocs_per_event", 0.2407, Rule::Max(2.0)),
+        ];
+        assert_eq!(metrics(&record("x", TIER, &declared)).unwrap(), declared);
+        // A non-finite value is written as null, which is refused.
+        let nan = [metric("m", f64::NAN, Rule::Max(1.0))];
+        assert!(metrics(&record("x", TIER, &nan)).is_err());
+    }
+
+    #[test]
+    fn exit_codes_name_every_outcome() {
+        let base = alloc(TIER, 0.25, 24.0);
+        assert_eq!(exit_code(&compare(&base, &base)), 0);
+        // A regressed or missing metric, or a changed tier: 1.
+        assert_eq!(exit_code(&compare(&alloc(TIER, 2.5, 24.0), &base)), 1);
+        assert_eq!(exit_code(&compare(&record("alloc", TIER, &[]), &base)), 1);
+        assert_eq!(exit_code(&compare(&alloc("other", 0.25, 24.0), &base)), 1);
+        // A different experiment, a malformed record, a usage error: 2.
+        assert_eq!(exit_code(&compare(&serve_mc(TIER, 1.0, &[]), &base)), 2);
+        let malformed = parse(r#"{"experiment": "alloc", "threads": 1, "metrics": []}"#).unwrap();
+        assert_eq!(exit_code(&compare(&malformed, &base)), 2);
+        assert_eq!(exit_code(&Err(DiffError::Invalid("usage".to_string()))), 2);
+        // Different widths: 3, the only code a width-keyed CI step may
+        // treat as a skip.
+        let wide = parse(r#"{"experiment": "alloc", "threads": 4}"#).unwrap();
+        assert_eq!(exit_code(&compare(&wide, &base)), 3);
     }
 }

@@ -10,6 +10,10 @@
 //!   `table4_error`, `ablations`, `run_all`: each re-runs the paper's
 //!   experiment and prints the corresponding rows/series.
 //!
+//! Benches and `table1`/`run_all` write their `BENCH_*.json` records
+//! through [`write_bench_record`]; the `bench_diff` binary gates a
+//! re-measured record against its committed copy ([`diff`]).
+//!
 //! Binaries accept `--runs N`, `--exact-runs N`, `--seed S`, `--quick`
 //! (3 runs / 1 exact run) and `--large` (append the beyond-paper
 //! 50 000-client scale where supported).
@@ -19,7 +23,9 @@
 
 pub mod diff;
 
+use diff::{metric, Metric, Rule};
 use dve_assign::CapInstance;
+use dve_sim::experiments::table1::Table1;
 use dve_sim::experiments::ExpOptions;
 use dve_sim::{build_replication, SimSetup, TopologySpec};
 use dve_topology::HierarchicalConfig;
@@ -58,13 +64,16 @@ pub fn small_instance_for(notation: &str, seed: u64) -> (CapInstance, StdRng) {
     (rep.instance, rep.rng)
 }
 
-/// Writes a flat machine-readable bench record to
-/// `BENCH_<name>.json` at the workspace root (next to
-/// `BENCH_table1.json`), stamping the worker width and peak RSS so
-/// future baselines are compared like for like (`bench_diff` refuses
-/// mismatched `threads`). `fields` are appended verbatim as JSON
-/// members — pass numbers pre-formatted. Returns the path written.
-pub fn write_bench_record(name: &str, fields: &[(&str, String)]) -> String {
+/// Writes a bench record to `BENCH_<name>.json` at the workspace root:
+/// the only writer of bench records, so each record has one path. It
+/// stamps the experiment, the worker width and the peak RSS, so records
+/// are compared like for like (`bench_diff` refuses mismatched
+/// `threads`). `fields` are appended verbatim as JSON members (pass
+/// numbers pre-formatted). `metrics` become the record's `metrics`
+/// object: the numbers `bench_diff` gates, each with its rule (see
+/// [`diff`]); a record without metrics gates nothing. Returns the path
+/// written.
+pub fn write_bench_record(name: &str, fields: &[(&str, String)], metrics: &[Metric]) -> String {
     let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"experiment\": \"{name}\",\n"));
@@ -76,9 +85,59 @@ pub fn write_bench_record(name: &str, fields: &[(&str, String)]) -> String {
     for (key, value) in fields {
         json.push_str(&format!(",\n  \"{key}\": {value}"));
     }
+    if !metrics.is_empty() {
+        let members: Vec<String> = metrics
+            .iter()
+            .map(|m| format!("    {}", m.to_json()))
+            .collect();
+        json.push_str(&format!(
+            ",\n  \"metrics\": {{\n{}\n  }}",
+            members.join(",\n")
+        ));
+    }
     json.push_str("\n}\n");
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
     path
+}
+
+/// The gate of one Table 1 pair's minimum solve time over its
+/// replications (timing noise is additive, so minima are the stable
+/// signal): at most +25% over the committed minimum, held to a 0.05 ms
+/// floor (sub-floor timings are scheduler noise). A pair with fewer
+/// than 2 replications (the exact solver in CI) gets +50%: one sample
+/// of a long solve amortises noise, but has no minimum-of-N protection.
+pub fn table1_exec_rule(replications: u64) -> Rule {
+    Rule::Lower {
+        rel: if replications < 2 { 0.5 } else { 0.25 },
+        floor: 0.05,
+    }
+}
+
+/// Writes `BENCH_table1.json` from a Table 1 run (the `table1 --json`
+/// and `run_all` binaries), gating every (configuration, algorithm)
+/// pair's minimum solve time as `<config>/<algorithm>/exec_ms` under
+/// [`table1_exec_rule`]. Returns the path written.
+pub fn write_table1_record(result: &Table1, options: &ExpOptions) -> String {
+    let mut metrics = Vec::new();
+    for row in result.rows.iter().chain(&result.extended) {
+        for stats in row.heuristics.iter().chain(&row.exact) {
+            metrics.push(metric(
+                format!("{}/{}/exec_ms", row.config, stats.algorithm),
+                stats.exec_ms.min,
+                table1_exec_rule(stats.exec_ms.n),
+            ));
+        }
+    }
+    write_bench_record(
+        "table1",
+        &[
+            ("runs", format!("{}", options.runs)),
+            ("exact_runs", format!("{}", options.exact_runs)),
+            ("base_seed", format!("{}", options.base_seed)),
+            ("rows", result.to_json()),
+        ],
+        &metrics,
+    )
 }
 
 /// Parses the shared experiment flags out of `args`, returning the

@@ -57,9 +57,20 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Process-wide count of OS threads spawned by this crate, ever.
 static SPAWNED: AtomicU64 = AtomicU64::new(0);
 
-/// Records one thread spawn; every spawn site in this crate calls this.
+/// Records one thread spawn; every spawn site in this crate calls this
+/// on the spawning thread.
 pub(crate) fn note_spawn() {
     SPAWNED.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    SPAWNED_HERE.with(|n| n.set(n.get() + 1));
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Spawns made from the current thread. This crate's unit tests run
+    /// concurrently in one process, so a test attributes spawns to the
+    /// threads it drives instead of reading the global count.
+    pub(crate) static SPAWNED_HERE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Total OS threads this crate has spawned since process start — scoped

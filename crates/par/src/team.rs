@@ -214,14 +214,23 @@ mod tests {
 
     #[test]
     fn scatter_spawns_no_threads() {
+        // Other tests in this binary spawn concurrently, so the global
+        // count is not attributable: count the spawns made from every
+        // thread a scatter runs on, the caller and each worker.
+        let spawns = |team: &WorkerTeam| {
+            let here = || crate::SPAWNED_HERE.with(std::cell::Cell::get);
+            let mut counts = results(team, (0..4).map(|_| move |_: usize| here()).collect());
+            counts.push(here());
+            counts
+        };
         let team = WorkerTeam::new(4);
-        let before = crate::threads_spawned();
+        let before = spawns(&team);
         let mut slots = Vec::new();
         for _ in 0..100 {
             let jobs: Vec<_> = (0..4).map(|_| |w: usize| w).collect();
             team.scatter(jobs, &mut slots);
         }
-        assert_eq!(crate::threads_spawned(), before);
+        assert_eq!(spawns(&team), before);
     }
 
     #[test]

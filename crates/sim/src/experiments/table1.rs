@@ -35,9 +35,7 @@ pub struct Table1 {
     /// ([`ExpOptions::large_scale`]): currently the [`LARGE_TIER`]
     /// production configuration measured through the full engine
     /// pipeline (GreZ-LS-GreC). Emitted into the same JSON `rows` array
-    /// as the paper rows, so the bench-diff gate covers them — and the
-    /// committed single-thread entry is the baseline the multi-core
-    /// `mc` bench measures its speedup against.
+    /// as the paper rows, so the bench-diff gate covers them.
     pub extended: Vec<Table1Row>,
 }
 
@@ -50,11 +48,10 @@ pub const GREZ_LS_GREC: &str = "GreZ-LS-GreC";
 /// replication build (untimed) and one timed solve of
 /// `CostMatrix::build_threads(…, 1)` + `grez_with` +
 /// `improve_iap_with_threads(…, 1)` + `grec`. Runs execute **serially
-/// at width 1** — this is the 1-thread baseline the multi-core `mc`
-/// bench gates against, so the timings must be contention-free and
-/// single-threaded regardless of the caller's `DVE_THREADS` (GreC's
-/// internal scans are the one residual width-default; the bench-diff
-/// job pins `DVE_THREADS=1` when regenerating the committed file).
+/// at width 1**, so the timings are contention-free and single-threaded
+/// regardless of the caller's `DVE_THREADS` (GreC's internal scans are
+/// the one residual width-default; the bench-diff job pins
+/// `DVE_THREADS=1` when regenerating the committed file).
 /// Delays are not pooled (50 000 per run would dominate the JSON for
 /// no gated signal).
 fn grez_ls_grec_stats(options: &ExpOptions) -> AlgoStats {
@@ -180,28 +177,12 @@ fn algo_json(stats: &AlgoStats) -> String {
 }
 
 impl Table1 {
-    /// Machine-readable per-algorithm summaries (pQoS, utilisation and
-    /// **solve time**) — the perf baseline later changes are compared
-    /// against. Hand-rolled JSON: the workspace's serde is a vendored
-    /// no-op stub (see `vendor/README.md`).
-    pub fn to_json(&self, options: &ExpOptions) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"experiment\": \"table1\",\n");
-        out.push_str(&format!("  \"runs\": {},\n", options.runs));
-        out.push_str(&format!("  \"exact_runs\": {},\n", options.exact_runs));
-        out.push_str(&format!("  \"base_seed\": {},\n", options.base_seed));
-        // Host-comparability metadata: baselines from different worker
-        // widths or memory envelopes are not like-for-like, so record
-        // both alongside the timings (multi-core runs gate against
-        // multi-core baselines, see ROADMAP).
-        out.push_str(&format!("  \"threads\": {},\n", dve_par::default_threads()));
-        out.push_str(&format!(
-            "  \"peak_rss_bytes\": {},\n",
-            crate::stats::peak_rss_bytes().unwrap_or(0)
-        ));
-        out.push_str("  \"rows\": [\n");
-        // Extended (beyond-paper) tiers land in the same rows array so
-        // the bench-diff gate treats them like any other pair.
+    /// The `rows` member of `BENCH_table1.json`: machine-readable
+    /// per-algorithm summaries (pQoS, utilisation and **solve time**),
+    /// paper rows then extended tiers. Hand-rolled JSON: the workspace's
+    /// serde is a vendored no-op stub (see `vendor/README.md`).
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("[\n");
         let rows: Vec<&Table1Row> = self.rows.iter().chain(self.extended.iter()).collect();
         for (i, row) in rows.iter().enumerate() {
             out.push_str(&format!(
@@ -220,7 +201,7 @@ impl Table1 {
             out.push_str("\n    ]}");
             out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
         }
-        out.push_str("  ]\n}\n");
+        out.push_str("  ]");
         out
     }
 
