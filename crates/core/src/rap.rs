@@ -18,24 +18,23 @@
 //! delay over the bound of reaching client `c`'s target through contact
 //! `s` (eq. 8). [`RelayTable`] evaluates that cost **once** per
 //! (violating client, contact) pair — what [`CostMatrix`](crate::CostMatrix)
-//! is to the IAP phase, this is to the RAP phase: GreC's desirability
-//! sort, its warm start inside the exact solver, and the exact solver's
-//! GAP build all read the same precomputed row instead of re-evaluating
-//! the path-delay formula in their inner loops. [`grec_with`] and
-//! [`exact_rap_with`] consume a prebuilt table; the plain-named variants
-//! build one internally. Entries are the identical `f64`s the naive
-//! evaluation produces, so decisions are bit-identical (property-tested
-//! against [`crate::reference`]).
+//! is to the IAP phase, this is to the RAP phase: the exact solver's
+//! GreC warm start and its GAP build read the same precomputed row
+//! instead of re-evaluating the path-delay formula in their inner loops.
+//! [`exact_rap_with`] and [`grec_with`] consume a prebuilt table;
+//! [`exact_rap`] builds one internally. Entries are the identical `f64`s
+//! the naive evaluation produces, so decisions are bit-identical
+//! (property-tested against [`crate::reference`]).
+//!
+//! [`grec`] itself builds no table: it reads each violator's costs twice,
+//! once for its regret and once in a live scan at commit, and keeps O(1)
+//! extra memory per client, which is what the million-client solve needs.
 
 use crate::instance::CapInstance;
 use dve_milp::{BbConfig, GapInstance, GapOutcome, LpError};
 
 /// Clients per shard of the parallel violator scans.
 const SCAN_BLOCK: usize = 4096;
-
-/// Minimum violating-list length before GreC's desirability sort spins
-/// up the worker team.
-const PAR_LE_MIN: usize = 256;
 
 /// Errors from the exact RAP solver (the greedy variants cannot fail: the
 /// contact = target fallback consumes no extra resource).
@@ -155,8 +154,8 @@ impl RelayTable {
 /// the same sign-fixed Romeijn–Morales convention as
 /// [`grez`](crate::iap::grez). Evaluates eq. 8 inline — the single-shot
 /// path has no table to amortise; use [`grec_with`] when a
-/// [`RelayTable`] is shared across consumers (as [`exact_rap_with`] and
-/// the churn engine do).
+/// [`RelayTable`] is shared with another consumer (as [`exact_rap_with`]
+/// shares it with its GAP build).
 pub fn grec(inst: &CapInstance, target_of_zone: &[usize]) -> Vec<usize> {
     let le = violating_clients(inst, target_of_zone);
     grec_impl(inst, target_of_zone, &le, |k, s| {
@@ -177,7 +176,15 @@ pub fn grec_with(inst: &CapInstance, target_of_zone: &[usize], table: &RelayTabl
 /// (violating-row `k`, server `s`) comes from — the inline eq. 8
 /// evaluation or a [`RelayTable`] row. Both sources produce the same
 /// `f64`s, so the two public entry points are bit-identical.
-fn grec_impl<F: Fn(usize, usize) -> f64 + Sync>(
+///
+/// Fig. 3 ranks each violator's servers by `C^R` ascending (ties to the
+/// lower index) and commits the first one that still fits. Neither step
+/// needs the ranked list itself: the regret reads only its two cheapest
+/// entries, and the first fitting entry of the list is the minimum
+/// (cost, index) over the servers that fit when the client commits. So
+/// each violator costs one O(m) regret pass and one O(m) live scan, with
+/// O(1) extra memory per client.
+fn grec_impl<F: Fn(usize, usize) -> f64>(
     inst: &CapInstance,
     target_of_zone: &[usize],
     le: &[usize],
@@ -190,78 +197,65 @@ fn grec_impl<F: Fn(usize, usize) -> f64 + Sync>(
         .collect();
     let mut loads = zone_loads(inst, target_of_zone);
 
-    // Desirability lists over all servers for each violating client —
-    // read-only rows sorted by a strict total order, so the O(|L_E|·m
-    // log m) bulk of GreC shards across the worker team with the
-    // result identical at any width. The same pass *proposes* each
-    // client's first-fit position under the initial load snapshot;
-    // because commit loads are monotone (relay cost is never negative),
-    // every entry before that position fails the live capacity check
-    // too, so the serial commit below resumes each scan from the
-    // proposed prefix and stays bit-identical to a full scan.
-    let rows: Vec<usize> = (0..le.len()).collect();
-    let cost = &cost;
-    let mut lists: Vec<Vec<(f64, usize)>> = Vec::with_capacity(le.len());
-    let mut prefix: Vec<usize> = Vec::with_capacity(le.len());
-    let mut regret: Vec<(f64, usize)> = Vec::with_capacity(le.len());
-    let loads0 = &loads;
-    let desirability = |k: usize| {
-        let mut mu: Vec<(f64, usize)> = (0..m).map(|s| (-cost(k, s), s)).collect();
-        mu.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
-        let rho = if m >= 2 { mu[0].0 - mu[1].0 } else { 0.0 };
-        let c = le[k];
-        let t = target_of_zone[inst.zone_of(c)];
-        let fwd = inst.client_forwarding_bps(c);
-        let from = mu
-            .iter()
-            .position(|&(_, s)| {
-                let rc = if s == t { 0.0 } else { fwd };
-                loads0[s] + rc <= inst.capacity(s) + 1e-9
-            })
-            .unwrap_or(m);
-        (mu, rho, from)
-    };
-    if dve_par::default_threads() > 1 && le.len() >= PAR_LE_MIN {
-        for (k, (mu, rho, from)) in dve_par::par_map(&rows, |&k| desirability(k))
-            .into_iter()
-            .enumerate()
-        {
-            regret.push((rho, k));
-            lists.push(mu);
-            prefix.push(from);
-        }
-    } else {
-        for k in rows {
-            let (mu, rho, from) = desirability(k);
-            regret.push((rho, k));
-            lists.push(mu);
-            prefix.push(from);
-        }
-    }
+    let mut regret: Vec<(f64, usize)> = (0..le.len())
+        .map(|k| (regret_of(m, |s| cost(k, s)), k))
+        .collect();
     regret.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
 
     for &(_, k) in &regret {
         let c = le[k];
         let t = target_of_zone[inst.zone_of(c)];
-        // `prefix[k] == m` means nothing fit even under the smaller
-        // snapshot loads: the scan is empty and the Fig. 3 fallback
-        // (stay on the target) applies directly.
-        for &(_, s) in &lists[k][prefix[k]..] {
-            let rc = if s == t {
-                0.0
-            } else {
-                inst.client_forwarding_bps(c)
-            };
-            if loads[s] + rc <= inst.capacity(s) + 1e-9 {
-                contact[c] = s;
-                loads[s] += rc;
-                break;
+        let fwd = inst.client_forwarding_bps(c);
+        let mut best: Option<(f64, usize)> = None;
+        for s in 0..m {
+            let rc = if s == t { 0.0 } else { fwd };
+            let fits = loads[s] + rc <= inst.capacity(s) + 1e-9;
+            if !fits {
+                continue;
+            }
+            let cr = cost(k, s);
+            if best.is_none_or(|(b, _)| cr < b) {
+                best = Some((cr, s));
+                // `C^R >= 0`: no later (higher-index) server can beat it.
+                if cr == 0.0 {
+                    break;
+                }
             }
         }
         // If nothing fit, `contact[c]` still holds the target: zero extra
         // load, always available — the explicit fallback of Fig. 3.
+        if let Some((_, s)) = best {
+            contact[c] = s;
+            if s != t {
+                loads[s] += fwd;
+            }
+        }
     }
     contact
+}
+
+/// GreC's regret `rho` for one violator: the gap between its two
+/// smallest `C^R` over `m` servers (0 when `m < 2`) — the sign-fixed
+/// `mu[0] - mu[1]` of the desirability list `mu = -C^R`, as the same
+/// `f64`. One pass; since `C^R >= 0` it stops at the second zero.
+fn regret_of(m: usize, cost: impl Fn(usize) -> f64) -> f64 {
+    if m < 2 {
+        return 0.0;
+    }
+    let (mut lo1, mut lo2) = (f64::INFINITY, f64::INFINITY);
+    for s in 0..m {
+        let c = cost(s);
+        if c < lo1 {
+            lo2 = lo1;
+            lo1 = c;
+        } else if c < lo2 {
+            lo2 = c;
+            if lo2 == 0.0 {
+                break;
+            }
+        }
+    }
+    lo2 - lo1
 }
 
 /// Clients whose observed delay to their target exceeds the bound (the
@@ -557,6 +551,33 @@ mod tests {
         );
         let contacts = grec(&inst, &[0]);
         assert_eq!(contacts[0], 0, "no capacity on relay: stay on target");
+    }
+
+    #[test]
+    fn grec_takes_the_next_cheapest_server_when_the_cheapest_fills() {
+        // One zone on s0; every server hop is 50 ms. c0's costs are
+        // (150, 0, 100, 100), regret 100; c1's are (80, 0, 60, 60),
+        // regret 60. c0 commits first and takes s1, whose capacity holds
+        // one relay (2000 of 3000 bps). s1 still fits c1 under the
+        // initial loads but not live, so c1 takes the next (cost, index)
+        // server: s2, which beats s3 at equal cost by index.
+        let mut ss = vec![50.0; 16];
+        for s in 0..4 {
+            ss[s * 4 + s] = 0.0;
+        }
+        let inst = CapInstance::from_raw(
+            4,
+            1,
+            vec![0, 0],
+            vec![400.0, 100.0, 300.0, 300.0, 330.0, 120.0, 260.0, 260.0],
+            ss,
+            vec![1000.0, 1000.0],
+            vec![10_000.0, 3000.0, 10_000.0, 10_000.0],
+            250.0,
+        );
+        let contacts = grec(&inst, &[0]);
+        assert_eq!(contacts, vec![1, 2]);
+        assert_eq!(contacts, crate::reference::grec_reference(&inst, &[0]));
     }
 
     #[test]

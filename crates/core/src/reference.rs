@@ -43,7 +43,9 @@ pub fn rap_cost_reference(inst: &CapInstance, c: usize, contact: usize, target: 
 /// The pre-[`RelayTable`](crate::RelayTable) GreC: desirability lists
 /// built by evaluating eq. 8 inside the loop, one call per
 /// (violating client, server) pair, plus a second evaluation pass for the
-/// within-bound partition.
+/// within-bound partition. It keeps the sorted per-violator lists of
+/// Fig. 3 that [`grec`](crate::grec)'s regret pass and live scan do
+/// without.
 #[doc(hidden)]
 pub fn grec_reference(inst: &CapInstance, target_of_zone: &[usize]) -> Vec<usize> {
     let m = inst.num_servers();

@@ -471,6 +471,133 @@ proptest! {
     }
 }
 
+/// A GreC instance whose violators compete for relay capacity. `regime`
+/// sets the delays against the bound:
+/// * 0 — loose: a 300 ms bound and server hops under 20 ms, so most
+///   relay costs `C^R` are 0;
+/// * 1 — `random_instance`'s delays and 250 ms bound;
+/// * 2 — tight: a 5 ms bound, below every delay, so no `C^R` is 0.
+///
+/// Delays are whole milliseconds, so positive costs tie too. Each
+/// server's capacity is `slack` × the mean load per server. With
+/// `slack < 1` and arbitrary targets some targets are overfull, and
+/// relays fill the lowest-index zero-cost servers first.
+fn grec_instance(
+    seed: u64,
+    servers: usize,
+    zones: usize,
+    clients: usize,
+    slack: f64,
+    regime: usize,
+) -> CapInstance {
+    let (bound, hop) = [(300.0, 20u32), (250.0, 250), (5.0, 250)][regime];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let zone_of_client: Vec<usize> = (0..clients).map(|_| rng.gen_range(0..zones)).collect();
+    let cs: Vec<f64> = (0..clients * servers)
+        .map(|_| rng.gen_range(10u32..500) as f64)
+        .collect();
+    let mut ss = vec![0.0; servers * servers];
+    for a in 0..servers {
+        for b in (a + 1)..servers {
+            let d = rng.gen_range(1..hop) as f64;
+            ss[a * servers + b] = d;
+            ss[b * servers + a] = d;
+        }
+    }
+    let mut pop = vec![0usize; zones];
+    for &z in &zone_of_client {
+        pop[z] += 1;
+    }
+    let rt: Vec<f64> = zone_of_client
+        .iter()
+        .map(|&z| 20.0 * (1.0 + pop[z] as f64))
+        .collect();
+    let capacity = vec![slack * rt.iter().sum::<f64>() / servers as f64; servers];
+    CapInstance::from_raw(servers, zones, zone_of_client, cs, ss, rt, capacity, bound)
+}
+
+/// Targets drawn uniformly, not by GreZ: zones pile onto servers with no
+/// regard for capacity.
+fn random_targets(seed: u64, servers: usize, zones: usize) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7a26);
+    (0..zones).map(|_| rng.gen_range(0..servers)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// GreC's regret pass and live-scan commit make exactly the list-based
+    /// reference's decisions, with or without a `RelayTable`, on every
+    /// delay regime, at one server and at several, with hundreds of
+    /// violators filling relays under tight capacity and arbitrary,
+    /// possibly overfull, targets.
+    #[test]
+    fn grec_matches_reference_on_crowded_instances(
+        seed in any::<u64>(),
+        servers in 2usize..9,
+        zones in 1usize..16,
+        clients in 800usize..1000,
+        slack in 0.2f64..1.0,
+    ) {
+        for regime in 0..3 {
+            for m in [1, servers] {
+                let inst = grec_instance(seed, m, zones, clients, slack, regime);
+                let targets = random_targets(seed, m, zones);
+                let violators = violating_clients(&inst, &targets).len();
+                prop_assert!(violators >= 256, "regime {} m {}: {} violators", regime, m, violators);
+                let naive = reference::grec_reference(&inst, &targets);
+                prop_assert_eq!(&grec(&inst, &targets), &naive, "grec: regime {} m {}", regime, m);
+                let table = RelayTable::build(&inst, &targets);
+                prop_assert_eq!(
+                    &grec_with(&inst, &targets, &table),
+                    &naive,
+                    "grec_with: regime {} m {}", regime, m
+                );
+            }
+        }
+    }
+}
+
+/// The crowded instances above reach every branch of GreC's commit: a
+/// violator whose cheapest server no longer fits, a violator left on an
+/// overfull target because nothing fits, and picks at zero and at
+/// positive cost.
+#[test]
+fn crowded_grec_instances_reach_every_commit_branch() {
+    let (m, zones) = (6, 5);
+    let (mut skipped, mut fallback, mut zero, mut positive) = (0, 0, 0, 0);
+    for seed in 0..4u64 {
+        for regime in 0..3 {
+            let inst = grec_instance(seed, m, zones, 900, 0.5, regime);
+            let targets = random_targets(seed, m, zones);
+            let contact = grec(&inst, &targets);
+            let mut zone_load = vec![0.0; m];
+            for (z, &s) in targets.iter().enumerate() {
+                zone_load[s] += inst.zone_bps(z);
+            }
+            for c in violating_clients(&inst, &targets) {
+                let t = targets[inst.zone_of(c)];
+                let cost = |s: usize| inst.rap_cost(c, s, t);
+                let cheapest = (0..m)
+                    .min_by(|&a, &b| cost(a).partial_cmp(&cost(b)).unwrap())
+                    .unwrap();
+                let s = contact[c];
+                skipped += usize::from(s != cheapest);
+                fallback += usize::from(s == t && zone_load[t] > inst.capacity(t) + 1e-9);
+                if cost(s) == 0.0 {
+                    zero += 1;
+                } else {
+                    positive += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        skipped > 0 && fallback > 0 && zero > 0 && positive > 0,
+        "skipped {skipped}, fallback {fallback}, zero {zero}, positive {positive}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

@@ -64,23 +64,36 @@ impl CorrelationModel {
         &self.preferred[region % self.regions]
     }
 
-    /// Samples a zone using explicit raw weights (hot-zone aware both for
-    /// the correlated and uncorrelated branch): with probability `delta`
-    /// the pick is restricted to the region's preferred block, otherwise
-    /// it is drawn from the full weighted table.
+    /// One [`WeightedIndex`] per region over its preferred block, drawn
+    /// with the zones' raw weights (hot zones included). Built once per
+    /// world and passed to [`sample_zone_weighted`](Self::sample_zone_weighted)
+    /// by region.
+    pub fn block_tables(&self, raw_weights: &[f64]) -> Vec<WeightedIndex> {
+        assert_eq!(raw_weights.len(), self.zones);
+        self.preferred
+            .iter()
+            .map(|block| {
+                let weights: Vec<f64> = block.iter().map(|&z| raw_weights[z]).collect();
+                WeightedIndex::new(&weights)
+            })
+            .collect()
+    }
+
+    /// Samples a zone (hot-zone aware in both branches): with probability
+    /// `delta` the pick is drawn from `block_table`, `region`'s entry of
+    /// [`block_tables`](Self::block_tables), otherwise from the full
+    /// weighted table.
     pub fn sample_zone_weighted<R: Rng + ?Sized>(
         &self,
         region: usize,
-        raw_weights: &[f64],
+        block_table: &WeightedIndex,
         full_table: &WeightedIndex,
         rng: &mut R,
     ) -> usize {
-        assert_eq!(raw_weights.len(), self.zones);
+        let block = self.preferred_zones(region);
+        debug_assert_eq!(block_table.len(), block.len());
         if rng.gen::<f64>() < self.delta {
-            let block = self.preferred_zones(region);
-            let weights: Vec<f64> = block.iter().map(|&z| raw_weights[z]).collect();
-            let idx = WeightedIndex::new(&weights).sample(rng);
-            block[idx]
+            block[block_table.sample(rng)]
         } else {
             full_table.sample(rng)
         }
@@ -122,8 +135,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let weights = vec![1.0; 80];
         let table = WeightedIndex::new(&weights);
+        let blocks = m.block_tables(&weights);
         for _ in 0..500 {
-            let z = m.sample_zone_weighted(3, &weights, &table, &mut rng);
+            let z = m.sample_zone_weighted(3, &blocks[3], &table, &mut rng);
             assert!(m.preferred_zones(3).contains(&z));
         }
     }
@@ -134,9 +148,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let weights = vec![1.0; 10];
         let table = WeightedIndex::new(&weights);
+        let blocks = m.block_tables(&weights);
         let mut seen = [false; 10];
         for _ in 0..2000 {
-            seen[m.sample_zone_weighted(0, &weights, &table, &mut rng)] = true;
+            seen[m.sample_zone_weighted(0, &blocks[0], &table, &mut rng)] = true;
         }
         assert!(seen.iter().all(|&s| s), "all zones should be hit");
     }
@@ -148,11 +163,12 @@ mod tests {
         let mut weights = vec![1.0; 8];
         weights[2] = 50.0;
         let table = WeightedIndex::new(&weights);
+        let blocks = m.block_tables(&weights);
         let mut rng = StdRng::seed_from_u64(8);
         let mut hits2 = 0;
         let n = 4000;
         for _ in 0..n {
-            if m.sample_zone_weighted(0, &weights, &table, &mut rng) == 2 {
+            if m.sample_zone_weighted(0, &blocks[0], &table, &mut rng) == 2 {
                 hits2 += 1;
             }
         }

@@ -127,13 +127,18 @@ impl World {
         };
         let zone_table = WeightedIndex::new(&zone_weights);
         let correlation = CorrelationModel::new(config.zones, regions, config.correlation);
+        let block_tables = correlation.block_tables(&zone_weights);
 
         let clients = (0..config.clients)
             .map(|_| {
                 let node = node_table.sample(rng);
                 let region = as_of_node[node] as usize;
-                let zone =
-                    correlation.sample_zone_weighted(region, &zone_weights, &zone_table, rng);
+                let zone = correlation.sample_zone_weighted(
+                    region,
+                    &block_tables[region],
+                    &zone_table,
+                    rng,
+                );
                 Client { node, zone }
             })
             .collect();
@@ -220,6 +225,7 @@ fn allocate_capacities<R: Rng + ?Sized>(config: &ScenarioConfig, rng: &mut R) ->
 mod tests {
     use super::*;
     use crate::distribution::DistributionType;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -366,6 +372,95 @@ mod tests {
         assert!((w.total_zone_load_bps() - expected).abs() < 1e-6);
         // Default scenario must be comfortably feasible in aggregate.
         assert!(w.total_zone_load_bps() < w.total_capacity_bps());
+    }
+
+    /// The per-draw zone sampling `World::generate` replaced: a fresh
+    /// weight vector and table for every correlated draw. Kept only as
+    /// the reference the prebuilt region tables are checked against.
+    fn sample_zone_per_draw<R: Rng + ?Sized>(
+        model: &CorrelationModel,
+        region: usize,
+        raw_weights: &[f64],
+        full_table: &WeightedIndex,
+        rng: &mut R,
+    ) -> usize {
+        if rng.gen::<f64>() < model.delta() {
+            let block = model.preferred_zones(region);
+            let weights: Vec<f64> = block.iter().map(|&z| raw_weights[z]).collect();
+            block[WeightedIndex::new(&weights).sample(rng)]
+        } else {
+            full_table.sample(rng)
+        }
+    }
+
+    /// `World::generate`'s draws, in its order, with per-draw zone
+    /// sampling; returns the clients.
+    fn clients_per_draw<R: Rng + ?Sized>(
+        config: &ScenarioConfig,
+        as_of_node: &[u16],
+        rng: &mut R,
+    ) -> Vec<Client> {
+        let nodes = as_of_node.len();
+        let regions = as_of_node
+            .iter()
+            .copied()
+            .max()
+            .map_or(1, |m| m as usize + 1);
+        sample_distinct(nodes, config.servers, rng);
+        allocate_capacities(config, rng);
+        let node_weights = if config.distribution.clustered_physical() {
+            hot_weights(nodes, config.hot_nodes, config.hot_node_factor, rng).0
+        } else {
+            vec![1.0; nodes]
+        };
+        let node_table = WeightedIndex::new(&node_weights);
+        let zone_weights = if config.distribution.clustered_virtual() {
+            hot_weights(config.zones, config.hot_zones, config.hot_zone_factor, rng).0
+        } else {
+            vec![1.0; config.zones]
+        };
+        let zone_table = WeightedIndex::new(&zone_weights);
+        let model = CorrelationModel::new(config.zones, regions, config.correlation);
+        (0..config.clients)
+            .map(|_| {
+                let node = node_table.sample(rng);
+                let region = as_of_node[node] as usize;
+                let zone = sample_zone_per_draw(&model, region, &zone_weights, &zone_table, rng);
+                Client { node, zone }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Region tables built once per world draw exactly the clients
+        /// the per-draw tables drew, and leave the RNG where they left it.
+        #[test]
+        fn prebuilt_block_tables_match_per_draw_sampling(
+            seed in any::<u64>(),
+            zones in 1usize..200,
+            regions in 1usize..30,
+            delta in 0usize..3,
+            distribution in 0usize..4,
+            hot_zones in 1usize..8,
+        ) {
+            let mut config = ScenarioConfig::default();
+            config.servers = 4;
+            config.zones = zones;
+            config.clients = 400;
+            config.correlation = [0.0, 0.5, 1.0][delta];
+            config.distribution = DistributionType::ALL[distribution];
+            config.hot_zones = hot_zones;
+            let mut label_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let labels: Vec<u16> =
+                (0..90).map(|_| label_rng.gen_range(0..regions) as u16).collect();
+            let mut fast = StdRng::seed_from_u64(seed);
+            let mut naive = fast.clone();
+            let w = World::generate(&config, 90, &labels, &mut fast).unwrap();
+            prop_assert_eq!(&w.clients, &clients_per_draw(&config, &labels, &mut naive));
+            prop_assert_eq!(fast.gen::<u64>(), naive.gen::<u64>());
+        }
     }
 
     #[test]
