@@ -6,9 +6,9 @@
 //!
 //! * topology delays come from [`OnDemandDelays`] — the node×node matrix
 //!   is never materialised;
-//! * the instance + cost matrix come out of one blocked pass of
-//!   [`CapInstance::from_world_with_matrix`] in the shared-by-node
-//!   layout — **no dense k×m table of any width exists at any point**
+//! * [`CapInstance::from_world`] builds the instance in the
+//!   shared-by-node layout and [`CostMatrix::build`] folds its violator
+//!   counts — **no dense k×m table of any width exists at any point**
 //!   (asserted: the delay rows are substrate-sized);
 //! * GreZ + incremental local search + GreC solve the tier, and the
 //!   [`ServeEngine`] streams join/leave/move events over it, with the
@@ -199,9 +199,9 @@ fn main() {
     let delays = WorldDelays::for_world(Arc::new(source), &world);
     let world_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    // --- Blocked one-pass instance + cost matrix, shared rows. ---
+    // --- Instance (shared rows) + cost matrix. ---
     let t = Instant::now();
-    let (inst, matrix) = CapInstance::from_world_with_matrix(
+    let inst = CapInstance::from_world(
         &world,
         &delays,
         0.5,
@@ -210,6 +210,7 @@ fn main() {
         DelayLayout::SharedByNode,
         &mut rng,
     );
+    let matrix = CostMatrix::build(&inst);
     let build_ms = t.elapsed().as_secs_f64() * 1e3;
     let build_rate = clients as f64 / (build_ms / 1e3);
     let table_bytes = inst.delay_table_bytes();
@@ -305,10 +306,10 @@ fn main() {
     let mut sharded_p99 = None;
     if shards > 1 {
         // The single-core engine consumed the first instance; rebuild it
-        // with the same blocked pass (PERFECT error never draws from the
-        // rng, so the rebuild is bit-identical).
+        // (PERFECT error never draws from the rng, so the rebuild is
+        // bit-identical).
         let mut inst_rng = StdRng::seed_from_u64(45);
-        let (inst2, _) = CapInstance::from_world_with_matrix(
+        let inst2 = CapInstance::from_world(
             &world,
             &delays,
             0.5,
@@ -393,10 +394,10 @@ fn main() {
         ServeConfig {
             max_batch: 64,
             max_staleness: 2,
-            arrival: InterArrival::Exponential {
-                mean_gap_ticks: 1.0 / (clients as f64 * MOBILITY_PROB).max(1.0),
-            },
             ..Default::default()
+        },
+        InterArrival::Exponential {
+            mean_gap_ticks: 1.0 / (clients as f64 * MOBILITY_PROB).max(1.0),
         },
         QualityEstimator::Sampled {
             sample: MOBILITY_SAMPLE,

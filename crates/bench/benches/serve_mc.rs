@@ -6,9 +6,9 @@
 //! [`ServeConfig::shards`] workers serves churn at the production
 //! [`LARGE_TIER`] (`100s-1000z-50000c`) at least **3×** the
 //! single-shard event throughput — the concurrent flush parallelises
-//! the whole propose span (zone re-ordering, repair prefixes, contact
-//! plans), not just `propose_zone_order`, so the bar is higher than
-//! the old refresh-only 2× — while committing **bit-identical
+//! the propose span (zone re-ordering and contact plans), not just
+//! `propose_zone_order`, so the bar is higher than the old
+//! refresh-only 2× — while committing **bit-identical
 //! decisions** to the single-shard engine (asserted in-process, per
 //! client, before timing anything).
 //!

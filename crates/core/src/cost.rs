@@ -116,16 +116,12 @@ impl CostMatrix {
         CostMatrix::from_counts_threads(m, n, cost, threads)
     }
 
-    /// Assembles a matrix from already-accumulated violator counts
-    /// (zone-major) — the tail of the blocked one-pass builder
-    /// [`CapInstance::from_world_with_matrix`](crate::CapInstance::from_world_with_matrix),
-    /// which folds each client block's rows into these counts while the
-    /// rows are hot. Derives the per-zone orderings and regrets exactly
-    /// as [`CostMatrix::build`] does — independent rows, so they are
-    /// derived on disjoint mutable shards of the worker team; result
-    /// identical at any width (each zone's sort reads only its own
-    /// counts).
-    pub(crate) fn from_counts_threads(
+    /// Assembles a matrix from the folded violator counts (zone-major):
+    /// derives the per-zone orderings and regrets — independent rows, so
+    /// they are derived on disjoint mutable shards of the worker team;
+    /// result identical at any width (each zone's sort reads only its
+    /// own counts).
+    fn from_counts_threads(
         servers: usize,
         zones: usize,
         cost: Vec<u32>,
@@ -428,7 +424,7 @@ const PAR_ZONE_MIN: usize = 64;
 /// Element-wise sum of two per-worker count accumulators — the exact
 /// (commutative, associative) merge of the reduce seam: the folded
 /// counts are bit-identical at any thread count.
-pub(crate) fn merge_counts(mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+fn merge_counts(mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
     debug_assert_eq!(a.len(), b.len());
     for (x, y) in a.iter_mut().zip(b) {
         *x += y;

@@ -135,109 +135,32 @@ pub fn grez(inst: &CapInstance, policy: StuckPolicy) -> Result<Vec<usize>, IapEr
 
 /// [`grez`] on a prebuilt [`CostMatrix`]: the orderings and regrets are
 /// already materialised, so this is a straight O(n·m) placement sweep
-/// with no cost recomputation. Runs on [`dve_par::default_threads`]
-/// workers when the zone count warrants it — see [`grez_with_threads`]
-/// for the sharded sweep and why it is bit-identical to the serial one.
+/// with no cost recomputation. Zones are placed one at a time in regret
+/// order, each on the first server of its ordering that still fits the
+/// loads the earlier placements booked.
 pub fn grez_with(
     inst: &CapInstance,
     matrix: &CostMatrix,
     policy: StuckPolicy,
 ) -> Result<Vec<usize>, IapError> {
-    grez_with_threads(inst, matrix, policy, dve_par::default_threads())
-}
-
-/// Zone count below which [`grez_with_threads`] stays serial: a block
-/// round costs two passes over the block (propose + commit), which only
-/// pays for itself once the placement sweep dominates.
-const GREZ_PAR_MIN: usize = 64;
-
-/// Zones proposed per worker per block round. Large enough to amortise
-/// the scatter, small enough that the round-start load snapshot stays
-/// close to the live loads (a stale snapshot only costs re-scanning —
-/// never correctness).
-const GREZ_BLOCK_PER_WORKER: usize = 16;
-
-/// [`grez_with`] on an explicit worker count: the regret-ordered zone
-/// loop runs in **block rounds** of `threads · 16` zones. Workers
-/// propose, for each zone in the round, the first index of its server
-/// ordering that fits under the round-start load snapshot; the serial
-/// commit then resumes each zone's scan *from that prefix* against the
-/// live loads.
-///
-/// Bit-identical to the serial sweep at any width because loads are
-/// **monotone**: GreZ only ever adds load, so a server that failed the
-/// capacity check under the snapshot (smaller loads) can never pass it
-/// later in the round. The skipped prefix is exactly the prefix the
-/// serial loop would have rejected; a proposal of `m` (nothing fit under
-/// the snapshot) short-circuits straight to the stuck policy, which the
-/// serial loop would reach by scanning the whole row.
-pub fn grez_with_threads(
-    inst: &CapInstance,
-    matrix: &CostMatrix,
-    policy: StuckPolicy,
-    threads: usize,
-) -> Result<Vec<usize>, IapError> {
-    let n = inst.num_zones();
-    let mut target = vec![usize::MAX; n];
+    let mut target = vec![usize::MAX; inst.num_zones()];
     let mut loads = vec![0.0; inst.num_servers()];
-    let order = matrix.zones_by_regret();
-    if threads <= 1 || n < GREZ_PAR_MIN {
-        for &z in &order {
-            place_zone(inst, matrix, policy, &mut target, &mut loads, z, 0)?;
-        }
-        return Ok(target);
-    }
-    let m = inst.num_servers();
-    for round in order.chunks(threads * GREZ_BLOCK_PER_WORKER) {
-        let loads0 = &loads;
-        let prefixes: Vec<usize> = dve_par::par_map_with(threads, round, |_, &z| {
-            let demand = inst.zone_bps(z);
-            matrix
-                .order(z)
-                .iter()
-                .position(|&s| loads0[s as usize] + demand <= inst.capacity(s as usize) + 1e-9)
-                .unwrap_or(m)
-        });
-        for (&z, &from) in round.iter().zip(&prefixes) {
-            place_zone(inst, matrix, policy, &mut target, &mut loads, z, from)?;
-        }
+    for z in matrix.zones_by_regret() {
+        let demand = inst.zone_bps(z);
+        let fit = matrix
+            .order(z)
+            .iter()
+            .map(|&s| s as usize)
+            .find(|&s| loads[s] + demand <= inst.capacity(s) + 1e-9);
+        let s = match (fit, policy) {
+            (Some(s), _) => s,
+            (None, StuckPolicy::Strict) => return Err(IapError::NoFeasibleServer { zone: z }),
+            (None, StuckPolicy::BestEffort) => best_effort_server(&loads, inst, demand),
+        };
+        target[z] = s;
+        loads[s] += demand;
     }
     Ok(target)
-}
-
-/// One GreZ placement step: scan zone `z`'s server ordering from index
-/// `from` (a proven-infeasible prefix may be skipped — see
-/// [`grez_with_threads`]) against the live loads, falling back to the
-/// stuck policy when nothing fits. `from == m` yields an empty scan and
-/// goes straight to the policy.
-#[inline]
-fn place_zone(
-    inst: &CapInstance,
-    matrix: &CostMatrix,
-    policy: StuckPolicy,
-    target: &mut [usize],
-    loads: &mut [f64],
-    z: usize,
-    from: usize,
-) -> Result<(), IapError> {
-    let demand = inst.zone_bps(z);
-    for &s in &matrix.order(z)[from..] {
-        let s = s as usize;
-        if loads[s] + demand <= inst.capacity(s) + 1e-9 {
-            target[z] = s;
-            loads[s] += demand;
-            return Ok(());
-        }
-    }
-    match policy {
-        StuckPolicy::Strict => Err(IapError::NoFeasibleServer { zone: z }),
-        StuckPolicy::BestEffort => {
-            let s = best_effort_server(loads, inst, demand);
-            target[z] = s;
-            loads[s] += demand;
-            Ok(())
-        }
-    }
 }
 
 /// Builds the GAP form of Definition 2.2 (servers = agents, zones =

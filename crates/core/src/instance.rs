@@ -18,7 +18,6 @@
 //! the default factor is 0.5), modelling the well-provisioned inter-server
 //! mesh of the GDSA.
 
-use crate::cost::CostMatrix;
 use dve_topology::DelayMatrix;
 use dve_world::{BandwidthModel, DynamicsOutcome, ErrorModel, World, WorldDelays};
 use rand::Rng;
@@ -29,25 +28,20 @@ pub const DEFAULT_PROVISIONING: f64 = 0.5;
 /// Default delay bound (FPS-class interactivity, 250 ms).
 pub const DEFAULT_DELAY_BOUND_MS: f64 = 250.0;
 
-/// Clients per block of the blocked one-pass builders
-/// ([`CapInstance::from_world`]): rows are written and their cost-matrix
-/// columns folded while the block is hot in cache.
+/// Population above which [`CapInstance::from_world_threads`] fills
+/// per-client delay rows on the worker team; smaller populations fill
+/// serially.
 const BUILD_BLOCK: usize = 4096;
 
 /// How an instance stores its k×m client→server delay rows. The row-slot
 /// indirection (`row_of_client`) decouples client identity from storage,
-/// so all three layouts serve the same accessor API.
+/// so both layouts serve the same accessor API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DelayLayout {
     /// Per-client `f64` rows — the historical layout; supports per-client
     /// observation error and churn carries. O(k·m·16) bytes.
     #[default]
     Dense64,
-    /// Per-client `f32` rows — opt-in compact representation, halving
-    /// memory at ≤ one `f32` ulp of relative delay error (violator
-    /// decisions can differ only for delays within that ulp of the
-    /// bound). O(k·m·8) bytes.
-    Compact32,
     /// Rows shared per topology node: `row_of_client` points at the
     /// world-level node→server gather table instead of per-client
     /// storage. Requires perfect observations (all clients at a node see
@@ -63,10 +57,6 @@ enum DelayTable {
     Dense {
         obs: Vec<f64>,
         tru: Vec<f64>,
-    },
-    Compact {
-        obs: Vec<f32>,
-        tru: Vec<f32>,
     },
     /// One row per topology node, shared by every client at that node
     /// (observed == true by the layout's perfect-observation contract).
@@ -91,7 +81,6 @@ impl DelayTable {
     fn layout(&self) -> DelayLayout {
         match self {
             DelayTable::Dense { .. } => DelayLayout::Dense64,
-            DelayTable::Compact { .. } => DelayLayout::Compact32,
             DelayTable::Shared { .. } => DelayLayout::SharedByNode,
         }
     }
@@ -99,7 +88,6 @@ impl DelayTable {
     fn rows(&self, m: usize) -> usize {
         let cells = match self {
             DelayTable::Dense { tru, .. } => tru.len(),
-            DelayTable::Compact { tru, .. } => tru.len(),
             DelayTable::Shared { rtt } => rtt.len(),
         };
         cells.checked_div(m).unwrap_or(0)
@@ -110,7 +98,6 @@ impl DelayTable {
     fn bytes(&self) -> usize {
         match self {
             DelayTable::Dense { obs, tru } => (obs.len() + tru.len()) * 8,
-            DelayTable::Compact { obs, tru } => (obs.len() + tru.len()) * 4,
             DelayTable::Shared { rtt } => rtt.len() * 8,
         }
     }
@@ -119,7 +106,6 @@ impl DelayTable {
     fn obs(&self, i: usize) -> f64 {
         match self {
             DelayTable::Dense { obs, .. } => obs[i],
-            DelayTable::Compact { obs, .. } => f64::from(obs[i]),
             DelayTable::Shared { rtt } => rtt[i],
         }
     }
@@ -128,7 +114,6 @@ impl DelayTable {
     fn tru(&self, i: usize) -> f64 {
         match self {
             DelayTable::Dense { tru, .. } => tru[i],
-            DelayTable::Compact { tru, .. } => f64::from(tru[i]),
             DelayTable::Shared { rtt } => rtt[i],
         }
     }
@@ -142,11 +127,6 @@ impl DelayTable {
             DelayTable::Dense { obs, .. } => {
                 for (j, &d) in obs[base..base + m].iter().enumerate() {
                     f(j, d);
-                }
-            }
-            DelayTable::Compact { obs, .. } => {
-                for (j, &d) in obs[base..base + m].iter().enumerate() {
-                    f(j, f64::from(d));
                 }
             }
             DelayTable::Shared { rtt } => {
@@ -163,10 +143,6 @@ impl DelayTable {
         let slot = self.rows(m) as u32;
         match self {
             DelayTable::Dense { obs, tru } => {
-                obs.resize((slot as usize + 1) * m, 0.0);
-                tru.resize((slot as usize + 1) * m, 0.0);
-            }
-            DelayTable::Compact { obs, tru } => {
                 obs.resize((slot as usize + 1) * m, 0.0);
                 tru.resize((slot as usize + 1) * m, 0.0);
             }
@@ -193,12 +169,6 @@ impl DelayTable {
                     // `observe` returns `d` untouched (no RNG draw)
                     // under the perfect model.
                     obs[base + j] = error.observe(d, rng);
-                }
-            }
-            DelayTable::Compact { obs, tru } => {
-                for (j, &d) in row.iter().enumerate() {
-                    tru[base + j] = d as f32;
-                    obs[base + j] = error.observe(d, rng) as f32;
                 }
             }
             DelayTable::Shared { .. } => unreachable!("shared rows are never written"),
@@ -381,21 +351,22 @@ impl CapInstance {
     }
 
     /// Builds an instance from a populated world over the delay
-    /// **pipeline** — the blocked one-pass construction of the
-    /// million-client engine. Where [`CapInstance::build`] walks a dense
-    /// node×node [`DelayMatrix`], this consumes a [`WorldDelays`] handle
-    /// (any [`dve_topology::DelaySource`] behind a node→server gather)
-    /// and fills the delay rows in fixed-size client blocks, in the
-    /// layout of your choice:
+    /// **pipeline** — the builder of the million-client engine. Where
+    /// [`CapInstance::build`] walks a dense node×node [`DelayMatrix`],
+    /// this consumes a [`WorldDelays`] handle (any
+    /// [`dve_topology::DelaySource`] behind a node→server gather) and
+    /// takes each client's delay row from the gather, in the layout of
+    /// your choice:
     ///
     /// * [`DelayLayout::Dense64`] — **bit-identical** to
     ///   [`CapInstance::build`] on the same matrix-backed delays (same
     ///   lookups, same error-draw order), property-tested;
-    /// * [`DelayLayout::Compact32`] — rows rounded to `f32`, half the
-    ///   memory, bounded relative error;
     /// * [`DelayLayout::SharedByNode`] — no per-client rows at all
     ///   (requires the perfect error model): memory is bounded by the
     ///   substrate, not the population.
+    ///
+    /// Callers that need the IAP costs build them from the result with
+    /// [`CostMatrix::build`](crate::CostMatrix::build).
     pub fn from_world<R: Rng + ?Sized>(
         world: &World,
         delays: &WorldDelays,
@@ -419,10 +390,10 @@ impl CapInstance {
 
     /// [`CapInstance::from_world`] with an explicit worker count (tests
     /// and benches pin widths; the default reads `DVE_THREADS`). The
-    /// result is bit-identical at any width: the parallel row fill
-    /// preserves the dense build's value and RNG discipline, and the
-    /// cost fold (when a matrix is requested) runs on the exact-count
-    /// reduce seam.
+    /// result is bit-identical at any width: true rows draw no RNG, so
+    /// above `BUILD_BLOCK` (4096) clients the workers copy them in
+    /// parallel, and the observation draws then follow serially in
+    /// row-major order — the dense build's discipline.
     pub fn from_world_threads<R: Rng + ?Sized>(
         world: &World,
         delays: &WorldDelays,
@@ -433,90 +404,6 @@ impl CapInstance {
         threads: usize,
         rng: &mut R,
     ) -> CapInstance {
-        Self::from_world_impl(
-            world,
-            delays,
-            provisioning,
-            delay_bound,
-            error,
-            layout,
-            threads,
-            rng,
-            false,
-        )
-        .0
-    }
-
-    /// [`CapInstance::from_world`] fused with the [`CostMatrix`] build:
-    /// each client block's rows are folded into their zone columns while
-    /// still hot in cache, so instance **and** matrix come out of one
-    /// blocked pass over the population — no second O(k·m) sweep. The
-    /// matrix is bit-identical to `CostMatrix::build` of the returned
-    /// instance (integer counts commute over any accumulation order).
-    pub fn from_world_with_matrix<R: Rng + ?Sized>(
-        world: &World,
-        delays: &WorldDelays,
-        provisioning: f64,
-        delay_bound: f64,
-        error: ErrorModel,
-        layout: DelayLayout,
-        rng: &mut R,
-    ) -> (CapInstance, CostMatrix) {
-        Self::from_world_with_matrix_threads(
-            world,
-            delays,
-            provisioning,
-            delay_bound,
-            error,
-            layout,
-            dve_par::default_threads(),
-            rng,
-        )
-    }
-
-    /// [`CapInstance::from_world_with_matrix`] with an explicit worker
-    /// count. With more than one worker the cost fold leaves the block
-    /// loop and runs as its own pass on the
-    /// [`dve_par::par_map_reduce_with`] seam (per-worker `u32` count
-    /// accumulators merged in worker-index order — integer adds commute,
-    /// so the matrix is **bit-identical at any thread count** and to the
-    /// single-core in-block fold).
-    pub fn from_world_with_matrix_threads<R: Rng + ?Sized>(
-        world: &World,
-        delays: &WorldDelays,
-        provisioning: f64,
-        delay_bound: f64,
-        error: ErrorModel,
-        layout: DelayLayout,
-        threads: usize,
-        rng: &mut R,
-    ) -> (CapInstance, CostMatrix) {
-        let (inst, matrix) = Self::from_world_impl(
-            world,
-            delays,
-            provisioning,
-            delay_bound,
-            error,
-            layout,
-            threads,
-            rng,
-            true,
-        );
-        (inst, matrix.expect("matrix requested"))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn from_world_impl<R: Rng + ?Sized>(
-        world: &World,
-        delays: &WorldDelays,
-        provisioning: f64,
-        delay_bound: f64,
-        error: ErrorModel,
-        layout: DelayLayout,
-        threads: usize,
-        rng: &mut R,
-        want_matrix: bool,
-    ) -> (CapInstance, Option<CostMatrix>) {
         assert!(
             (0.0..=1.0).contains(&provisioning),
             "provisioning factor {provisioning} outside [0,1]"
@@ -548,26 +435,38 @@ impl CapInstance {
         let (zone_of_client, clients_of_zone, client_target_bps, zone_bps) =
             zone_bookkeeping(world);
 
-        // Delay rows, block by block. Per-client layouts append rows in
-        // client order (drawing the observation error row-major, exactly
-        // the dense build's sequence); the shared layout borrows the
-        // world-level gather table outright and only maps clients onto
-        // node rows.
-        let (mut cs, row_of_client) = match layout {
-            DelayLayout::Dense64 => (
-                DelayTable::Dense {
-                    obs: Vec::with_capacity(clients * servers),
-                    tru: Vec::with_capacity(clients * servers),
-                },
-                (0..clients as u32).collect::<Vec<u32>>(),
-            ),
-            DelayLayout::Compact32 => (
-                DelayTable::Compact {
-                    obs: Vec::with_capacity(clients * servers),
-                    tru: Vec::with_capacity(clients * servers),
-                },
-                (0..clients as u32).collect(),
-            ),
+        // Per-client rows follow client order; the shared layout borrows
+        // the world-level gather table outright and only maps clients
+        // onto node rows.
+        let (cs, row_of_client) = match layout {
+            DelayLayout::Dense64 => {
+                let tru = if threads > 1 && clients > BUILD_BLOCK {
+                    // In-place parallel fill: the table is sized up front
+                    // and workers copy gather rows straight into their
+                    // chunks — no transient per-row allocations.
+                    let mut tru = vec![0.0; clients * servers];
+                    let mut row_chunks: Vec<&mut [f64]> = tru.chunks_mut(servers).collect();
+                    dve_par::par_for_each_mut_with(threads, &mut row_chunks, |i, row| {
+                        row.copy_from_slice(delays.server_row(world.clients[i].node));
+                    });
+                    tru
+                } else {
+                    let mut tru = Vec::with_capacity(clients * servers);
+                    for client in &world.clients {
+                        tru.extend_from_slice(delays.server_row(client.node));
+                    }
+                    tru
+                };
+                let obs = if error.factor == 1.0 {
+                    tru.clone()
+                } else {
+                    tru.iter().map(|&d| error.observe(d, rng)).collect()
+                };
+                (
+                    DelayTable::Dense { obs, tru },
+                    (0..clients as u32).collect::<Vec<u32>>(),
+                )
+            }
             DelayLayout::SharedByNode => {
                 assert!(
                     error.factor == 1.0,
@@ -582,140 +481,13 @@ impl CapInstance {
                 )
             }
         };
-        let mut cost = want_matrix.then(|| vec![0u32; zones * servers]);
-        // With workers available, fill per-client rows on the parallel
-        // runtime first (true rows draw no RNG; observation draws follow
-        // in row-major order — exactly the dense reference's discipline,
-        // so the bit-identity claim is thread-count-invariant). On one
-        // core the fill stays inside the block loop so rows and their
-        // cost columns are touched while hot in cache.
-        let par_fill =
-            threads > 1 && clients > BUILD_BLOCK && !matches!(cs, DelayTable::Shared { .. });
-        if par_fill {
-            match &mut cs {
-                DelayTable::Dense { obs, tru } => {
-                    // In-place parallel fill: the true table is sized up
-                    // front and workers copy gather rows straight into
-                    // their chunks — no transient per-row allocations.
-                    tru.resize(clients * servers, 0.0);
-                    let mut row_chunks: Vec<&mut [f64]> = tru.chunks_mut(servers).collect();
-                    dve_par::par_for_each_mut_with(threads, &mut row_chunks, |i, row| {
-                        row.copy_from_slice(delays.server_row(world.clients[i].node));
-                    });
-                    if error.factor == 1.0 {
-                        obs.extend_from_slice(tru);
-                    } else {
-                        obs.extend(tru.iter().map(|&d| error.observe(d, rng)));
-                    }
-                }
-                DelayTable::Compact { obs, tru } => {
-                    tru.resize(clients * servers, 0.0);
-                    let mut row_chunks: Vec<&mut [f32]> = tru.chunks_mut(servers).collect();
-                    dve_par::par_for_each_mut_with(threads, &mut row_chunks, |i, row| {
-                        for (slot, &d) in
-                            row.iter_mut().zip(delays.server_row(world.clients[i].node))
-                        {
-                            *slot = d as f32;
-                        }
-                    });
-                    // Observation draws read the f64 gather rows (not the
-                    // rounded f32 ones) in row-major order — the same
-                    // inputs and RNG sequence as the serial path.
-                    for client in &world.clients {
-                        let row = delays.server_row(client.node);
-                        obs.extend(row.iter().map(|&d| error.observe(d, rng) as f32));
-                    }
-                }
-                DelayTable::Shared { .. } => unreachable!("shared rows are never filled"),
-            }
-        }
-        // The second half of the blocked build: folding the rows into
-        // their zone's cost column. Once every row is materialised ahead
-        // of the fold — the par-filled per-client layouts and the
-        // substrate-owned shared table — the fold leaves the block loop
-        // and runs on the reduce seam: per-worker `u32` count
-        // accumulators over contiguous client blocks, merged
-        // element-wise in worker-index order. Integer adds commute, so
-        // the counts are bit-identical to the in-block serial fold at
-        // any thread count (property-tested).
-        let par_fold = want_matrix
-            && threads > 1
-            && clients > BUILD_BLOCK
-            && (par_fill || matches!(cs, DelayTable::Shared { .. }));
-        if par_fold {
-            let blocks: Vec<std::ops::Range<usize>> = (0..clients)
-                .step_by(BUILD_BLOCK)
-                .map(|lo| lo..(lo + BUILD_BLOCK).min(clients))
-                .collect();
-            let cs = &cs;
-            let row_of_client = &row_of_client;
-            let zone_of_client = &zone_of_client;
-            cost = Some(dve_par::par_map_reduce_with(
-                threads,
-                &blocks,
-                || vec![0u32; zones * servers],
-                |acc, _, block| {
-                    for c in block.clone() {
-                        let base = row_of_client[c] as usize * servers;
-                        let counts = &mut acc
-                            [zone_of_client[c] * servers..(zone_of_client[c] + 1) * servers];
-                        cs.fold_obs(base, servers, |j, d| {
-                            counts[j] += u32::from(d > delay_bound);
-                        });
-                    }
-                },
-                crate::cost::merge_counts,
-            ));
-        }
-        let mut block_start = 0usize;
-        while block_start < clients {
-            let block_end = (block_start + BUILD_BLOCK).min(clients);
-            if !par_fill {
-                match &mut cs {
-                    DelayTable::Dense { obs, tru } => {
-                        for client in &world.clients[block_start..block_end] {
-                            let row = delays.server_row(client.node);
-                            tru.extend_from_slice(row);
-                            if error.factor == 1.0 {
-                                obs.extend_from_slice(row);
-                            } else {
-                                obs.extend(row.iter().map(|&d| error.observe(d, rng)));
-                            }
-                        }
-                    }
-                    DelayTable::Compact { obs, tru } => {
-                        for client in &world.clients[block_start..block_end] {
-                            let row = delays.server_row(client.node);
-                            tru.extend(row.iter().map(|&d| d as f32));
-                            obs.extend(row.iter().map(|&d| error.observe(d, rng) as f32));
-                        }
-                    }
-                    DelayTable::Shared { .. } => {}
-                }
-            }
-            if !par_fold {
-                if let Some(cost) = &mut cost {
-                    for c in block_start..block_end {
-                        let base = row_of_client[c] as usize * servers;
-                        let counts = &mut cost
-                            [zone_of_client[c] * servers..(zone_of_client[c] + 1) * servers];
-                        cs.fold_obs(base, servers, |j, d| {
-                            counts[j] += u32::from(d > delay_bound);
-                        });
-                    }
-                }
-            }
-            block_start = block_end;
-        }
 
         let obs_ss = if error.factor == 1.0 {
             true_ss.clone()
         } else {
             error.observe_matrix(servers, &true_ss, rng)
         };
-        let matrix =
-            cost.map(|counts| CostMatrix::from_counts_threads(servers, zones, counts, threads));
-        let inst = CapInstance {
+        CapInstance {
             clients,
             servers,
             zones,
@@ -731,8 +503,7 @@ impl CapInstance {
             zone_bps,
             capacity: world.servers.iter().map(|s| s.capacity_bps).collect(),
             delay_bound,
-        };
-        (inst, matrix)
+        }
     }
 
     /// Advances this instance across a churn step without rebuilding the
@@ -759,8 +530,8 @@ impl CapInstance {
     /// estimate, the carried instance re-samples only the joiners'.
     ///
     /// The server set, provisioning, and delay bound must be unchanged —
-    /// dynamics only touch the client population. When a [`CostMatrix`]
-    /// rides along, call
+    /// dynamics only touch the client population. When a
+    /// [`CostMatrix`](crate::CostMatrix) rides along, call
     /// [`CostMatrix::retire_departures`](crate::CostMatrix::retire_departures)
     /// *before* this method (departed rows are gone afterwards) and
     /// [`CostMatrix::admit_arrivals`](crate::CostMatrix::admit_arrivals)
@@ -878,8 +649,8 @@ impl CapInstance {
     ///
     /// Unlike the batch compaction of `apply_delta` (survivors keep their
     /// relative order), swap-remove *permutes* client indices; all
-    /// aggregate views (zone populations, `zone_bps`, [`CostMatrix`]
-    /// columns, pQoS) are permutation-invariant, which is what the stream
+    /// aggregate views (zone populations, `zone_bps`,
+    /// [`CostMatrix`](crate::CostMatrix) columns, pQoS) are permutation-invariant, which is what the stream
     /// engine's equivalence tests assert. `model` must be the bandwidth
     /// model the instance was built with (world-built instances; raw
     /// instances from [`CapInstance::from_raw`] have no model).
@@ -1695,30 +1466,6 @@ mod tests {
         }
     }
 
-    /// The fused one-pass matrix equals a fresh `CostMatrix::build` of
-    /// the produced instance, in every layout.
-    #[test]
-    fn from_world_with_matrix_matches_fresh_cost_matrix() {
-        for layout in [
-            DelayLayout::Dense64,
-            DelayLayout::Compact32,
-            DelayLayout::SharedByNode,
-        ] {
-            let (world, _delays, handle, mut rng) = blocked_fixture(43, "4s-8z-90c-100cp");
-            let (inst, matrix) = CapInstance::from_world_with_matrix(
-                &world,
-                &handle,
-                0.5,
-                250.0,
-                ErrorModel::PERFECT,
-                layout,
-                &mut rng,
-            );
-            assert_eq!(inst.layout(), layout);
-            assert_eq!(matrix, crate::CostMatrix::build(&inst), "{layout:?}");
-        }
-    }
-
     /// SharedByNode is accessor-identical to the dense build under
     /// perfect observations, with memory bounded by the substrate.
     #[test]
@@ -1820,83 +1567,41 @@ mod tests {
         }
     }
 
-    /// The compact f32 layout stays within one f32 ulp of the dense
-    /// delays — and therefore within a relative error of 2^-23.
-    #[test]
-    fn compact_layout_bounds_relative_error() {
-        let (world, delays, handle, rng) = blocked_fixture(59, "4s-8z-80c-100cp");
-        let mut rng_a = rng.clone();
-        let mut rng_b = rng;
-        let dense =
-            CapInstance::build(&world, &delays, 0.5, 250.0, ErrorModel::PERFECT, &mut rng_a);
-        let compact = CapInstance::from_world(
-            &world,
-            &handle,
-            0.5,
-            250.0,
-            ErrorModel::PERFECT,
-            DelayLayout::Compact32,
-            &mut rng_b,
-        );
-        let tol = f32::EPSILON as f64;
-        for c in 0..dense.num_clients() {
-            for s in 0..dense.num_servers() {
-                let d = dense.obs_cs(c, s);
-                let q = compact.obs_cs(c, s);
-                assert!((d - q).abs() <= d.abs() * tol, "c={c} s={s}: {q} vs {d}");
-                let dt = dense.true_cs(c, s);
-                let qt = compact.true_cs(c, s);
-                assert!((dt - qt).abs() <= dt.abs() * tol);
-            }
-        }
-        assert_eq!(compact.delay_table_bytes() * 2, dense.delay_table_bytes());
-    }
-
     /// The worker-parallel row fill (engaged above `BUILD_BLOCK`
-    /// clients) is bit-identical to the single-core blocked fill — the
-    /// thread-count-invariance the blocked builder promises. Toggled via
-    /// `DVE_THREADS`; both settings are safe for any concurrently
-    /// running test (every parallel/serial pair in this crate is
-    /// equivalence-tested).
+    /// clients) is bit-identical to the serial fill — the
+    /// thread-count-invariance the pipeline builder promises — and so is
+    /// the cost matrix built from it.
     #[test]
     fn par_fill_matches_serial_fill_above_block_size() {
         let (world, _delays, handle, rng) = blocked_fixture(67, "4s-8z-5000c-200cp");
         assert!(world.clients.len() > BUILD_BLOCK);
-        let previous = std::env::var("DVE_THREADS").ok();
         for error in [ErrorModel::PERFECT, ErrorModel::KING] {
             let mut rng_a = rng.clone();
             let mut rng_b = rng.clone();
-            std::env::set_var("DVE_THREADS", "1");
-            let (serial, serial_matrix) = CapInstance::from_world_with_matrix(
-                &world,
-                &handle,
-                0.5,
-                250.0,
-                error,
-                DelayLayout::Dense64,
-                &mut rng_a,
+            let build = |threads, rng: &mut rand::rngs::StdRng| {
+                CapInstance::from_world_threads(
+                    &world,
+                    &handle,
+                    0.5,
+                    250.0,
+                    error,
+                    DelayLayout::Dense64,
+                    threads,
+                    rng,
+                )
+            };
+            let serial = build(1, &mut rng_a);
+            let par = build(4, &mut rng_b);
+            assert_eq!(
+                crate::CostMatrix::build_threads(&serial, 1),
+                crate::CostMatrix::build_threads(&par, 4)
             );
-            std::env::set_var("DVE_THREADS", "4");
-            let (par, par_matrix) = CapInstance::from_world_with_matrix(
-                &world,
-                &handle,
-                0.5,
-                250.0,
-                error,
-                DelayLayout::Dense64,
-                &mut rng_b,
-            );
-            assert_eq!(serial_matrix, par_matrix);
             for c in 0..serial.num_clients() {
                 for s in 0..serial.num_servers() {
                     assert_eq!(serial.obs_cs(c, s), par.obs_cs(c, s), "c={c} s={s}");
                     assert_eq!(serial.true_cs(c, s), par.true_cs(c, s));
                 }
             }
-        }
-        match previous {
-            Some(v) => std::env::set_var("DVE_THREADS", v),
-            None => std::env::remove_var("DVE_THREADS"),
         }
     }
 

@@ -92,8 +92,8 @@ pub use anneal::{anneal_iap, anneal_iap_with, AnnealConfig, AnnealOutcome};
 pub use assignment::{Assignment, Violation};
 pub use cost::{CostMatrix, IncrementalEval};
 pub use iap::{
-    exact_iap, exact_iap_with, grez, grez_with, grez_with_threads, iap_gap, iap_gap_with,
-    iap_total_cost, ranz, IapError, StuckPolicy,
+    exact_iap, exact_iap_with, grez, grez_with, iap_gap, iap_gap_with, iap_total_cost, ranz,
+    IapError, StuckPolicy,
 };
 pub use instance::{
     CapInstance, DelayLayout, StreamDeparture, DEFAULT_DELAY_BOUND_MS, DEFAULT_PROVISIONING,
@@ -104,8 +104,7 @@ pub use lp_round::{iap_lower_bound, iap_lp_bound, lp_round_iap};
 pub use metrics::{cdf_at, evaluate, fig4_grid, Metrics};
 pub use rap::{
     exact_rap, exact_rap_with, grec, grec_with, rap_gap, rap_gap_with, rap_total_cost,
-    violating_clients, violating_clients_in, violating_clients_in_threads,
-    violating_clients_threads, virc, RapError, RelayTable,
+    violating_clients, violating_clients_threads, virc, RapError, RelayTable,
 };
 pub use two_phase::{
     solve, solve_iap, solve_rap, solve_with, CapAlgorithm, IapMethod, RapMethod, SolveError,

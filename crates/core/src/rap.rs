@@ -33,7 +33,8 @@
 use crate::instance::CapInstance;
 use dve_milp::{BbConfig, GapInstance, GapOutcome, LpError};
 
-/// Clients per shard of the parallel violator scans.
+/// Clients per shard of the parallel violator scan
+/// ([`violating_clients_threads`]).
 const SCAN_BLOCK: usize = 4096;
 
 /// Errors from the exact RAP solver (the greedy variants cannot fail: the
@@ -296,56 +297,6 @@ pub fn violating_clients_threads(
             a
         },
     )
-}
-
-/// [`violating_clients`] restricted to the members of `zones` — the
-/// zone-scoped violator rescan of the streaming serving loop. A churn
-/// event only changes the violating status of clients in the zones it
-/// touches (a member's target delay depends on its zone's target server
-/// alone), so after a micro-batch the engine rescans O(touched-zone
-/// members) clients instead of all k. Ascending client index, deduplicated
-/// across overlapping zones.
-pub fn violating_clients_in(
-    inst: &CapInstance,
-    target_of_zone: &[usize],
-    zones: &[usize],
-) -> Vec<usize> {
-    violating_clients_in_threads(inst, target_of_zone, zones, dve_par::default_threads())
-}
-
-/// [`violating_clients_in`] with an explicit worker count — the sharded
-/// form of the incremental repair's touched-zone rescan. Zones shard
-/// across the team (each worker scans whole zones, read-only), the
-/// per-worker hit lists concatenate in worker-index order, and the
-/// final sort + dedup normalises exactly as the serial path does —
-/// bit-identical output at any width.
-pub fn violating_clients_in_threads(
-    inst: &CapInstance,
-    target_of_zone: &[usize],
-    zones: &[usize],
-    threads: usize,
-) -> Vec<usize> {
-    let mut out: Vec<usize> = dve_par::par_map_reduce_with(
-        threads,
-        zones,
-        Vec::new,
-        |acc: &mut Vec<usize>, _, &z| {
-            let t = target_of_zone[z];
-            acc.extend(
-                inst.clients_in_zone(z)
-                    .iter()
-                    .copied()
-                    .filter(|&c| inst.obs_cs(c, t) > inst.delay_bound()),
-            );
-        },
-        |mut a, b| {
-            a.extend(b);
-            a
-        },
-    );
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// The GAP reduction's constraint side, shared by both cost-row sources:
@@ -616,41 +567,6 @@ mod tests {
         assert_eq!(violating_clients(&inst, &[0]), vec![0]);
         // Hosting the zone on s1 instead: c0 at 100 fine, c1 at 400 bad.
         assert_eq!(violating_clients(&inst, &[1]), vec![1]);
-    }
-
-    #[test]
-    fn zone_scoped_violator_rescan_matches_full_scan() {
-        // 2 servers, 3 zones, 5 clients spread over the zones; targets
-        // chosen so both zones 0 and 2 have violators.
-        let inst = CapInstance::from_raw(
-            2,
-            3,
-            vec![0, 0, 1, 2, 2],
-            vec![
-                300.0, 100.0, // c0: violates s0
-                100.0, 400.0, // c1: fine on s0
-                100.0, 100.0, // c2: fine anywhere
-                400.0, 100.0, // c3: violates s0
-                300.0, 100.0, // c4: violates s0
-            ],
-            vec![0.0, 60.0, 60.0, 0.0],
-            vec![1000.0; 5],
-            vec![10_000.0; 2],
-            250.0,
-        );
-        let targets = vec![0, 0, 0];
-        let full = violating_clients(&inst, &targets);
-        assert_eq!(full, vec![0, 3, 4]);
-        // Scoped to every zone = the full scan.
-        assert_eq!(violating_clients_in(&inst, &targets, &[0, 1, 2]), full);
-        // Scoped to one zone = the full scan filtered to that zone.
-        assert_eq!(violating_clients_in(&inst, &targets, &[2]), vec![3, 4]);
-        assert_eq!(
-            violating_clients_in(&inst, &targets, &[1]),
-            Vec::<usize>::new()
-        );
-        // Duplicate zones do not duplicate clients.
-        assert_eq!(violating_clients_in(&inst, &targets, &[0, 0]), vec![0]);
     }
 
     #[test]

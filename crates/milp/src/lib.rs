@@ -32,12 +32,10 @@
 
 mod branch_bound;
 mod gap;
-mod hungarian;
 mod model;
 mod simplex;
 
 pub use branch_bound::{solve_milp, BbConfig, BinaryMilp, MilpOutcome, MilpSolution};
 pub use gap::{GapInstance, GapOutcome, GapSolution};
-pub use hungarian::{capacity_free_bound, hungarian};
 pub use model::{Constraint, LinearProgram, ModelError, Relation};
 pub use simplex::{solve_lp, LpError, LpOutcome, LpSolution};

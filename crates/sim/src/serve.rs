@@ -25,9 +25,8 @@
 //!   (same rule as [`repair_assignment_with`] step 2) over touched
 //!   columns, scoped evacuation of servers pushed over capacity, and
 //!   contact re-decisions for joiners, movers, migrated-zone members and
-//!   the zone-scoped violator rescan
-//!   ([`violating_clients_in`](dve_assign::violating_clients_in),
-//!   served by incrementally maintained per-zone unserved lists). When
+//!   the touched zones' unserved violators (incrementally maintained
+//!   per-zone lists, so no flush rescans a zone's membership). When
 //!   an overload cannot be evacuated locally and the engine was feasible
 //!   before the flush, it **falls back** to the global zone-level repair
 //!   ([`repair_targets_with`](crate::repair_targets_with)), applying
@@ -40,14 +39,14 @@
 //!   touches at least 8 zones (the concurrent-flush knee, a constant)
 //!   **proposes in parallel**
 //!   — each worker reads one immutable snapshot and derives its zones'
-//!   refreshed orderings, repair shift prefixes and ranked contact
-//!   plans — and then **commits serially** in worker-index order with
-//!   live capacity checks. Everything load-coupled (migrations,
-//!   evacuations, relay shedding, the full-repair escalation, server
-//!   failure and recovery) stays in the serial commit, so decisions are
-//!   bit-identical to the one-shard engine at every width. The
-//!   per-shard books live in [`ServeStats::shards`]. The argument is
-//!   spelled out in `docs/PARALLELISM.md` at the repository root.
+//!   refreshed orderings and ranked contact plans — and then **commits
+//!   serially** in worker-index order with live capacity checks.
+//!   Everything load-coupled (migrations, evacuations, relay shedding,
+//!   the full-repair escalation, server failure and recovery) stays in
+//!   the serial commit, so decisions are bit-identical to the one-shard
+//!   engine at every width. The per-shard books live in
+//!   [`ServeStats::shards`]. The argument is spelled out in
+//!   `docs/PARALLELISM.md` at the repository root.
 //! * [`run_stream`] — the stream runner: replays the exact event
 //!   sequence of a batch dynamics trace through the engine, recording
 //!   per-event latencies ([`LatencyHistogram`]) and per-epoch quality.
@@ -286,17 +285,10 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Flush after this many [`ServeEngine::tick`]s with events pending —
     /// the staleness bound for quiet periods when `max_batch` is never
-    /// reached.
+    /// reached. A driver that delivers events at their arrival times
+    /// (the [`InterArrival::Exponential`] mode of
+    /// [`run_mobility_stream_with`]) makes it a wall-clock deadline.
     pub max_staleness: usize,
-    /// How stream events spread over wall-clock within a tick. With
-    /// [`InterArrival::AtTick`] every event lands at its tick boundary
-    /// (the historical batch semantics); with
-    /// [`InterArrival::Exponential`] the runners draw per-event arrival
-    /// offsets, events spill across tick boundaries when a burst
-    /// outruns the tick, and `max_staleness` ticks become a genuine
-    /// wall-clock deadline (see
-    /// [`run_mobility_stream_with`]).
-    pub arrival: InterArrival,
     /// Graceful-degradation policy: admission control and ingest
     /// bounds. The default is fully open (historical behavior).
     pub degradation: DegradationPolicy,
@@ -311,13 +303,12 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// 64-event micro-batches, flushed after at most 4 idle ticks,
-    /// events at tick boundaries, open admission, one shard.
+    /// 64-event micro-batches, flushed after at most 4 idle ticks, open
+    /// admission, one shard.
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
             max_staleness: 4,
-            arrival: InterArrival::AtTick,
             degradation: DegradationPolicy::default(),
             shards: 1,
         }
@@ -568,11 +559,10 @@ pub struct ServeEngine {
 }
 
 /// The immutable state a concurrent flush shares with the propose
-/// workers: everything a zone-order refresh, a repair shift prefix, or
-/// a contact plan reads. Moved out of the engine with `mem::take`
-/// behind an `Arc` for the scatter and moved back before the serial
-/// commit — no clone of the big tables, and the workers can never see
-/// a half-committed engine.
+/// workers: everything a zone-order refresh or a contact plan reads.
+/// Moved out of the engine with `mem::take` behind an `Arc` for the
+/// scatter and moved back before the serial commit — no clone of the
+/// big tables, and the workers can never see a half-committed engine.
 struct FlushSnapshot {
     inst: CapInstance,
     matrix: CostMatrix,
@@ -599,13 +589,8 @@ struct ContactPlan {
 /// One worker's output of a concurrent flush propose scatter.
 #[derive(Debug, Default)]
 struct ShardProposal {
-    /// Per owned touched zone: `(zone, proposed order row, regret,
-    /// repair shift prefix)`. The prefix is the head of the *proposed*
-    /// row up to (excluding) the first server whose violator count
-    /// reaches the current target's — the exact candidate set the
-    /// serial quality-shift walk would consider before its
-    /// `count >= cur_count` break.
-    zones: Vec<(usize, Vec<u32>, f64, Vec<u32>)>,
+    /// Per owned touched zone: `(zone, proposed order row, regret)`.
+    zones: Vec<(usize, Vec<u32>, f64)>,
     /// Contact plans for the shard's redecide clients and (bounded)
     /// snapshot-unserved members.
     contacts: Vec<(usize, ContactPlan)>,
@@ -651,7 +636,7 @@ struct FlushScratch {
     clients_of: Vec<Vec<usize>>,
     /// Concurrent flush: per-worker `(row, ranked)` buffer demand.
     need: Vec<(usize, usize)>,
-    /// Pool of `u32` row buffers (order rows and shift prefixes).
+    /// Pool of `u32` order-row buffers.
     rows: Vec<Vec<u32>>,
     /// Pool of ranked-candidate buffers (`ContactPlan` backing stores).
     ranked: Vec<Vec<(f64, usize)>>,
@@ -660,8 +645,6 @@ struct FlushScratch {
     shells: Vec<ShardProposal>,
     /// Recycled scatter result slots ([`WorkerTeam::scatter`]).
     slots: Vec<Option<(ShardProposal, u64)>>,
-    /// Merge-side shift-prefix index (drained back into `rows`).
-    prefixes: HashMap<usize, Vec<u32>>,
     /// Merge-side contact-plan index (ranked stores drained back into
     /// `ranked`).
     plans: HashMap<usize, ContactPlan>,
@@ -1104,16 +1087,16 @@ impl ServeEngine {
         }
         touched.sort_unstable();
         touched.dedup();
-        // With a worker team and enough touched zones, the whole flush
-        // tail — column refresh, repair shift prefixes, and contact
-        // plans — proposes concurrently on disjoint shards and commits
-        // serially (see `flush_concurrent`); otherwise the serial
-        // pipeline runs at width 1. Bit-identical either way.
+        // With a worker team and enough touched zones, the flush tail's
+        // column refresh and contact plans propose concurrently on
+        // disjoint shards and commit serially (see `flush_concurrent`);
+        // otherwise the serial pipeline runs at width 1. Bit-identical
+        // either way.
         let (migrated, full_repair) = if self.team.is_some() && touched.len() >= TEAM_ZONE_MIN {
             self.flush_concurrent(&touched, &redecide)
         } else {
             self.matrix.refresh_zones_threads(&touched, 1);
-            let (migrated, full_repair) = self.repair_targets(&touched, None);
+            let (migrated, full_repair) = self.repair_targets(&touched);
             if !full_repair {
                 self.repair_contacts(&touched, &migrated, &redecide, None);
             }
@@ -1151,26 +1134,19 @@ impl ServeEngine {
         Some(report)
     }
 
-    /// The concurrent flush tail: everything between event application
-    /// and the load-coupled serial repair — zone-order refreshes, the
-    /// quality-shift candidate prefixes, and contact plans for
-    /// joiners/movers and unserved violators — is **proposed in
-    /// parallel** on disjoint zone shards (zone `z` on worker
-    /// `z % threads`) from one immutable snapshot of the engine, then
-    /// applied by a single serial merge that consumes the scatter's
-    /// results in worker-index order.
+    /// The concurrent flush tail: the zone-order refreshes and the
+    /// contact plans for joiners/movers and unserved violators are
+    /// **proposed in parallel** on disjoint zone shards (zone `z` on
+    /// worker `z % threads`) from one immutable snapshot of the engine,
+    /// then applied by a single serial merge that consumes the scatter's
+    /// results in worker-index order and runs the load-coupled repair.
     ///
     /// Why this is bit-identical to the serial pipeline at any width:
     ///
     /// * **Refreshes** read only their own zone's column, and zones are
     ///   disjoint across shards, so installing the proposed orders in
-    ///   any order yields the serial loop's matrix.
-    /// * **Shift prefixes** are count-based: violator counts cannot
-    ///   change between snapshot and commit (only events change counts,
-    ///   and they are all applied), and a zone's own target cannot
-    ///   change before its quality-shift turn, so the prefix equals
-    ///   exactly the candidates the serial walk's `count >= cur_count`
-    ///   break would visit. The *fit* checks stay live in the commit.
+    ///   any order yields the serial loop's matrix. The quality shifts
+    ///   then walk the installed orders in the merge, as at width 1.
     /// * **Contact plans** pre-rank relay candidates by `(C^R, index)`;
     ///   loads only grow while the commit books relays, so walking the
     ///   ranked list with live fit checks books the same server the
@@ -1209,9 +1185,9 @@ impl ServeEngine {
         for &z in touched {
             let w = z % threads;
             zones_of[w].push(z);
-            // Each zone proposal fills one order row and one prefix;
-            // each (bounded) unserved member fills one ranked list.
-            need[w].0 += 2;
+            // Each zone proposal fills one order row; each (bounded)
+            // unserved member fills one ranked list.
+            need[w].0 += 1;
             let u = self.unserved_of_zone[z].len();
             if u > 0 && u <= RESCUE_PLAN_MAX {
                 need[w].1 += u;
@@ -1252,20 +1228,6 @@ impl ServeEngine {
                     for &z in &zones {
                         let mut row = rows.pop().unwrap_or_default();
                         let rho = snap.matrix.propose_zone_order_into(z, &mut row);
-                        let cur = snap.targets[z];
-                        let cur_count = snap.matrix.count(cur, z);
-                        // Pool rows come back full; the prefix is
-                        // appended to, so clear it explicitly.
-                        let mut prefix = rows.pop().unwrap_or_default();
-                        prefix.clear();
-                        if cur_count > 0 {
-                            for &s in &row {
-                                if snap.matrix.count(s as usize, z) >= cur_count {
-                                    break;
-                                }
-                                prefix.push(s);
-                            }
-                        }
                         let unserved = &snap.unserved[z];
                         if !unserved.is_empty() && unserved.len() <= RESCUE_PLAN_MAX {
                             for &c in unserved {
@@ -1274,7 +1236,7 @@ impl ServeEngine {
                                 );
                             }
                         }
-                        p.zones.push((z, row, rho, prefix));
+                        p.zones.push((z, row, rho));
                     }
                     for &c in &clients {
                         p.contacts
@@ -1299,20 +1261,17 @@ impl ServeEngine {
         self.target_of_zone = snap.targets;
         self.unserved_of_zone = snap.unserved;
         // Serial merge, worker-index order: install the zone orders and
-        // index the proposals for the repair passes (the maps are only
-        // ever *looked up* by the live sweeps below, so their iteration
+        // index the contact plans for the repair passes (the map is only
+        // ever *looked up* by the live sweeps below, so its iteration
         // order never influences a decision).
-        let mut prefixes = std::mem::take(&mut self.scratch.prefixes);
         let mut plans = std::mem::take(&mut self.scratch.plans);
-        prefixes.clear();
         plans.clear();
         for (w, slot) in slots.iter_mut().enumerate() {
             let (mut proposal, ns) = slot.take().expect("scatter filled every slot");
             self.stats.shards[w].propose.record_ns(ns);
-            for (z, row, rho, prefix) in proposal.zones.drain(..) {
+            for (z, row, rho) in proposal.zones.drain(..) {
                 self.matrix.commit_zone_order(z, &row, rho);
                 rows_pool.push(row);
-                prefixes.insert(z, prefix);
             }
             for (c, plan) in proposal.contacts.drain(..) {
                 plans.insert(c, plan);
@@ -1323,13 +1282,12 @@ impl ServeEngine {
             ranked_pool.append(&mut proposal.ranked_stash);
             shells.push(proposal);
         }
-        let (migrated, full_repair) = self.repair_targets(touched, Some(&prefixes));
+        let (migrated, full_repair) = self.repair_targets(touched);
         if !full_repair {
             self.repair_contacts(touched, &migrated, redecide, Some(&plans));
         }
-        // Drain the proposal indices back into the buffer pools and
-        // restore everything for the next flush.
-        rows_pool.extend(prefixes.drain().map(|(_, prefix)| prefix));
+        // Drain the plan index back into the buffer pool and restore
+        // everything for the next flush.
         ranked_pool.extend(plans.drain().map(|(_, plan)| plan.ranked));
         self.scratch.zones_of = zones_of;
         self.scratch.clients_of = clients_of;
@@ -1338,7 +1296,6 @@ impl ServeEngine {
         self.scratch.ranked = ranked_pool;
         self.scratch.shells = shells;
         self.scratch.slots = slots;
-        self.scratch.prefixes = prefixes;
         self.scratch.plans = plans;
         (migrated, full_repair)
     }
@@ -1537,7 +1494,7 @@ impl ServeEngine {
         let mut all = std::mem::take(&mut self.scratch.touched);
         all.clear();
         all.extend(0..self.inst.num_zones());
-        let (migrated, full) = self.repair_targets(&all, None);
+        let (migrated, full) = self.repair_targets(&all);
         debug_assert!(!full, "restore sweep never escalates to full repair");
         if !full {
             self.repair_contacts(&all, &migrated, &[], None);
@@ -1688,13 +1645,7 @@ impl ServeEngine {
         let contact = self.contact_of_client[c];
         let target = self.target_of_zone[zone];
         if self.fwd_contrib[c] == 0.0 && contact != target {
-            let overhead = self.inst.client_forwarding_bps(c);
-            self.forward_load[contact] += overhead;
-            self.fwd_contrib[c] = overhead;
-            self.relay_pos_server[c] = self.relayed_of_server[contact].len();
-            self.relayed_of_server[contact].push(c);
-            self.relay_pos_zone[c] = self.relayed_of_zone[zone].len();
-            self.relayed_of_zone[zone].push(c);
+            self.book_relay(c, zone, contact, self.inst.client_forwarding_bps(c));
         } else if contact == target && self.inst.obs_cs(c, target) > self.inst.delay_bound() {
             // On its new target but beyond the bound: eligible for the
             // violator rescan until a relay is found.
@@ -1747,18 +1698,7 @@ impl ServeEngine {
     /// then scoped evacuation of any server pushed over capacity.
     /// Returns the migrated zones and whether it escalated to the full
     /// repair.
-    ///
-    /// `prefixes` (concurrent flushes only) maps a touched zone to the
-    /// worker-proposed candidate prefix of its refreshed order — the
-    /// servers before the `count >= cur_count` break. When present the
-    /// quality shift walks the prefix instead of re-deriving it; the
-    /// capacity fits (and everything downstream — evacuation,
-    /// escalation) stay live, so the decisions are identical.
-    fn repair_targets(
-        &mut self,
-        touched: &[usize],
-        prefixes: Option<&HashMap<usize, Vec<u32>>>,
-    ) -> (Vec<usize>, bool) {
+    fn repair_targets(&mut self, touched: &[usize]) -> (Vec<usize>, bool) {
         let m = self.inst.num_servers();
         // The accumulator recycles through the scratch pool; callers
         // restore it (`self.scratch.migrated = migrated`) once the
@@ -1790,31 +1730,16 @@ impl ServeEngine {
             if demand > headroom + 1e-9 {
                 continue;
             }
-            match prefixes.and_then(|p| p.get(&z)) {
-                Some(prefix) => {
-                    for &s in prefix {
-                        let s = s as usize;
-                        if self.load(s) + demand <= self.inst.capacity(s) + 1e-9 {
-                            self.migrate_zone(z, s);
-                            migrated.push(z);
-                            headroom = self.max_headroom();
-                            break;
-                        }
-                    }
+            for i in 0..m {
+                let s = self.matrix.order(z)[i] as usize;
+                if self.matrix.count(s, z) >= cur_count {
+                    break;
                 }
-                None => {
-                    for i in 0..m {
-                        let s = self.matrix.order(z)[i] as usize;
-                        if self.matrix.count(s, z) >= cur_count {
-                            break;
-                        }
-                        if self.load(s) + demand <= self.inst.capacity(s) + 1e-9 {
-                            self.migrate_zone(z, s);
-                            migrated.push(z);
-                            headroom = self.max_headroom();
-                            break;
-                        }
-                    }
+                if self.load(s) + demand <= self.inst.capacity(s) + 1e-9 {
+                    self.migrate_zone(z, s);
+                    migrated.push(z);
+                    headroom = self.max_headroom();
+                    break;
                 }
             }
         }
@@ -1912,7 +1837,7 @@ impl ServeEngine {
             // (the list shrinks), or it re-picks `s` — which the fit
             // check only allows once `s` is back within capacity, ending
             // the loop either way.
-            self.decide_contact_among(c, Some(&room));
+            self.decide_contact_among(c, room.iter().copied());
         }
         self.scratch.room = room;
         // The hosted-zone book plus a (demand desc, zone asc) sort is
@@ -2026,7 +1951,7 @@ impl ServeEngine {
                     Some(plan) if self.target_of_zone[z] == plan.target => {
                         self.decide_contact_planned(c, plan.target, &plan.ranked);
                     }
-                    _ => self.decide_contact_among(c, Some(&candidates)),
+                    _ => self.decide_contact_among(c, candidates.iter().copied()),
                 }
                 if self.unserved_pos[c] == i {
                     i += 1;
@@ -2041,26 +1966,20 @@ impl ServeEngine {
     /// servers with forwarding capacity (ties: lowest index; the target
     /// itself always fits at zero overhead).
     fn decide_contact(&mut self, c: usize) {
-        self.decide_contact_among(c, None);
+        self.decide_contact_among(c, 0..self.inst.num_servers());
     }
 
     /// [`ServeEngine::decide_contact`] with the relay scan restricted to
-    /// `candidates` (`None` scans every server). Callers sweeping a whole
-    /// zone fill one via [`ServeEngine::relay_candidates_into`] so the scan
-    /// skips servers that cannot fit the zone's uniform overhead; the fit
+    /// `candidates`, in ascending server order ([`ServeEngine::decide_contact`]
+    /// scans every server). Callers sweeping a whole zone fill one list
+    /// via [`ServeEngine::relay_candidates_into`] so the scan skips
+    /// servers that cannot fit the zone's uniform overhead; the fit
     /// check here remains authoritative against loads the sweep itself
     /// booked in the meantime.
-    fn decide_contact_among(&mut self, c: usize, candidates: Option<&[usize]>) {
+    fn decide_contact_among(&mut self, c: usize, candidates: impl IntoIterator<Item = usize>) {
         let z = self.inst.zone_of(c);
         let target = self.target_of_zone[z];
-        // Take the current relay (if any) off the books first.
-        self.unrelay(c);
-        let current = self.contact_of_client[c];
-        self.forward_load[current] -= self.fwd_contrib[c];
-        self.fwd_contrib[c] = 0.0;
-        self.contact_of_client[c] = target;
-        if self.inst.obs_cs(c, target) <= self.inst.delay_bound() {
-            self.clear_unserved(z, c);
+        if self.release_to_target(c, z, target) {
             return;
         }
         let overhead = self.inst.client_forwarding_bps(c);
@@ -2068,38 +1987,17 @@ impl ServeEngine {
         let fits = |engine: &Self, s: usize| {
             s != target && engine.load(s) + overhead <= engine.inst.capacity(s) + 1e-9
         };
-        match candidates {
-            Some(list) => {
-                for &s in list {
-                    if !fits(self, s) {
-                        continue;
-                    }
-                    let cost = self.inst.rap_cost(c, s, target);
-                    if cost < best.0 {
-                        best = (cost, s);
-                    }
-                }
+        for s in candidates {
+            if !fits(self, s) {
+                continue;
             }
-            None => {
-                for s in 0..self.inst.num_servers() {
-                    if !fits(self, s) {
-                        continue;
-                    }
-                    let cost = self.inst.rap_cost(c, s, target);
-                    if cost < best.0 {
-                        best = (cost, s);
-                    }
-                }
+            let cost = self.inst.rap_cost(c, s, target);
+            if cost < best.0 {
+                best = (cost, s);
             }
         }
         if best.1 != target {
-            self.contact_of_client[c] = best.1;
-            self.fwd_contrib[c] = overhead;
-            self.forward_load[best.1] += overhead;
-            self.relay_pos_server[c] = self.relayed_of_server[best.1].len();
-            self.relayed_of_server[best.1].push(c);
-            self.relay_pos_zone[c] = self.relayed_of_zone[z].len();
-            self.relayed_of_zone[z].push(c);
+            self.book_relay(c, z, best.1, overhead);
             self.clear_unserved(z, c);
         } else {
             self.mark_unserved(z, c);
@@ -2124,13 +2022,7 @@ impl ServeEngine {
     fn decide_contact_planned(&mut self, c: usize, target: usize, ranked: &[(f64, usize)]) {
         let z = self.inst.zone_of(c);
         debug_assert_eq!(self.target_of_zone[z], target, "caller guards the plan");
-        self.unrelay(c);
-        let current = self.contact_of_client[c];
-        self.forward_load[current] -= self.fwd_contrib[c];
-        self.fwd_contrib[c] = 0.0;
-        self.contact_of_client[c] = target;
-        if self.inst.obs_cs(c, target) <= self.inst.delay_bound() {
-            self.clear_unserved(z, c);
+        if self.release_to_target(c, z, target) {
             return;
         }
         let overhead = self.inst.client_forwarding_bps(c);
@@ -2142,17 +2034,43 @@ impl ServeEngine {
             }
         }
         if let Some(s) = winner {
-            self.contact_of_client[c] = s;
-            self.fwd_contrib[c] = overhead;
-            self.forward_load[s] += overhead;
-            self.relay_pos_server[c] = self.relayed_of_server[s].len();
-            self.relayed_of_server[s].push(c);
-            self.relay_pos_zone[c] = self.relayed_of_zone[z].len();
-            self.relayed_of_zone[z].push(c);
+            self.book_relay(c, z, s, overhead);
             self.clear_unserved(z, c);
         } else {
             self.mark_unserved(z, c);
         }
+    }
+
+    /// Takes `c`'s relay (if any) off the books and puts it back on
+    /// `target`, its zone `z`'s target. Returns `true` when the target is
+    /// within the delay bound (`c` is served directly and leaves the
+    /// unserved list), `false` when `c` still needs a relay.
+    #[inline]
+    fn release_to_target(&mut self, c: usize, z: usize, target: usize) -> bool {
+        self.unrelay(c);
+        let current = self.contact_of_client[c];
+        self.forward_load[current] -= self.fwd_contrib[c];
+        self.fwd_contrib[c] = 0.0;
+        self.contact_of_client[c] = target;
+        let direct = self.inst.obs_cs(c, target) <= self.inst.delay_bound();
+        if direct {
+            self.clear_unserved(z, c);
+        }
+        direct
+    }
+
+    /// Books `c`, a member of zone `z`, as relayed through `contact` at
+    /// forwarding overhead `overhead`: its contact and contribution, the
+    /// contact's forwarding load, and both relay lists with positions.
+    #[inline]
+    fn book_relay(&mut self, c: usize, z: usize, contact: usize, overhead: f64) {
+        self.contact_of_client[c] = contact;
+        self.fwd_contrib[c] = overhead;
+        self.forward_load[contact] += overhead;
+        self.relay_pos_server[c] = self.relayed_of_server[contact].len();
+        self.relayed_of_server[contact].push(c);
+        self.relay_pos_zone[c] = self.relayed_of_zone[z].len();
+        self.relayed_of_zone[z].push(c);
     }
 
     /// Servers that currently have room for one relay out of zone `z`
@@ -2254,16 +2172,9 @@ impl ServeEngine {
             let z = self.inst.zone_of(c);
             let target = self.target_of_zone[z];
             if contact != target {
-                let overhead = self.inst.client_forwarding_bps(c);
-                self.forward_load[contact] += overhead;
-                self.fwd_contrib[c] = overhead;
-                self.relay_pos_server[c] = self.relayed_of_server[contact].len();
-                self.relayed_of_server[contact].push(c);
-                self.relay_pos_zone[c] = self.relayed_of_zone[z].len();
-                self.relayed_of_zone[z].push(c);
+                self.book_relay(c, z, contact, self.inst.client_forwarding_bps(c));
             } else if self.inst.obs_cs(c, target) > self.inst.delay_bound() {
-                self.unserved_pos[c] = self.unserved_of_zone[z].len();
-                self.unserved_of_zone[z].push(c);
+                self.mark_unserved(z, c);
             }
         }
         self.capacity_ok = (0..m).all(|s| self.load(s) <= self.inst.capacity(s) + 1e-9);
@@ -2499,7 +2410,8 @@ pub fn run_stream_with_warmup(
 /// Mobility emits only moves, so engine client indices coincide with the
 /// mirror world's and ids never retire. Ticks run inside the steady
 /// phase; the caller's `config` controls micro-batching exactly as in
-/// [`run_stream`].
+/// [`run_stream`]. Every tick's moves arrive at its boundary
+/// ([`InterArrival::AtTick`]) and quality is evaluated exactly.
 pub fn run_mobility_stream(
     setup: &SimSetup,
     index: usize,
@@ -2515,14 +2427,16 @@ pub fn run_mobility_stream(
         ticks,
         policy,
         config,
+        InterArrival::AtTick,
         QualityEstimator::Exact,
     )
 }
 
-/// [`run_mobility_stream`] with an explicit [`QualityEstimator`] — the
-/// form the million-tier mobility runs use, where the per-tick O(k)
-/// exact evaluation (and a forced flush per tick) would swamp the
-/// serving work. The two behaviors `config` selects:
+/// [`run_mobility_stream`] with explicit event timing and
+/// [`QualityEstimator`] — the form the million-tier mobility runs use,
+/// where the per-tick O(k) exact evaluation (and a forced flush per
+/// tick) would swamp the serving work. The two behaviors `arrival`
+/// selects:
 ///
 /// * [`InterArrival::AtTick`] — the historical semantics, byte for
 ///   byte: every tick's moves are pushed at the boundary, the engine is
@@ -2543,6 +2457,7 @@ pub fn run_mobility_stream_with(
     ticks: usize,
     policy: StuckPolicy,
     config: ServeConfig,
+    arrival: InterArrival,
     quality: QualityEstimator,
 ) -> Result<StreamReport, ServeError> {
     let rep = build_replication(setup, index);
@@ -2561,7 +2476,7 @@ pub fn run_mobility_stream_with(
     let mut world = rep.world;
     let mut rng = rep.rng;
     let mut sample_rng = StdRng::seed_from_u64(setup.base_seed.wrapping_add(index as u64) ^ 0x9a11);
-    let timed = !matches!(config.arrival, InterArrival::AtTick);
+    let timed = !matches!(arrival, InterArrival::AtTick);
     // Events drawn but not yet delivered (arrival time still in the
     // future), as (absolute arrival tick, mover id, zone). NOT sorted
     // globally: each tick's schedule is increasing, but a burst longer
@@ -2573,7 +2488,7 @@ pub fn run_mobility_stream_with(
     let mut seen = (0u64, 0u64, 0u64);
     for tick in 0..ticks {
         if timed {
-            for (at, event) in model.timed_events(&world, config.arrival, &mut rng) {
+            for (at, event) in model.timed_events(&world, arrival, &mut rng) {
                 let WorldEvent::Move { client, zone } = event else {
                     unreachable!("mobility emits only moves");
                 };
@@ -2785,11 +2700,15 @@ mod tests {
         // position index in step.
         let inst = engine.instance();
         for (z, list) in engine.unserved_of_zone.iter().enumerate() {
-            let mut expected: Vec<usize> =
-                dve_assign::violating_clients_in(inst, &engine.assignment().target_of_zone, &[z])
-                    .into_iter()
-                    .filter(|&c| engine.contacts()[c] == engine.assignment().target_of_zone[z])
-                    .collect();
+            let target = engine.targets()[z];
+            let mut expected: Vec<usize> = inst
+                .clients_in_zone(z)
+                .iter()
+                .copied()
+                .filter(|&c| {
+                    inst.obs_cs(c, target) > inst.delay_bound() && engine.contacts()[c] == target
+                })
+                .collect();
             let mut got = list.clone();
             expected.sort_unstable();
             got.sort_unstable();
@@ -3230,10 +3149,10 @@ mod tests {
         let timed_config = ServeConfig {
             max_batch: 1000, // flushes come from the staleness heartbeat
             max_staleness: 2,
-            arrival: InterArrival::Exponential {
-                mean_gap_ticks: 0.02,
-            },
             ..Default::default()
+        };
+        let arrival = InterArrival::Exponential {
+            mean_gap_ticks: 0.02,
         };
         let report = run_mobility_stream_with(
             &setup,
@@ -3242,6 +3161,7 @@ mod tests {
             6,
             StuckPolicy::BestEffort,
             timed_config,
+            arrival,
             QualityEstimator::Exact,
         )
         .expect("feasible");
@@ -3268,6 +3188,7 @@ mod tests {
             6,
             StuckPolicy::BestEffort,
             timed_config,
+            arrival,
             QualityEstimator::Exact,
         )
         .expect("feasible");
@@ -3729,6 +3650,46 @@ mod tests {
             }
             recycled = dirty.ranked;
         }
+    }
+
+    /// The two contact routes of `repair_contacts` book the same server
+    /// for every client: the live scan and a worker-ranked plan both
+    /// take the cheapest fitting relay, ties to the lowest index.
+    #[test]
+    fn planned_and_live_contact_decisions_agree() {
+        let setup = small_setup();
+        let churned = || {
+            let mut engine = boot_engine(&setup, ServeConfig::default());
+            for i in 0..40 {
+                engine
+                    .push(StreamEvent::Join {
+                        node: i % 40,
+                        zone: (7 * i) % 15,
+                    })
+                    .unwrap();
+            }
+            engine.flush_now();
+            engine
+        };
+        let mut live = churned();
+        let mut planned = churned();
+        let snap = FlushSnapshot {
+            inst: planned.inst.clone(),
+            matrix: planned.matrix.clone(),
+            targets: planned.target_of_zone.clone(),
+            unserved: planned.unserved_of_zone.clone(),
+        };
+        let mut relayed = 0;
+        for c in 0..live.num_clients() {
+            live.decide_contact(c);
+            let (_, plan) = snap.plan_contact_with(c, Vec::new());
+            planned.decide_contact_planned(c, plan.target, &plan.ranked);
+            assert_eq!(live.contacts()[c], planned.contacts()[c], "client {c}");
+            relayed += usize::from(live.fwd_contrib[c] > 0.0);
+        }
+        assert!(relayed > 0, "no client took a relay");
+        assert_engine_consistent(&live);
+        assert_engine_consistent(&planned);
     }
 
     /// Fifty churn+fault flushes on one engine: the scratch pool

@@ -138,8 +138,8 @@ pub struct Replication {
 /// The whole pipeline runs behind [`DelaySource`]: the topology's delays
 /// are wrapped per [`SimSetup::delay_mode`], gathered into a
 /// [`WorldDelays`] handle for the world's servers, and the instance is
-/// built by the blocked one-pass [`CapInstance::from_world`] in the
-/// configured [`SimSetup::delay_layout`]. With the defaults (dense
+/// built by [`CapInstance::from_world`] in the configured
+/// [`SimSetup::delay_layout`]. With the defaults (dense
 /// matrix source, `Dense64` rows) every value is bit-identical to the
 /// historical `CapInstance::build` path — property-tested in
 /// `dve-assign` — so seeded experiments reproduce exactly.

@@ -22,8 +22,8 @@
 //! `ClientId` discipline: the initial population is `0..k` in index
 //! order, joiners take sequential ids in admission order), *not* a
 //! base-world index — remote producers cannot track per-flush index
-//! rebasing. The engine-side pull loop owns the translation table. A
-//! frame longer than [`MAX_FRAME`] is refused outright so a garbage
+//! rebasing. The pull loop passes ids to the engine unchanged, and the
+//! engine maps each id to its current index. A frame longer than [`MAX_FRAME`] is refused outright so a garbage
 //! length prefix cannot make the reader buffer gigabytes.
 //!
 //! [`FrameReader`] is the incremental decoder: feed it byte chunks as
