@@ -30,6 +30,7 @@
 
 use crate::instance::CapInstance;
 use dve_world::WorldDelta;
+use std::cell::RefCell;
 
 /// Dense precomputation of the IAP cost `C^I` with the per-zone
 /// structures the greedy and local-search algorithms consume.
@@ -86,7 +87,8 @@ impl CostMatrix {
     /// calling [`CapInstance::iap_cost`] for all (server, zone) pairs —
     /// and the per-zone orderings/regrets derive from them
     /// deterministically (each zone independent). The orderings add
-    /// O(n·m log m), sharded across the team too.
+    /// O(n·m) through a counting sort per zone, sharded across the team
+    /// too.
     pub fn build_threads(inst: &CapInstance, threads: usize) -> CostMatrix {
         let m = inst.num_servers();
         let n = inst.num_zones();
@@ -128,7 +130,11 @@ impl CostMatrix {
         threads: usize,
     ) -> CostMatrix {
         assert_eq!(cost.len(), zones * servers, "counts must be zone-major");
-        let mut order = vec![0u32; zones * servers];
+        // Identity rows: the permutation `order_zone` starts from.
+        let mut order = Vec::with_capacity(zones * servers);
+        for _ in 0..zones {
+            order.extend(0..servers as u32);
+        }
         let mut regret = vec![0.0; zones];
         if threads <= 1 || zones < PAR_ZONE_MIN || servers == 0 {
             for z in 0..zones {
@@ -163,7 +169,7 @@ impl CostMatrix {
     /// adds the joiner's (read from `new`), and a move does one of each —
     /// at most two columns per event. The per-zone orderings and regrets
     /// are then re-derived for the touched zones only. Total work is
-    /// O(|delta|·m + t·m log m) for t touched zones, versus the O(k·m)
+    /// O(|delta|·m + t·m) for t touched zones, versus the O(k·m)
     /// full [`CostMatrix::build`]; the result is **bit-identical** to a
     /// fresh build on `new` (integer counts, same sort keys).
     ///
@@ -254,28 +260,26 @@ impl CostMatrix {
     /// zone from its current counts — the deferred tail of a run of
     /// [`CostMatrix::retire_client`]/[`CostMatrix::admit_client`] calls.
     /// After refreshing every touched zone the matrix is bit-identical to
-    /// a fresh [`CostMatrix::build`] of the updated instance. O(zones·m
-    /// log m).
+    /// a fresh [`CostMatrix::build`] of the updated instance. O(zones·m):
+    /// each zone is one counting sort over its column.
     pub fn refresh_zones(&mut self, zones: &[usize]) {
         self.refresh_zones_threads(zones, dve_par::default_threads());
     }
 
     /// [`CostMatrix::refresh_zones`] on an explicit worker team. Zones
-    /// are refreshed independently (each sort reads only its own counts
-    /// and previous order), so each worker sorts its zones' order rows
-    /// **in place** — per-shard owned column installs, no proposal
+    /// are refreshed independently (each order is a function of the
+    /// zone's own counts alone), so each worker sorts its zones' order
+    /// rows **in place** — per-shard owned column installs, no proposal
     /// buffers and no serial copy-back pass. The zone list is sorted and
     /// deduplicated first (required to carve the storage into disjoint
-    /// mutable rows; exact, because re-sorting an already-sorted row is
-    /// the identity and its regret recomputes to the same value), so the
-    /// result is bit-identical to the serial loop at any width.
+    /// mutable rows; exact, because re-sorting a zone reproduces its row
+    /// and regret), so the result is bit-identical to the serial loop at
+    /// any width.
     pub fn refresh_zones_threads(&mut self, zones: &[usize], threads: usize) {
         let m = self.servers;
         if threads <= 1 || zones.len() < PAR_ZONE_MIN {
             for &z in zones {
-                // The previous order is a valid permutation and nearly
-                // sorted; re-sorting it beats rebuilding from the identity.
-                self.regret[z] = reorder_zone(
+                self.regret[z] = order_zone(
                     &self.cost[z * m..(z + 1) * m],
                     &mut self.order[z * m..(z + 1) * m],
                 );
@@ -306,7 +310,7 @@ impl CostMatrix {
             rows.push((z, row, &mut rho[0]));
         }
         dve_par::par_for_each_mut_with(threads, &mut rows, |_, (z, row, rho)| {
-            **rho = reorder_zone(&cost[*z * m..(*z + 1) * m], row);
+            **rho = order_zone(&cost[*z * m..(*z + 1) * m], row);
         });
     }
 
@@ -333,7 +337,7 @@ impl CostMatrix {
         let m = self.servers;
         row.clear();
         row.extend_from_slice(&self.order[z * m..(z + 1) * m]);
-        reorder_zone(&self.cost[z * m..(z + 1) * m], row)
+        order_zone(&self.cost[z * m..(z + 1) * m], row)
     }
 
     /// The commit half of a sharded refresh: installs an order/regret
@@ -432,25 +436,67 @@ fn merge_counts(mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
     a
 }
 
-/// Rebuilds one zone's desirability order from scratch and returns its
-/// regret: servers sorted by (cost ascending, index ascending), regret =
-/// second-best − best cost (0 with fewer than two servers).
-fn order_zone(counts: &[u32], row: &mut [u32]) -> f64 {
-    for (i, slot) in row.iter_mut().enumerate() {
-        *slot = i as u32;
-    }
-    reorder_zone(counts, row)
+/// Widest count span, as a multiple of the server count, that
+/// [`order_zone`] counting-sorts. A wider column (a flash-crowd zone
+/// with thousands of members spread over few servers) takes the
+/// comparison sort instead, so no zone costs more than O(m log m).
+const SPAN_PER_SERVER: usize = 4;
+
+thread_local! {
+    /// Per-thread bucket table of [`order_zone`]'s counting sort. It
+    /// grows to the widest span the thread has sorted and is reused, so
+    /// after warm-up the kernel allocates nothing.
+    static BUCKETS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// [`order_zone`] when `row` already holds a permutation of the servers
-/// (a previously derived order). The sort key is a strict total order, so
-/// the result is identical to sorting from the identity — but a churn
-/// update perturbs only a few counts, the permutation is nearly sorted,
-/// and the pattern-defeating sort finishes in near-linear time. This is
-/// what keeps the streaming engine's per-flush
-/// [`CostMatrix::refresh_zones`] cheap.
-fn reorder_zone(counts: &[u32], row: &mut [u32]) -> f64 {
-    row.sort_unstable_by_key(|&s| (counts[s as usize], s));
+/// The one order kernel: sorts `row`, a permutation of the zone's
+/// servers, by (count ascending, index ascending) — the order GreZ
+/// probes — and returns the zone's regret, second-best − best count (0
+/// with fewer than two servers).
+///
+/// `C^I` counts are small integers, at most the zone's population, so
+/// the kernel is a counting sort over the column's *span* (largest −
+/// smallest count + 1): one pass finds the bounds, one fills the
+/// buckets, one places each server at its bucket's next slot. Servers
+/// are placed in index order, so tied counts keep ascending indices and
+/// the row is exactly the comparison sort's, whatever permutation it
+/// held before. Work is O(m + span). A column whose span exceeds
+/// `SPAN_PER_SERVER · m` is comparison-sorted from its previous
+/// permutation instead (the key is a strict total order, so the result
+/// is the same).
+fn order_zone(counts: &[u32], row: &mut [u32]) -> f64 {
+    debug_assert_eq!(counts.len(), row.len());
+    let Some((&first, rest)) = counts.split_first() else {
+        return 0.0;
+    };
+    let (lo, hi) = rest
+        .iter()
+        .fold((first, first), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+    let span = (hi - lo) as usize + 1;
+    if span <= SPAN_PER_SERVER * counts.len() {
+        BUCKETS.with(|buckets| {
+            let mut next = buckets.borrow_mut();
+            next.clear();
+            next.resize(span, 0);
+            for &c in counts {
+                next[(c - lo) as usize] += 1;
+            }
+            // Exclusive prefix sums: each bucket's first slot.
+            let mut start = 0;
+            for slot in next.iter_mut() {
+                let size = *slot;
+                *slot = start;
+                start += size;
+            }
+            for (s, &c) in counts.iter().enumerate() {
+                let slot = &mut next[(c - lo) as usize];
+                row[*slot as usize] = s as u32;
+                *slot += 1;
+            }
+        });
+    } else {
+        row.sort_unstable_by_key(|&s| (counts[s as usize], s));
+    }
     if row.len() >= 2 {
         f64::from(counts[row[1] as usize]) - f64::from(counts[row[0] as usize])
     } else {
@@ -941,6 +987,82 @@ mod tests {
         let fresh = IncrementalEval::new(&new, &new_matrix, &target);
         assert_eq!(rebased.total_cost(), fresh.total_cost());
         assert_eq!(rebased.loads(), fresh.loads());
+    }
+
+    /// The reference the order kernel must reproduce: the comparison
+    /// sort by (count, index) from the identity, and its regret.
+    fn reference_order(counts: &[u32]) -> (Vec<u32>, u64) {
+        let mut row: Vec<u32> = (0..counts.len() as u32).collect();
+        row.sort_by_key(|&s| (counts[s as usize], s));
+        let rho = if row.len() >= 2 {
+            f64::from(counts[row[1] as usize]) - f64::from(counts[row[0] as usize])
+        } else {
+            0.0
+        };
+        (row, rho.to_bits())
+    }
+
+    /// A column of `m` counts in `lo..lo + span` whose span is exactly
+    /// `span` (both ends present) once `m >= 2`.
+    fn column(rng: &mut StdRng, m: usize, lo: u32, span: u32) -> Vec<u32> {
+        let span = if m >= 2 { span.max(1) } else { 1 };
+        let mut counts: Vec<u32> = (0..m).map(|_| lo + rng.gen_range(0..span)).collect();
+        if m >= 2 {
+            let i = rng.gen_range(0..m);
+            let j = (i + rng.gen_range(1..m)) % m;
+            counts[i] = lo;
+            counts[j] = lo + span - 1;
+        }
+        counts
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The counting-sort kernel and its comparison-sort fallback are
+        /// bit-identical to the (count, index) sort on arbitrary columns:
+        /// all-equal, narrow spans thick with ties, spans either side of
+        /// the fallback threshold, and spans up to 10^6 — through all
+        /// three callers (the build, the serial refresh from a scrambled
+        /// previous row, and the propose API with a dirty recycled row).
+        #[test]
+        fn order_kernel_matches_comparison_sort(seed in proptest::prelude::any::<u64>()) {
+            use rand::seq::SliceRandom;
+            let mut rng = StdRng::seed_from_u64(seed);
+            for m in [0usize, 1, 2, 3, 63, 64, 65, 200] {
+                let threshold = (SPAN_PER_SERVER * m) as u32;
+                let mut spans = vec![1, rng.gen_range(2..=8), rng.gen_range(1..=1_000_000)];
+                spans.extend([threshold.saturating_sub(1), threshold, threshold + 1]);
+                for span in spans {
+                    let lo = if rng.gen::<bool>() { 0 } else { rng.gen_range(0..1_000_000) };
+                    let counts = column(&mut rng, m, lo, span);
+                    let (want_row, want_rho) = reference_order(&counts);
+
+                    let built = CostMatrix::from_counts_threads(m, 1, counts.clone(), 1);
+                    assert_eq!(built.order(0), &want_row[..], "build m={m} span={span}");
+                    assert_eq!(built.regret(0).to_bits(), want_rho, "build m={m} span={span}");
+
+                    let mut scrambled = want_row.clone();
+                    scrambled.shuffle(&mut rng);
+                    let stale = CostMatrix {
+                        servers: m,
+                        zones: 1,
+                        cost: counts.clone(),
+                        order: scrambled,
+                        regret: vec![f64::NAN],
+                    };
+                    let mut dirty: Vec<u32> = (0..rng.gen_range(0..2 * m + 3)).map(|_| rng.gen()).collect();
+                    let rho = stale.propose_zone_order_into(0, &mut dirty);
+                    assert_eq!(dirty, want_row, "propose m={m} span={span}");
+                    assert_eq!(rho.to_bits(), want_rho, "propose m={m} span={span}");
+
+                    let mut refreshed = stale.clone();
+                    refreshed.refresh_zones_threads(&[0], 1);
+                    assert_eq!(refreshed.order(0), &want_row[..], "refresh m={m} span={span}");
+                    assert_eq!(refreshed.regret(0).to_bits(), want_rho, "refresh m={m} span={span}");
+                }
+            }
+        }
     }
 
     #[test]

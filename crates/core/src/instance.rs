@@ -33,6 +33,23 @@ pub const DEFAULT_DELAY_BOUND_MS: f64 = 250.0;
 /// serially.
 const BUILD_BLOCK: usize = 4096;
 
+/// Capacity to allocate for a population-sized array of `k` clients:
+/// `k` plus k/8 spare slots for joiners. The spare slots are allocated
+/// but never written, so they cost no resident memory, and a serving
+/// engine's first joins after boot grow no population-sized array
+/// (growing one copies it, inside a latency-accounted flush).
+pub(crate) const fn population_capacity(k: usize) -> usize {
+    k + k / 8
+}
+
+/// Collects the `k` items of a population-sized array into a vector of
+/// [`population_capacity`]`(k)`.
+fn collect_population<T>(k: usize, items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(population_capacity(k));
+    out.extend(items);
+    out
+}
+
 /// How an instance stores its k×m client→server delay rows. The row-slot
 /// indirection (`row_of_client`) decouples client identity from storage,
 /// so both layouts serve the same accessor API.
@@ -54,25 +71,27 @@ pub enum DelayLayout {
 /// `row_slot * servers + server`.
 #[derive(Debug, Clone)]
 enum DelayTable {
+    /// Per-client rows. `tru` is `None` while every observation equals
+    /// its true delay (the perfect error model): `obs` then answers for
+    /// both, and the table costs one k×m copy instead of two. The first
+    /// imperfect [`DelayTable::write_row`] materialises `tru` from `obs`.
     Dense {
         obs: Vec<f64>,
-        tru: Vec<f64>,
+        tru: Option<Vec<f64>>,
     },
     /// One row per topology node, shared by every client at that node
     /// (observed == true by the layout's perfect-observation contract).
     /// The table itself is the [`WorldDelays`] gather table behind its
     /// `Arc` — instances, engines, and clones all reference the one
     /// substrate-sized copy.
-    Shared {
-        rtt: std::sync::Arc<Vec<f64>>,
-    },
+    Shared { rtt: std::sync::Arc<Vec<f64>> },
 }
 
 impl Default for DelayTable {
     fn default() -> DelayTable {
         DelayTable::Dense {
             obs: Vec::new(),
-            tru: Vec::new(),
+            tru: None,
         }
     }
 }
@@ -87,7 +106,7 @@ impl DelayTable {
 
     fn rows(&self, m: usize) -> usize {
         let cells = match self {
-            DelayTable::Dense { tru, .. } => tru.len(),
+            DelayTable::Dense { obs, .. } => obs.len(),
             DelayTable::Shared { rtt } => rtt.len(),
         };
         cells.checked_div(m).unwrap_or(0)
@@ -97,7 +116,7 @@ impl DelayTable {
     /// gates of the million-client tier).
     fn bytes(&self) -> usize {
         match self {
-            DelayTable::Dense { obs, tru } => (obs.len() + tru.len()) * 8,
+            DelayTable::Dense { obs, tru } => (obs.len() + tru.as_ref().map_or(0, Vec::len)) * 8,
             DelayTable::Shared { rtt } => rtt.len() * 8,
         }
     }
@@ -113,7 +132,7 @@ impl DelayTable {
     #[inline]
     fn tru(&self, i: usize) -> f64 {
         match self {
-            DelayTable::Dense { tru, .. } => tru[i],
+            DelayTable::Dense { obs, tru } => tru.as_ref().unwrap_or(obs)[i],
             DelayTable::Shared { rtt } => rtt[i],
         }
     }
@@ -144,7 +163,9 @@ impl DelayTable {
         match self {
             DelayTable::Dense { obs, tru } => {
                 obs.resize((slot as usize + 1) * m, 0.0);
-                tru.resize((slot as usize + 1) * m, 0.0);
+                if let Some(tru) = tru {
+                    tru.resize((slot as usize + 1) * m, 0.0);
+                }
             }
             DelayTable::Shared { .. } => unreachable!("shared rows are never allocated"),
         }
@@ -152,7 +173,9 @@ impl DelayTable {
     }
 
     /// Fills one row from true delays, drawing the observation error in
-    /// server order (the same draw discipline as a fresh build).
+    /// server order (the same draw discipline as a fresh build). The
+    /// first imperfect write gives the table its separate true copy;
+    /// every earlier row's observations are still its true delays.
     fn write_row<R: Rng + ?Sized>(
         &mut self,
         slot: u32,
@@ -164,8 +187,15 @@ impl DelayTable {
         let base = slot as usize * m;
         match self {
             DelayTable::Dense { obs, tru } => {
+                if tru.is_none() && error.factor != 1.0 {
+                    let mut copy = Vec::with_capacity(obs.capacity());
+                    copy.extend_from_slice(obs);
+                    *tru = Some(copy);
+                }
+                if let Some(tru) = tru {
+                    tru[base..base + m].copy_from_slice(row);
+                }
                 for (j, &d) in row.iter().enumerate() {
-                    tru[base + j] = d;
                     // `observe` returns `d` untouched (no RNG draw)
                     // under the perfect model.
                     obs[base + j] = error.observe(d, rng);
@@ -198,7 +228,8 @@ pub struct CapInstance {
     /// without this the tables would grow without bound under
     /// imbalanced churn. Always empty under the shared layout.
     free_rows: Vec<u32>,
-    /// Client→server delay rows (observed + true), layout-polymorphic.
+    /// Client→server delay rows, layout-polymorphic: the observed rows,
+    /// plus the true rows only when some observation differs from them.
     cs: DelayTable,
     /// Observed server-to-server RTTs (provisioning already applied).
     obs_ss: Vec<f64>,
@@ -300,7 +331,7 @@ impl CapInstance {
                 .map(|&node| delays.rtt(client.node, node))
                 .collect()
         });
-        let mut true_cs = Vec::with_capacity(clients * servers);
+        let mut true_cs = Vec::with_capacity(population_capacity(clients) * servers);
         for row in rows {
             true_cs.extend_from_slice(&row);
         }
@@ -312,12 +343,9 @@ impl CapInstance {
         }
 
         // Observed = true + estimation error. Client-server estimates are
-        // independent per pair; server-server pairs stay symmetric.
-        let obs_cs = if error.factor == 1.0 {
-            true_cs.clone()
-        } else {
-            true_cs.iter().map(|&d| error.observe(d, rng)).collect()
-        };
+        // independent per pair; server-server pairs stay symmetric. Under
+        // perfect observations the true rows are the observed ones.
+        let cs = dense_table(true_cs, error, rng);
         let obs_ss = if error.factor == 1.0 {
             true_ss.clone()
         } else {
@@ -332,12 +360,9 @@ impl CapInstance {
             clients,
             servers,
             zones,
-            row_of_client: (0..clients as u32).collect(),
+            row_of_client: collect_population(clients, 0..clients as u32),
             free_rows: Vec::new(),
-            cs: DelayTable::Dense {
-                obs: obs_cs,
-                tru: true_cs,
-            },
+            cs,
             obs_ss,
             true_ss,
             zone_of_client,
@@ -443,28 +468,26 @@ impl CapInstance {
                 let tru = if threads > 1 && clients > BUILD_BLOCK {
                     // In-place parallel fill: the table is sized up front
                     // and workers copy gather rows straight into their
-                    // chunks — no transient per-row allocations.
-                    let mut tru = vec![0.0; clients * servers];
+                    // chunks — no transient per-row allocations. The
+                    // zeroed allocation's spare rows are truncated off,
+                    // never touched, so they stay out of resident memory.
+                    let mut tru = vec![0.0; population_capacity(clients) * servers];
+                    tru.truncate(clients * servers);
                     let mut row_chunks: Vec<&mut [f64]> = tru.chunks_mut(servers).collect();
                     dve_par::par_for_each_mut_with(threads, &mut row_chunks, |i, row| {
                         row.copy_from_slice(delays.server_row(world.clients[i].node));
                     });
                     tru
                 } else {
-                    let mut tru = Vec::with_capacity(clients * servers);
+                    let mut tru = Vec::with_capacity(population_capacity(clients) * servers);
                     for client in &world.clients {
                         tru.extend_from_slice(delays.server_row(client.node));
                     }
                     tru
                 };
-                let obs = if error.factor == 1.0 {
-                    tru.clone()
-                } else {
-                    tru.iter().map(|&d| error.observe(d, rng)).collect()
-                };
                 (
-                    DelayTable::Dense { obs, tru },
-                    (0..clients as u32).collect::<Vec<u32>>(),
+                    dense_table(tru, error, rng),
+                    collect_population(clients, 0..clients as u32),
                 )
             }
             DelayLayout::SharedByNode => {
@@ -477,7 +500,7 @@ impl CapInstance {
                     DelayTable::Shared {
                         rtt: delays.shared_table(),
                     },
-                    world.clients.iter().map(|c| c.node as u32).collect(),
+                    collect_population(clients, world.clients.iter().map(|c| c.node as u32)),
                 )
             }
         };
@@ -808,10 +831,7 @@ impl CapInstance {
             zones,
             row_of_client: (0..clients as u32).collect(),
             free_rows: Vec::new(),
-            cs: DelayTable::Dense {
-                obs: cs.clone(),
-                tru: cs,
-            },
+            cs: DelayTable::Dense { obs: cs, tru: None },
             obs_ss: ss.clone(),
             true_ss: ss,
             zone_of_client,
@@ -1005,21 +1025,43 @@ impl CapInstance {
     }
 }
 
+/// The dense table over the true rows `tru`: observations drawn
+/// row-major from `error`, or — under perfect observations — `tru`
+/// itself as the observed rows, with no second copy.
+fn dense_table<R: Rng + ?Sized>(tru: Vec<f64>, error: ErrorModel, rng: &mut R) -> DelayTable {
+    if error.factor == 1.0 {
+        DelayTable::Dense {
+            obs: tru,
+            tru: None,
+        }
+    } else {
+        let mut obs = Vec::with_capacity(tru.capacity());
+        obs.extend(tru.iter().map(|&d| error.observe(d, rng)));
+        DelayTable::Dense {
+            obs,
+            tru: Some(tru),
+        }
+    }
+}
+
 /// One O(k) pass deriving zone membership and the population-dependent
 /// bandwidth terms — shared by the dense and the blocked builders so the
 /// two paths can never disagree on the formulas.
 #[allow(clippy::type_complexity)]
 fn zone_bookkeeping(world: &World) -> (Vec<usize>, Vec<Vec<usize>>, Vec<f64>, Vec<f64>) {
-    let zone_of_client: Vec<usize> = world.clients.iter().map(|c| c.zone).collect();
+    let k = world.clients.len();
+    let zone_of_client = collect_population(k, world.clients.iter().map(|c| c.zone));
     let mut clients_of_zone: Vec<Vec<usize>> = vec![Vec::new(); world.zones];
     for (c, &z) in zone_of_client.iter().enumerate() {
         clients_of_zone[z].push(c);
     }
     let populations: Vec<usize> = clients_of_zone.iter().map(|v| v.len()).collect();
-    let client_target_bps: Vec<f64> = zone_of_client
-        .iter()
-        .map(|&z| world.config.bandwidth.client_target_bps(populations[z]))
-        .collect();
+    let client_target_bps = collect_population(
+        k,
+        zone_of_client
+            .iter()
+            .map(|&z| world.config.bandwidth.client_target_bps(populations[z])),
+    );
     let zone_bps: Vec<f64> = populations
         .iter()
         .map(|&n| world.config.bandwidth.zone_bps(n))
@@ -1602,6 +1644,149 @@ mod tests {
                     assert_eq!(serial.true_cs(c, s), par.true_cs(c, s));
                 }
             }
+        }
+    }
+
+    /// Perfect observations keep one dense delay table, which answers
+    /// for the true delays too; an imperfect build keeps two. The first
+    /// imperfect write into a perfect instance — a streamed join or a
+    /// churn carry's joiner — creates the true table and leaves every
+    /// earlier row as it was.
+    #[test]
+    fn perfect_observations_keep_one_delay_table() {
+        use dve_world::{apply_dynamics, DynamicsBatch};
+        use rand::Rng;
+
+        let (world, delays, handle, mut rng) = blocked_fixture(71, "4s-8z-60c-100cp");
+        let m = world.servers.len();
+        let model = world.config.bandwidth;
+        let dense = |error, rng: &mut rand::rngs::StdRng| {
+            CapInstance::from_world(
+                &world,
+                &handle,
+                0.5,
+                250.0,
+                error,
+                DelayLayout::Dense64,
+                rng,
+            )
+        };
+        let one_table = |inst: &CapInstance| inst.table_rows() * m * 8;
+        let same_rows = |a: &CapInstance, b: &CapInstance, pairs: &[(usize, usize)]| {
+            for &(ca, cb) in pairs {
+                for s in 0..m {
+                    assert_eq!(a.obs_cs(ca, s).to_bits(), b.obs_cs(cb, s).to_bits());
+                    assert_eq!(a.true_cs(ca, s).to_bits(), b.true_cs(cb, s).to_bits());
+                }
+            }
+        };
+
+        let perfect = dense(ErrorModel::PERFECT, &mut rng.clone());
+        let built = CapInstance::build(
+            &world,
+            &delays,
+            0.5,
+            250.0,
+            ErrorModel::PERFECT,
+            &mut rng.clone(),
+        );
+        for inst in [&perfect, &built] {
+            assert_eq!(inst.delay_table_bytes(), one_table(inst));
+            for c in 0..inst.num_clients() {
+                for s in 0..m {
+                    assert_eq!(inst.true_cs(c, s).to_bits(), inst.obs_cs(c, s).to_bits());
+                }
+            }
+        }
+        let imperfect = dense(ErrorModel::KING, &mut rng.clone());
+        assert_eq!(imperfect.delay_table_bytes(), 2 * one_table(&imperfect));
+
+        let everyone: Vec<(usize, usize)> = (0..perfect.num_clients()).map(|c| (c, c)).collect();
+        let mut joined = perfect.clone();
+        let node = rng.gen_range(0..40);
+        let idx = joined.stream_join(node, 3, &handle, &model, ErrorModel::KING, &mut rng);
+        assert_eq!(joined.delay_table_bytes(), 2 * one_table(&joined));
+        same_rows(&joined, &perfect, &everyone);
+        for (s, &d) in handle.server_row(node).iter().enumerate() {
+            assert_eq!(joined.true_cs(idx, s), d);
+        }
+        assert!((0..m).any(|s| joined.obs_cs(idx, s) != joined.true_cs(idx, s)));
+
+        let batch = DynamicsBatch {
+            joins: 12,
+            leaves: 10,
+            moves: 8,
+        };
+        let outcome = apply_dynamics(&world, &batch, 40, &mut rng);
+        let carried = perfect
+            .clone()
+            .apply_delta(&outcome, &handle, ErrorModel::KING, &mut rng);
+        assert_eq!(carried.delay_table_bytes(), 2 * one_table(&carried));
+        let survivors: Vec<(usize, usize)> = outcome
+            .carried_from
+            .iter()
+            .enumerate()
+            .filter_map(|(new, old)| old.map(|old| (new, old)))
+            .collect();
+        assert!(
+            survivors.len() < carried.num_clients(),
+            "the carry admits joiners"
+        );
+        same_rows(&carried, &perfect, &survivors);
+    }
+
+    /// An instance built from a world leaves k/8 spare slots in every
+    /// per-client array and in the dense delay table, so its first k/8
+    /// streamed joins reallocate none of them.
+    #[test]
+    fn first_joins_after_build_reallocate_no_population_array() {
+        let (world, _delays, handle, mut rng) = blocked_fixture(73, "4s-8z-800c-100cp");
+        let model = world.config.bandwidth;
+        let k = world.clients.len();
+        for layout in [DelayLayout::Dense64, DelayLayout::SharedByNode] {
+            let mut inst = CapInstance::from_world(
+                &world,
+                &handle,
+                0.5,
+                250.0,
+                ErrorModel::PERFECT,
+                layout,
+                &mut rng,
+            );
+            let buffers = |inst: &CapInstance| {
+                let mut out = vec![
+                    (
+                        inst.row_of_client.as_ptr() as usize,
+                        inst.row_of_client.capacity(),
+                    ),
+                    (
+                        inst.zone_of_client.as_ptr() as usize,
+                        inst.zone_of_client.capacity(),
+                    ),
+                    (
+                        inst.client_target_bps.as_ptr() as usize,
+                        inst.client_target_bps.capacity(),
+                    ),
+                ];
+                if let DelayTable::Dense { obs, tru } = &inst.cs {
+                    assert!(tru.is_none(), "perfect observations keep one table");
+                    out.push((obs.as_ptr() as usize, obs.capacity()));
+                }
+                out
+            };
+            let before = buffers(&inst);
+            for i in 0..k / 8 {
+                inst.stream_join(
+                    i % 40,
+                    i % 8,
+                    &handle,
+                    &model,
+                    ErrorModel::PERFECT,
+                    &mut rng,
+                );
+            }
+            assert_eq!(inst.num_clients(), k + k / 8);
+            assert_eq!(buffers(&inst), before, "{layout:?}: a join reallocated");
         }
     }
 

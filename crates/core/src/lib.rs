@@ -22,8 +22,9 @@
 //! time. The crate therefore separates cost evaluation from search:
 //!
 //! * [`CostMatrix`] precomputes the dense m×n violator-count table —
-//!   plus the per-zone server orderings and regrets GreZ consumes — in
-//!   one parallel O(k·m) pass over `dve_par::par_map`. Counts are small
+//!   plus the per-zone server orderings and regrets GreZ consumes, each
+//!   ordering one counting sort over the zone's small-integer counts —
+//!   in one parallel O(k·m) pass over `dve_par::par_map`. Counts are small
 //!   integers stored exactly, so matrix reads are bit-identical to the
 //!   naive [`CapInstance::iap_cost`] scan (which remains the verified
 //!   ground truth).

@@ -30,7 +30,7 @@
 //! once for its regret and once in a live scan at commit, and keeps O(1)
 //! extra memory per client, which is what the million-client solve needs.
 
-use crate::instance::CapInstance;
+use crate::instance::{population_capacity, CapInstance};
 use dve_milp::{BbConfig, GapInstance, GapOutcome, LpError};
 
 /// Clients per shard of the parallel violator scan
@@ -192,10 +192,12 @@ fn grec_impl<F: Fn(usize, usize) -> f64>(
     cost: F,
 ) -> Vec<usize> {
     let m = inst.num_servers();
-    // Clients off the violating list keep the natural connection.
-    let mut contact: Vec<usize> = (0..inst.num_clients())
-        .map(|c| target_of_zone[inst.zone_of(c)])
-        .collect();
+    // Clients off the violating list keep the natural connection. The
+    // vector is population-sized: a serving engine adopts it as its
+    // contact book, so it carries the instance arrays' spare capacity.
+    let k = inst.num_clients();
+    let mut contact = Vec::with_capacity(population_capacity(k));
+    contact.extend((0..k).map(|c| target_of_zone[inst.zone_of(c)]));
     let mut loads = zone_loads(inst, target_of_zone);
 
     let mut regret: Vec<(f64, usize)> = (0..le.len())

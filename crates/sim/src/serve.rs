@@ -729,23 +729,33 @@ impl ServeEngine {
         let contact_of_client = grec(&instance, &target_of_zone);
         let k = instance.num_clients();
         let m = instance.num_servers();
+        // GreC sizes the contact book with the instance's spare capacity
+        // for k/8 joiners; every other per-client book gets the same
+        // (`rebuild_loads` fills the empty ones within it). Growing a
+        // population-sized book copies it inside a flush, so the first
+        // joins after boot must grow none of them.
+        let capacity = contact_of_client.capacity();
+        let mut id_of_client = Vec::with_capacity(capacity);
+        id_of_client.extend(0..k as ClientId);
+        let mut index_of_id = HashMap::with_capacity(capacity);
+        index_of_id.extend((0..k).map(|c| (c as ClientId, c)));
         let mut engine = ServeEngine {
             zone_load: Vec::new(),
             forward_load: Vec::new(),
-            fwd_contrib: Vec::new(),
+            fwd_contrib: Vec::with_capacity(capacity),
             relayed_of_server: Vec::new(),
             relayed_of_zone: Vec::new(),
             unserved_of_zone: Vec::new(),
-            unserved_pos: Vec::new(),
-            relay_pos_server: Vec::new(),
-            relay_pos_zone: Vec::new(),
+            unserved_pos: Vec::with_capacity(capacity),
+            relay_pos_server: Vec::with_capacity(capacity),
+            relay_pos_zone: Vec::with_capacity(capacity),
             zones_of_server: Vec::new(),
             capacity_ok: false,
             down: vec![false; m],
             nominal_capacity: (0..m).map(|s| instance.capacity(s)).collect(),
             deferred: Vec::new(),
-            id_of_client: (0..k as ClientId).collect(),
-            index_of_id: (0..k).map(|c| (c as ClientId, c)).collect(),
+            id_of_client,
+            index_of_id,
             next_id: k as ClientId,
             model: world.config.bandwidth,
             delays,
@@ -2760,6 +2770,52 @@ mod tests {
             assert_eq!(engine.index_of(c as ClientId), Some(c));
         }
         assert_eq!(engine.pending_events(), 0);
+        assert_engine_consistent(&engine);
+    }
+
+    /// Boot leaves room for k/8 joiners in every per-client book, so
+    /// the first k/8 joins after boot — here all in one flush — grow
+    /// (and so copy) none of them.
+    #[test]
+    fn first_joins_after_boot_reallocate_no_population_array() {
+        let mut engine = boot_engine(&small_setup(), ServeConfig::default());
+        let k = engine.num_clients();
+        let books = |e: &ServeEngine| {
+            [
+                (
+                    e.contact_of_client.as_ptr() as usize,
+                    e.contact_of_client.capacity(),
+                ),
+                (e.fwd_contrib.as_ptr() as usize, e.fwd_contrib.capacity()),
+                (e.id_of_client.as_ptr() as usize, e.id_of_client.capacity()),
+                (e.unserved_pos.as_ptr() as usize, e.unserved_pos.capacity()),
+                (
+                    e.relay_pos_server.as_ptr() as usize,
+                    e.relay_pos_server.capacity(),
+                ),
+                (
+                    e.relay_pos_zone.as_ptr() as usize,
+                    e.relay_pos_zone.capacity(),
+                ),
+                (0, e.index_of_id.capacity()),
+            ]
+        };
+        let before = books(&engine);
+        let zones = engine.instance().num_zones();
+        for i in 0..k / 8 {
+            let joined = engine.push(StreamEvent::Join {
+                node: i % engine.nodes(),
+                zone: i % zones,
+            });
+            assert!(matches!(joined, Ok(Some(_))), "join {i} was admitted");
+        }
+        engine.flush_now();
+        assert_eq!(engine.num_clients(), k + k / 8);
+        assert_eq!(
+            books(&engine),
+            before,
+            "a join reallocated a per-client book"
+        );
         assert_engine_consistent(&engine);
     }
 
