@@ -5,17 +5,21 @@
 //! boxes and tier-1 CI stay green): a [`ServeEngine`] booted with
 //! [`ServeConfig::shards`] workers serves churn at the production
 //! [`LARGE_TIER`] (`100s-1000z-50000c`) at least **3×** the
-//! single-shard event throughput — the concurrent flush parallelises
-//! the propose span (zone re-ordering and contact plans), not just
-//! `propose_zone_order`, so the bar is higher than the old
-//! refresh-only 2× — while committing **bit-identical
+//! single-shard event throughput, while committing **bit-identical
 //! decisions** to the single-shard engine (asserted in-process, per
-//! client, before timing anything).
+//! client, before and after timing). Only the touched zones' re-order
+//! runs on the team; target and contact repair run on the calling
+//! thread at every width. The re-order is about 12% of a one-shard
+//! flush, so Amdahl's law caps the speedup near 1.10× at four workers
+//! and the 3× gate is not expected to pass.
 //!
-//! The timed span is pure serving: push + micro-batch flush (concurrent
-//! propose on the team, serial worker-index-ordered commit) over a
-//! fixed move-heavy trace. Engine boot (world generation, initial
-//! solve) happens once per width outside the clock.
+//! The timed span is pure serving: push + micro-batch flush over rounds
+//! `1..=RUNS` of a fixed move trace. Round 0 is the untimed
+//! bit-identity pass; every timed round sends each client to a zone
+//! it does not occupy (asserted for client 0 before each round), so no
+//! timed flush is a replay of moves that change nothing. Engine boot
+//! (world generation, initial solve) happens once per width outside
+//! the clock.
 //!
 //! Besides the headline width, the run measures the **speedup curve**
 //! at every [`CURVE_WIDTHS`] width the machine can host and records it
@@ -46,12 +50,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Timed repetitions per width; the gated statistic is the minimum.
+/// Timed repetitions per width (rounds `1..=RUNS`); the gated
+/// statistic is the minimum.
 const RUNS: usize = 3;
 
-/// Move events per timed repetition. Moves are idempotent workload
-/// (a live id can move forever), so every repetition replays the same
-/// population without rebooting the engine.
+/// Move events per round. A live id can move forever, so every round
+/// moves the same population without rebooting the engine.
 const EVENTS: usize = 24_000;
 
 /// Events per micro-batch flush: large enough that a flush touches
@@ -59,14 +63,13 @@ const EVENTS: usize = 24_000;
 /// parallelises.
 const BATCH: usize = 512;
 
-/// The gate arms at this many workers: below it the propose share of a
+/// The gate arms at this many workers: below it the re-order share of a
 /// flush (Amdahl) cannot reach 3× end-to-end, and the run reports SKIP
 /// like the `mc` bench does on one core.
 const MIN_GATE_WIDTH: usize = 4;
 
 /// Serving throughput at this many workers must clear the single-shard
-/// run by this factor. The concurrent flush moved the whole propose
-/// span onto the team, so the old refresh-only 2× bar is obsolete.
+/// run by this factor.
 const GATE_SPEEDUP: f64 = 3.0;
 
 /// Widths the speedup curve samples (capped at the machine's worker
@@ -91,12 +94,18 @@ fn boot(setup: &SimSetup, shards: usize) -> ServeEngine {
     .expect("the large tier solves")
 }
 
-/// The deterministic move trace: client `i`'s avatar hops to a zone
-/// derived from its id and the round, spread across the full zone space.
+/// The zone event `i` of `round` moves client `i % clients` to: derived
+/// from the event index and the round, spread across the full zone
+/// space.
+fn destination(i: usize, round: usize, clients: usize, zones: usize) -> usize {
+    (i * 31 + round * 7 + i / clients) % zones
+}
+
+/// The deterministic move trace of one round.
 fn drive(engine: &mut ServeEngine, clients: usize, zones: usize, round: usize) {
     for i in 0..EVENTS {
         let id = (i % clients) as u64;
-        let zone = (i * 31 + round * 7 + i / clients) % zones;
+        let zone = destination(i, round, clients, zones);
         engine
             .push(StreamEvent::Move { id, zone })
             .expect("moves of live clients are always admitted");
@@ -104,15 +113,37 @@ fn drive(engine: &mut ServeEngine, clients: usize, zones: usize, round: usize) {
     engine.flush_now();
 }
 
-/// Minimum wall-clock over [`RUNS`] trace replays, ms.
+/// Minimum wall-clock over the timed rounds `1..=RUNS`, ms. Each round
+/// must move clients: client 0's destination differs from its zone.
 fn min_serve_ms(engine: &mut ServeEngine, clients: usize, zones: usize) -> f64 {
-    (0..RUNS)
+    (1..=RUNS)
         .map(|round| {
+            let at = engine.index_of(0).expect("client 0 stays live");
+            assert_ne!(
+                engine.instance().zone_of(at),
+                destination(0, round, clients, zones),
+                "timed round {round} must move clients"
+            );
             let t = Instant::now();
             drive(engine, clients, zones, round);
             t.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Asserts that the sharded engine committed the single-shard engine's
+/// per-client decisions.
+fn assert_same_decisions(serial: &ServeEngine, wide: &ServeEngine) {
+    assert_eq!(
+        serial.targets(),
+        wide.targets(),
+        "sharded serving diverged from the single-shard target decisions"
+    );
+    assert_eq!(
+        serial.contacts(),
+        wide.contacts(),
+        "sharded serving diverged from the single-shard contact decisions"
+    );
 }
 
 fn main() {
@@ -133,16 +164,7 @@ fn main() {
     let mut wide = boot(&setup, threads);
     drive(&mut serial, clients, zones, 0);
     drive(&mut wide, clients, zones, 0);
-    assert_eq!(
-        serial.targets(),
-        wide.targets(),
-        "sharded serving diverged from the single-shard target decisions"
-    );
-    assert_eq!(
-        serial.contacts(),
-        wide.contacts(),
-        "sharded serving diverged from the single-shard contact decisions"
-    );
+    assert_same_decisions(&serial, &wide);
     assert_eq!(serial.stats().events, wide.stats().events);
     assert_eq!(serial.stats().zones_migrated, wide.stats().zones_migrated);
     assert_eq!(
@@ -157,6 +179,7 @@ fn main() {
 
     let serial_ms = min_serve_ms(&mut serial, clients, zones);
     let wide_ms = min_serve_ms(&mut wide, clients, zones);
+    assert_same_decisions(&serial, &wide);
     let serial_eps = EVENTS as f64 / (serial_ms / 1e3);
     let wide_eps = EVENTS as f64 / (wide_ms / 1e3);
     let speedup = serial_ms / wide_ms;
@@ -167,7 +190,7 @@ fn main() {
     );
 
     // Shard-health telemetry from the headline engine: the on-worker
-    // propose span per concurrent flush, and how evenly the z % S zone
+    // zone re-order span per concurrent flush, and how evenly the z % S zone
     // routing spread the event stream. A one-shard engine keeps no
     // shard books: every flush is serial and all events are its own.
     let books = &wide.stats().shards;
@@ -179,7 +202,7 @@ fn main() {
     let ev_max = books.iter().map(|b| b.events).max().unwrap_or(events);
     let ev_min = books.iter().map(|b| b.events).min().unwrap_or(events);
     println!(
-        "serve_mc/shards: {} concurrent-flush propose samples [{}], \
+        "serve_mc/shards: {} concurrent-flush re-order samples [{}], \
          event imbalance max {ev_max} / min {ev_min} per shard",
         flush.count(),
         flush.render_us()
@@ -250,8 +273,7 @@ fn main() {
     assert!(
         speedup >= GATE_SPEEDUP,
         "sharded serving at {threads} shards is only {speedup:.2}x the single-shard \
-         throughput ({wide_eps:.0} vs {serial_eps:.0} events/s; gate: >= {GATE_SPEEDUP}x \
-         now that the whole propose span is concurrent)"
+         throughput ({wide_eps:.0} vs {serial_eps:.0} events/s; gate: >= {GATE_SPEEDUP}x)"
     );
     println!("serve_mc: PASS ({speedup:.2}x single-shard serving throughput at {threads} shards)");
 }

@@ -315,24 +315,17 @@ impl CostMatrix {
     }
 
     /// The propose half of a sharded refresh: derives zone `z`'s new
-    /// desirability order and regret from the current counts **without
-    /// mutating the matrix**. Reads only the zone's own column and
-    /// previous order, so disjoint zones can be proposed concurrently
-    /// from a shared snapshot; committing each result with
+    /// desirability order into caller-owned `row` and returns its
+    /// regret, **without mutating the matrix**. Reads only the zone's
+    /// own column and previous order, so disjoint zones can be proposed
+    /// concurrently from a shared handle; committing each result with
     /// [`CostMatrix::commit_zone_order`] reproduces
     /// [`CostMatrix::refresh_zones`] bit-for-bit in any commit order.
-    pub fn propose_zone_order(&self, z: usize) -> (Vec<u32>, f64) {
-        let mut row = Vec::new();
-        let rho = self.propose_zone_order_into(z, &mut row);
-        (row, rho)
-    }
-
-    /// [`CostMatrix::propose_zone_order`] writing into caller-owned
-    /// scratch: `row` is cleared and refilled with the proposed order,
-    /// so a recycled buffer produces the same bytes as a fresh
-    /// allocation (property-tested in this module). The serving layer's
-    /// flush pool threads the same buffers through every flush to keep
-    /// the steady-state loop allocation-free.
+    /// `row` is cleared and refilled, so a recycled buffer produces the
+    /// same bytes as a fresh allocation (property-tested in this
+    /// module). The serving layer's flush pool threads the same buffers
+    /// through every flush to keep the steady-state loop
+    /// allocation-free.
     pub fn propose_zone_order_into(&self, z: usize, row: &mut Vec<u32>) -> f64 {
         let m = self.servers;
         row.clear();
@@ -341,7 +334,8 @@ impl CostMatrix {
     }
 
     /// The commit half of a sharded refresh: installs an order/regret
-    /// pair computed by [`CostMatrix::propose_zone_order`] for zone `z`.
+    /// pair computed by [`CostMatrix::propose_zone_order_into`] for
+    /// zone `z`.
     pub fn commit_zone_order(&mut self, z: usize, row: &[u32], regret: f64) {
         let m = self.servers;
         self.order[z * m..(z + 1) * m].copy_from_slice(row);
@@ -840,7 +834,8 @@ mod tests {
         let proposals: Vec<(usize, Vec<u32>, f64)> = touched
             .iter()
             .map(|&z| {
-                let (row, rho) = stale.propose_zone_order(z);
+                let mut row = Vec::new();
+                let rho = stale.propose_zone_order_into(z, &mut row);
                 (z, row, rho)
             })
             .collect();

@@ -37,14 +37,14 @@
 //!   only threads it ever creates) and partitions zones by residue:
 //!   shard `i` owns every zone `z` with `z % shards == i`. A flush that
 //!   touches at least 8 zones (the concurrent-flush knee, a constant)
-//!   **proposes in parallel**
-//!   — each worker reads one immutable snapshot and derives its zones'
-//!   refreshed orderings and ranked contact plans — and then **commits
-//!   serially** in worker-index order with live capacity checks.
-//!   Everything load-coupled (migrations, evacuations, relay shedding,
-//!   the full-repair escalation, server failure and recovery) stays in
-//!   the serial commit, so decisions are bit-identical to the one-shard
-//!   engine at every width. The per-shard books live in
+//!   **re-orders its touched zones in parallel** — each worker reads
+//!   the cost matrix through a shared handle and derives its zones'
+//!   server orders — and installs the rows in worker-index order. The
+//!   rest of the flush body is the one-shard body: target repair and
+//!   contact repair (migrations, evacuations, relay shedding, the
+//!   full-repair escalation) run on the calling thread, as do server
+//!   failure and recovery, so decisions are bit-identical to the
+//!   one-shard engine at every width. The per-shard books live in
 //!   [`ServeStats::shards`]. The argument is spelled out in
 //!   `docs/PARALLELISM.md` at the repository root.
 //! * [`run_stream`] — the stream runner: replays the exact event
@@ -296,7 +296,7 @@ pub struct ServeConfig {
     /// zone `z` with `z % shards == i`). At 1 every flush runs serially
     /// on the calling thread; above 1 the engine boots a persistent
     /// [`WorkerTeam`] of this many workers, and flushes touching at
-    /// least 8 zones propose on it concurrently (see
+    /// least 8 zones re-order those zones on it (see
     /// [`ServeEngine::flush_now`]). Scheduling only: decisions are
     /// bit-identical at every width. Must be at least 1.
     pub shards: usize,
@@ -382,9 +382,9 @@ pub struct ShardStats {
     /// Events applied whose zone routes to this shard (a leave counts
     /// in the zone it departed, a move in the zone it arrived in).
     pub events: u64,
-    /// On-worker durations of this shard's propose jobs: one sample per
-    /// **concurrent** flush (serial flushes, below 8 touched zones,
-    /// record nothing). A shard with systematically
+    /// On-worker durations of this shard's zone re-order jobs: one
+    /// sample per **concurrent** flush (serial flushes, below 8 touched
+    /// zones, record nothing). A shard with systematically
     /// longer propose times than its siblings exposes `z % shards`
     /// ownership skew.
     pub propose: LatencyHistogram,
@@ -549,7 +549,7 @@ pub struct ServeEngine {
     staleness: usize,
     /// Whether flushes currently record into the warm-up histogram.
     warming_up: bool,
-    /// The persistent propose team of a multi-shard engine (one worker
+    /// The persistent zone re-order team of a multi-shard engine (one worker
     /// per shard, spawned at boot); `None` at one shard.
     team: Option<WorkerTeam>,
     /// Recycled flush-local buffers — see [`FlushScratch`].
@@ -558,52 +558,17 @@ pub struct ServeEngine {
     stats: ServeStats,
 }
 
-/// The immutable state a concurrent flush shares with the propose
-/// workers: everything a zone-order refresh or a contact plan reads.
-/// Moved out of the engine with `mem::take` behind an `Arc` for the
-/// scatter and moved back before the serial commit — no clone of the
-/// big tables, and the workers can never see a half-committed engine.
-struct FlushSnapshot {
-    inst: CapInstance,
-    matrix: CostMatrix,
-    targets: Vec<usize>,
-    unserved: Vec<Vec<usize>>,
-}
-
-/// A worker-proposed contact decision for one client: the relay
-/// candidates strictly cheaper (`C^R`) than staying on the planned
-/// target, sorted by `(cost, server)` ascending. The serial commit
-/// walks the list with **live** capacity checks and books the first
-/// fit — which is exactly the server the live full scan's
-/// strict-`<` minimum would pick (the scan keeps the lexicographically
-/// smallest fitting `(cost, index)` below the stay-home cost, and
-/// every fitting entry earlier in this list is exactly that). A plan
-/// is only consumed while the client's zone still has the planned
-/// target; the commit falls back to the live scan otherwise.
-#[derive(Debug)]
-struct ContactPlan {
-    target: usize,
-    ranked: Vec<(f64, usize)>,
-}
-
-/// One worker's output of a concurrent flush propose scatter.
+/// One worker's output of a team zone re-order.
 #[derive(Debug, Default)]
 struct ShardProposal {
     /// Per owned touched zone: `(zone, proposed order row, regret)`.
     zones: Vec<(usize, Vec<u32>, f64)>,
-    /// Contact plans for the shard's redecide clients and (bounded)
-    /// snapshot-unserved members.
-    contacts: Vec<(usize, ContactPlan)>,
     /// The worker's zone work-list, riding back so the caller's
     /// partition buffer recycles across flushes.
     zone_list: Vec<usize>,
-    /// The worker's redecide-client work-list, riding back likewise.
-    client_list: Vec<usize>,
     /// Unused row buffers from the worker's scratch stash, returned to
     /// the engine's pool.
     row_stash: Vec<Vec<u32>>,
-    /// Unused ranked-candidate buffers, returned likewise.
-    ranked_stash: Vec<Vec<(f64, usize)>>,
 }
 
 /// Recycled flush-local buffers, owned by the engine and threaded
@@ -629,61 +594,16 @@ struct FlushScratch {
     room: Vec<usize>,
     /// `evacuate`/`fail_server`'s sorted hosted-zone list.
     evac_zones: Vec<usize>,
-    /// Concurrent flush: per-worker zone partition (outer length is the
-    /// team width; inner lists recycle through the proposals).
+    /// Team zone re-order: per-worker zone partition (outer length is
+    /// the team width; inner lists recycle through the proposals).
     zones_of: Vec<Vec<usize>>,
-    /// Concurrent flush: per-worker redecide partition.
-    clients_of: Vec<Vec<usize>>,
-    /// Concurrent flush: per-worker `(row, ranked)` buffer demand.
-    need: Vec<(usize, usize)>,
     /// Pool of `u32` order-row buffers.
     rows: Vec<Vec<u32>>,
-    /// Pool of ranked-candidate buffers (`ContactPlan` backing stores).
-    ranked: Vec<Vec<(f64, usize)>>,
     /// Recycled [`ShardProposal`] shells (their inner `Vec`s keep their
     /// capacity across flushes).
     shells: Vec<ShardProposal>,
     /// Recycled scatter result slots ([`WorkerTeam::scatter`]).
     slots: Vec<Option<(ShardProposal, u64)>>,
-    /// Merge-side contact-plan index (ranked stores drained back into
-    /// `ranked`).
-    plans: HashMap<usize, ContactPlan>,
-}
-
-/// Per-zone cap on proposed contact plans for the violator rescan: a
-/// flash-crowd zone with thousands of unrescuable violators would
-/// otherwise cost every flush O(violators · m log m) of propose work
-/// that the serial path's candidates-empty skip avoids entirely. Over
-/// the cap the zone gets no plans and the rescan runs its (equally
-/// exact) live path.
-const RESCUE_PLAN_MAX: usize = 64;
-
-impl FlushSnapshot {
-    /// Proposes a contact decision for client `c` — the parallel half
-    /// of [`ServeEngine::decide_contact`] — writing the ranked list
-    /// into the caller-owned `ranked` buffer (cleared first, so a
-    /// recycled buffer yields the same bytes a fresh allocation would;
-    /// equivalence is tested below). Pure in the snapshot: the ranked
-    /// list depends only on delay rows and the planned target, so
-    /// recomputing it at commit time would yield the same floats.
-    fn plan_contact_with(&self, c: usize, mut ranked: Vec<(f64, usize)>) -> (usize, ContactPlan) {
-        let z = self.inst.zone_of(c);
-        let target = self.targets[z];
-        ranked.clear();
-        if self.inst.obs_cs(c, target) > self.inst.delay_bound() {
-            let best0 = self.inst.rap_cost(c, target, target);
-            ranked.extend(
-                (0..self.inst.num_servers())
-                    .filter(|&s| s != target)
-                    .map(|s| (self.inst.rap_cost(c, s, target), s))
-                    .filter(|&(cost, _)| cost < best0),
-            );
-            ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
-        }
-        // Within bound on the target the (cleared) list stays empty:
-        // the commit's early return never reads it.
-        (c, ContactPlan { target, ranked })
-    }
 }
 
 impl ServeEngine {
@@ -1046,12 +966,14 @@ impl ServeEngine {
     /// (FIFO, stopping at the first still-blocked join so the queue
     /// order is preserved) and ride this flush when re-admitted.
     ///
-    /// A multi-shard engine whose batch touched at least 8 zones (the
-    /// concurrent-flush knee) runs the flush tail concurrently on its
-    /// team (`flush_concurrent`); every other flush runs the serial
-    /// pipeline entirely on the calling thread, consulting neither
-    /// `DVE_THREADS` nor any other runtime width. Bit-identical either
-    /// way.
+    /// Every flush runs one body at every width: apply the events,
+    /// re-order the touched zones' server orders, repair the targets,
+    /// repair the contacts. Only the re-order may leave the calling
+    /// thread: a multi-shard engine whose batch touched at least 8
+    /// zones (the concurrent-flush knee) runs it on its team
+    /// (`reorder_zones_on_team`). No stage consults `DVE_THREADS` or
+    /// any other runtime width, and the decisions are bit-identical
+    /// either way.
     pub fn flush_now(&mut self) -> Option<FlushReport> {
         self.staleness = 0;
         self.readmit_deferred();
@@ -1097,21 +1019,15 @@ impl ServeEngine {
         }
         touched.sort_unstable();
         touched.dedup();
-        // With a worker team and enough touched zones, the flush tail's
-        // column refresh and contact plans propose concurrently on
-        // disjoint shards and commit serially (see `flush_concurrent`);
-        // otherwise the serial pipeline runs at width 1. Bit-identical
-        // either way.
-        let (migrated, full_repair) = if self.team.is_some() && touched.len() >= TEAM_ZONE_MIN {
-            self.flush_concurrent(&touched, &redecide)
+        if self.team.is_some() && touched.len() >= TEAM_ZONE_MIN {
+            self.reorder_zones_on_team(&touched);
         } else {
             self.matrix.refresh_zones_threads(&touched, 1);
-            let (migrated, full_repair) = self.repair_targets(&touched);
-            if !full_repair {
-                self.repair_contacts(&touched, &migrated, &redecide, None);
-            }
-            (migrated, full_repair)
-        };
+        }
+        let (migrated, full_repair) = self.repair_targets(&touched);
+        if !full_repair {
+            self.repair_contacts(&touched, &migrated, &redecide);
+        }
         let m = self.inst.num_servers();
         self.capacity_ok = (0..m).all(|s| self.load(s) <= self.inst.capacity(s) + 1e-9);
 
@@ -1144,138 +1060,64 @@ impl ServeEngine {
         Some(report)
     }
 
-    /// The concurrent flush tail: the zone-order refreshes and the
-    /// contact plans for joiners/movers and unserved violators are
-    /// **proposed in parallel** on disjoint zone shards (zone `z` on
-    /// worker `z % threads`) from one immutable snapshot of the engine,
-    /// then applied by a single serial merge that consumes the scatter's
-    /// results in worker-index order and runs the load-coupled repair.
-    ///
-    /// Why this is bit-identical to the serial pipeline at any width:
-    ///
-    /// * **Refreshes** read only their own zone's column, and zones are
-    ///   disjoint across shards, so installing the proposed orders in
-    ///   any order yields the serial loop's matrix. The quality shifts
-    ///   then walk the installed orders in the merge, as at width 1.
-    /// * **Contact plans** pre-rank relay candidates by `(C^R, index)`;
-    ///   loads only grow while the commit books relays, so walking the
-    ///   ranked list with live fit checks books the same server the
-    ///   live strict-`<` minimum scan would. Plans are guarded on the
-    ///   planned target still being the zone's target; any cross-shard
-    ///   effect the snapshot could not see (a migration, an evacuation
-    ///   shedding onto another shard's server) voids the plan and the
-    ///   commit falls back to the live scan.
-    ///
-    /// Cross-shard effects themselves — migrations, evacuation, relay
-    /// shedding, the full-repair escalation — run only in the serial
-    /// merge, where every load book is authoritative. The team's
-    /// workers are the boot-time persistent ones: no flush spawns.
-    fn flush_concurrent(&mut self, touched: &[usize], redecide: &[ClientId]) -> (Vec<usize>, bool) {
+    /// Re-orders the touched zones on the worker team: worker `w`
+    /// proposes the order rows of the zones `z` with `z % threads == w`
+    /// from a shared handle on the cost matrix, and the rows are
+    /// installed in worker-index order. A row reads only its own zone's
+    /// column and the zones are disjoint across workers, so the matrix
+    /// ends bit-identical to the serial `refresh_zones_threads(touched,
+    /// 1)`. The team's workers are the boot-time persistent ones: no
+    /// flush spawns.
+    fn reorder_zones_on_team(&mut self, touched: &[usize]) {
         let team = self
             .team
             .as_ref()
-            .expect("concurrent flushes run on the boot-time team");
+            .expect("team re-orders run on the boot-time team");
         let threads = team.threads();
-        // Partition the work by shard owner (zone % threads), resolving
-        // redecide ids serially while the engine still owns its state.
-        // Partition lists, buffer pools, and result slots all recycle
-        // through the scratch — the worker stashes ride back inside the
-        // proposals, so after warm-up a concurrent flush reuses every
-        // proposal buffer it fills.
+        // Partition lists, row buffers and result slots all recycle
+        // through the scratch: the worker stashes ride back inside the
+        // proposals, so after warm-up a re-order reuses every row it
+        // fills.
         let mut zones_of = std::mem::take(&mut self.scratch.zones_of);
         zones_of.resize_with(threads, Vec::new);
-        let mut clients_of = std::mem::take(&mut self.scratch.clients_of);
-        clients_of.resize_with(threads, Vec::new);
-        let mut need = std::mem::take(&mut self.scratch.need);
-        need.clear();
-        need.resize(threads, (0, 0));
-        for list in zones_of.iter_mut().chain(clients_of.iter_mut()) {
+        for list in zones_of.iter_mut() {
             list.clear();
         }
         for &z in touched {
-            let w = z % threads;
-            zones_of[w].push(z);
-            // Each zone proposal fills one order row; each (bounded)
-            // unserved member fills one ranked list.
-            need[w].0 += 1;
-            let u = self.unserved_of_zone[z].len();
-            if u > 0 && u <= RESCUE_PLAN_MAX {
-                need[w].1 += u;
-            }
+            zones_of[z % threads].push(z);
         }
-        for &id in redecide {
-            if let Some(&c) = self.index_of_id.get(&id) {
-                let w = self.inst.zone_of(c) % threads;
-                clients_of[w].push(c);
-                need[w].1 += 1;
-            }
-        }
-        let snap = Arc::new(FlushSnapshot {
-            inst: std::mem::take(&mut self.inst),
-            matrix: std::mem::take(&mut self.matrix),
-            targets: std::mem::take(&mut self.target_of_zone),
-            unserved: std::mem::take(&mut self.unserved_of_zone),
-        });
+        // Moved out behind an `Arc` for the scatter and moved back
+        // before the commit: no clone of the matrix, and no worker can
+        // see a half-committed one.
+        let matrix = Arc::new(std::mem::take(&mut self.matrix));
         let mut rows_pool = std::mem::take(&mut self.scratch.rows);
-        let mut ranked_pool = std::mem::take(&mut self.scratch.ranked);
         let mut shells = std::mem::take(&mut self.scratch.shells);
         let jobs: Vec<_> = zones_of
             .iter_mut()
-            .zip(clients_of.iter_mut())
-            .enumerate()
-            .map(|(w, (zone_list, client_list))| {
+            .map(|zone_list| {
                 let zones = std::mem::take(zone_list);
-                let clients = std::mem::take(client_list);
-                let (row_need, ranked_need) = need[w];
-                let mut rows = rows_pool.split_off(rows_pool.len().saturating_sub(row_need));
-                let mut ranked =
-                    ranked_pool.split_off(ranked_pool.len().saturating_sub(ranked_need));
+                let mut rows = rows_pool.split_off(rows_pool.len().saturating_sub(zones.len()));
                 let mut p = shells.pop().unwrap_or_default();
                 p.zones.clear();
-                p.contacts.clear();
-                let snap = Arc::clone(&snap);
+                let matrix = Arc::clone(&matrix);
                 move |_w: usize| -> ShardProposal {
                     for &z in &zones {
                         let mut row = rows.pop().unwrap_or_default();
-                        let rho = snap.matrix.propose_zone_order_into(z, &mut row);
-                        let unserved = &snap.unserved[z];
-                        if !unserved.is_empty() && unserved.len() <= RESCUE_PLAN_MAX {
-                            for &c in unserved {
-                                p.contacts.push(
-                                    snap.plan_contact_with(c, ranked.pop().unwrap_or_default()),
-                                );
-                            }
-                        }
+                        let rho = matrix.propose_zone_order_into(z, &mut row);
                         p.zones.push((z, row, rho));
                     }
-                    for &c in &clients {
-                        p.contacts
-                            .push(snap.plan_contact_with(c, ranked.pop().unwrap_or_default()));
-                    }
                     p.zone_list = zones;
-                    p.client_list = clients;
                     p.row_stash = rows;
-                    p.ranked_stash = ranked;
                     p
                 }
             })
             .collect();
         let mut slots = std::mem::take(&mut self.scratch.slots);
         team.scatter(jobs, &mut slots);
-        // Every job has run and dropped its snapshot clone; the state
-        // is exclusively ours again.
-        let snap = Arc::try_unwrap(snap)
-            .unwrap_or_else(|_| unreachable!("scatter jobs dropped their snapshots"));
-        self.inst = snap.inst;
-        self.matrix = snap.matrix;
-        self.target_of_zone = snap.targets;
-        self.unserved_of_zone = snap.unserved;
-        // Serial merge, worker-index order: install the zone orders and
-        // index the contact plans for the repair passes (the map is only
-        // ever *looked up* by the live sweeps below, so its iteration
-        // order never influences a decision).
-        let mut plans = std::mem::take(&mut self.scratch.plans);
-        plans.clear();
+        // Every job has run and dropped its handle; the matrix is
+        // exclusively ours again.
+        self.matrix = Arc::try_unwrap(matrix)
+            .unwrap_or_else(|_| unreachable!("scatter jobs dropped their matrix handles"));
         for (w, slot) in slots.iter_mut().enumerate() {
             let (mut proposal, ns) = slot.take().expect("scatter filled every slot");
             self.stats.shards[w].propose.record_ns(ns);
@@ -1283,31 +1125,14 @@ impl ServeEngine {
                 self.matrix.commit_zone_order(z, &row, rho);
                 rows_pool.push(row);
             }
-            for (c, plan) in proposal.contacts.drain(..) {
-                plans.insert(c, plan);
-            }
             zones_of[w] = std::mem::take(&mut proposal.zone_list);
-            clients_of[w] = std::mem::take(&mut proposal.client_list);
             rows_pool.append(&mut proposal.row_stash);
-            ranked_pool.append(&mut proposal.ranked_stash);
             shells.push(proposal);
         }
-        let (migrated, full_repair) = self.repair_targets(touched);
-        if !full_repair {
-            self.repair_contacts(touched, &migrated, redecide, Some(&plans));
-        }
-        // Drain the plan index back into the buffer pool and restore
-        // everything for the next flush.
-        ranked_pool.extend(plans.drain().map(|(_, plan)| plan.ranked));
         self.scratch.zones_of = zones_of;
-        self.scratch.clients_of = clients_of;
-        self.scratch.need = need;
         self.scratch.rows = rows_pool;
-        self.scratch.ranked = ranked_pool;
         self.scratch.shells = shells;
         self.scratch.slots = slots;
-        self.scratch.plans = plans;
-        (migrated, full_repair)
     }
 
     /// Total load of server `s`: hosted zones plus forwarding overheads.
@@ -1507,7 +1332,7 @@ impl ServeEngine {
         let (migrated, full) = self.repair_targets(&all);
         debug_assert!(!full, "restore sweep never escalates to full repair");
         if !full {
-            self.repair_contacts(&all, &migrated, &[], None);
+            self.repair_contacts(&all, &migrated, &[]);
         }
         self.scratch.touched = all;
         let moved = rescued + migrated.len();
@@ -1897,31 +1722,11 @@ impl ServeEngine {
     /// already re-decided inline): joiners and movers, then the
     /// zone-scoped violator rescan of the touched zones (violating
     /// members still on their target get a relay retry).
-    ///
-    /// `plans` (concurrent flushes only) carries worker-proposed ranked
-    /// relay candidates per client. A plan is consumed only while its
-    /// planned target is still the client's zone target — a zone the
-    /// serial repair migrated re-decided its members inline and any
-    /// stale plan for them is skipped by that guard (and by the live
-    /// unserved lists, which no longer hold rescued members). Clients
-    /// without a valid plan take the live scan; both routes are
-    /// bit-identical (see [`ServeEngine::decide_contact_planned`]).
-    fn repair_contacts(
-        &mut self,
-        touched: &[usize],
-        migrated: &[usize],
-        redecide: &[ClientId],
-        plans: Option<&HashMap<usize, ContactPlan>>,
-    ) {
+    fn repair_contacts(&mut self, touched: &[usize], migrated: &[usize], redecide: &[ClientId]) {
         for &id in redecide {
             // A joiner/mover may have left later in the same batch.
             if let Some(&c) = self.index_of_id.get(&id) {
-                match plans.and_then(|p| p.get(&c)) {
-                    Some(plan) if self.target_of_zone[self.inst.zone_of(c)] == plan.target => {
-                        self.decide_contact_planned(c, plan.target, &plan.ranked);
-                    }
-                    _ => self.decide_contact(c),
-                }
+                self.decide_contact(c);
             }
         }
         // Zone-scoped violator rescan: unserved violators in zones whose
@@ -1951,18 +1756,10 @@ impl ServeEngine {
             }
             // A rescued entry is swap-removed from under the cursor
             // (revisit the slot); an unrescued one stays put (advance).
-            // Violators the serial repair itself newly marked (an
-            // evacuation shed that found no relay) have no plan and
-            // take the live restricted scan — identical decisions.
             let mut i = 0;
             while i < self.unserved_of_zone[z].len() {
                 let c = self.unserved_of_zone[z][i];
-                match plans.and_then(|p| p.get(&c)) {
-                    Some(plan) if self.target_of_zone[z] == plan.target => {
-                        self.decide_contact_planned(c, plan.target, &plan.ranked);
-                    }
-                    _ => self.decide_contact_among(c, candidates.iter().copied()),
-                }
+                self.decide_contact_among(c, candidates.iter().copied());
                 if self.unserved_pos[c] == i {
                     i += 1;
                 }
@@ -2008,43 +1805,6 @@ impl ServeEngine {
         }
         if best.1 != target {
             self.book_relay(c, z, best.1, overhead);
-            self.clear_unserved(z, c);
-        } else {
-            self.mark_unserved(z, c);
-        }
-    }
-
-    /// [`ServeEngine::decide_contact`] consuming a worker-proposed
-    /// [`ContactPlan`] instead of scanning every server. The ranked
-    /// list holds every candidate with relay cost strictly below
-    /// staying on `target`, `(cost, index)`-ascending; the first entry
-    /// that passes the **live** capacity fit is precisely the server
-    /// the live scan's strict-`<` minimum would keep (a fitting entry
-    /// earlier in the list would have beaten it there too, and the
-    /// unlisted servers cannot win at all). Prologue and booking are
-    /// identical to [`ServeEngine::decide_contact_among`], so the two
-    /// routes leave bit-identical state.
-    ///
-    /// The caller guards that `target` is still the zone's live target;
-    /// costs are pure functions of the instance's delay rows, which no
-    /// repair step mutates, so the plan's floats equal what a live
-    /// recomputation would produce.
-    fn decide_contact_planned(&mut self, c: usize, target: usize, ranked: &[(f64, usize)]) {
-        let z = self.inst.zone_of(c);
-        debug_assert_eq!(self.target_of_zone[z], target, "caller guards the plan");
-        if self.release_to_target(c, z, target) {
-            return;
-        }
-        let overhead = self.inst.client_forwarding_bps(c);
-        let mut winner = None;
-        for &(_, s) in ranked {
-            if s != target && self.load(s) + overhead <= self.inst.capacity(s) + 1e-9 {
-                winner = Some(s);
-                break;
-            }
-        }
-        if let Some(s) = winner {
-            self.book_relay(c, z, s, overhead);
             self.clear_unserved(z, c);
         } else {
             self.mark_unserved(z, c);
@@ -3668,84 +3428,6 @@ mod tests {
                 engine.restore_server(victim).expect("in range");
             }
         }
-    }
-
-    /// Recycled ranked buffers are invisible to contact planning: a
-    /// snapshot plan written into a dirty buffer is bit-identical to
-    /// one written into a fresh allocation, for every live client.
-    #[test]
-    fn plan_contact_with_recycled_buffer_matches_fresh() {
-        let setup = small_setup();
-        let mut engine = boot_engine(&setup, ServeConfig::default());
-        // Churn a little so some clients sit out of bound.
-        for i in 0..20 {
-            engine
-                .push(StreamEvent::Join {
-                    node: i % 40,
-                    zone: (7 * i) % 15,
-                })
-                .unwrap();
-        }
-        engine.flush_now();
-        let snap = FlushSnapshot {
-            inst: engine.inst.clone(),
-            matrix: engine.matrix.clone(),
-            targets: engine.target_of_zone.clone(),
-            unserved: engine.unserved_of_zone.clone(),
-        };
-        let mut recycled = vec![(f64::NAN, usize::MAX); 11];
-        for c in 0..engine.num_clients() {
-            let (c_fresh, fresh) = snap.plan_contact_with(c, Vec::new());
-            let (c_dirty, dirty) = snap.plan_contact_with(c, recycled);
-            assert_eq!(c_fresh, c_dirty);
-            assert_eq!(fresh.target, dirty.target);
-            assert_eq!(fresh.ranked.len(), dirty.ranked.len(), "client {c}");
-            for (a, b) in fresh.ranked.iter().zip(&dirty.ranked) {
-                assert_eq!(a.0.to_bits(), b.0.to_bits(), "client {c}: cost bytes");
-                assert_eq!(a.1, b.1, "client {c}: server");
-            }
-            recycled = dirty.ranked;
-        }
-    }
-
-    /// The two contact routes of `repair_contacts` book the same server
-    /// for every client: the live scan and a worker-ranked plan both
-    /// take the cheapest fitting relay, ties to the lowest index.
-    #[test]
-    fn planned_and_live_contact_decisions_agree() {
-        let setup = small_setup();
-        let churned = || {
-            let mut engine = boot_engine(&setup, ServeConfig::default());
-            for i in 0..40 {
-                engine
-                    .push(StreamEvent::Join {
-                        node: i % 40,
-                        zone: (7 * i) % 15,
-                    })
-                    .unwrap();
-            }
-            engine.flush_now();
-            engine
-        };
-        let mut live = churned();
-        let mut planned = churned();
-        let snap = FlushSnapshot {
-            inst: planned.inst.clone(),
-            matrix: planned.matrix.clone(),
-            targets: planned.target_of_zone.clone(),
-            unserved: planned.unserved_of_zone.clone(),
-        };
-        let mut relayed = 0;
-        for c in 0..live.num_clients() {
-            live.decide_contact(c);
-            let (_, plan) = snap.plan_contact_with(c, Vec::new());
-            planned.decide_contact_planned(c, plan.target, &plan.ranked);
-            assert_eq!(live.contacts()[c], planned.contacts()[c], "client {c}");
-            relayed += usize::from(live.fwd_contrib[c] > 0.0);
-        }
-        assert!(relayed > 0, "no client took a relay");
-        assert_engine_consistent(&live);
-        assert_engine_consistent(&planned);
     }
 
     /// Fifty churn+fault flushes on one engine: the scratch pool

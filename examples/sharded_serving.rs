@@ -4,15 +4,17 @@
 //!
 //! 1. **Bit-identical decisions at any width** — every epoch record
 //!    (population, pQoS, migrations, repairs, flushes) matches the
-//!    one-shard run exactly, because shards only *propose* in parallel
-//!    from a frozen snapshot and one serial pass commits in canonical
-//!    zone order;
+//!    one-shard run exactly, because shards only re-order their touched
+//!    zones in parallel, from a shared read-only cost matrix, and the
+//!    calling thread installs the rows in canonical zone order and runs
+//!    every repair itself;
 //! 2. **Per-shard observability** — `ServeStats::shards` books each
 //!    shard's applied events (zone `z` lives on shard `z % shards`) and
-//!    the on-worker propose time of every concurrent flush.
+//!    the on-worker re-order time of every concurrent flush.
 //!
 //! Wall-clock speedup is *not* visible here: it needs real cores (the
-//! `serve_mc` bench and the `scale-mc` CI job gate it at width >= 4).
+//! `serve_mc` bench and the `scale-mc` CI job gate it at width >= 4),
+//! and the re-order is a small share of a flush (docs/PARALLELISM.md).
 //! What this example demonstrates is that width is free of decision
 //! risk — you can turn it up without changing a single assignment.
 //!

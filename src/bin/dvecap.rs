@@ -19,11 +19,11 @@
 //! sequential connections against the same serve loop: each producer's
 //! events land in the same ring and engine, and the session summary
 //! covers the whole sequence. `--shards N` (default 1) sets the
-//! engine's `dve_sim::ServeConfig::shards`: above 1 the engine serves
-//! on a persistent N-worker team with decisions bit-identical to one
-//! shard, and the session summary adds per-shard event books,
-//! concurrent-flush propose latencies, and the max/min shard-event
-//! imbalance. `--max-batch` and `--max-staleness-ms` mirror the fields
+//! engine's `dve_sim::ServeConfig::shards`: above 1 the engine
+//! re-orders the touched zones of a wide flush on a persistent
+//! N-worker team, with decisions bit-identical to one shard, and the
+//! session summary adds per-shard event books, concurrent-flush
+//! re-order latencies, and the max/min shard-event imbalance. `--max-batch` and `--max-staleness-ms` mirror the fields
 //! of `dve_sim::IngestConfig` and default to its `Default` values (1024
 //! arrivals, 1 ms), which is the single source of truth for the flush
 //! policy: a window commits at `--max-batch` arrivals, when the ring
