@@ -14,16 +14,25 @@
 //! and the carried instance + cost matrix must still be bit-identical to
 //! a fresh `CostMatrix::build` of the engine's state after the run.
 //!
+//! The record also carries the violator rescan's counters over the whole
+//! run (warm-up included) and gates `rescan_skip_share`, the share of
+//! rescan retries that a rescue certificate decided without reading the
+//! client's delay row: higher is better, `rel 0`. Decisions are
+//! seed-deterministic, so the share repeats exactly on any machine, and
+//! a change that stops the certificates from skipping fails the gate
+//! while every decision test still passes.
+//!
 //! ```bash
 //! cargo bench -p dve-bench --bench stream
 //! ```
 
 use criterion::{black_box, criterion_group, Criterion};
 use dve_assign::{CostMatrix, StuckPolicy};
+use dve_bench::diff::{metric, Rule};
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{
-    build_replication, run_stream_with_warmup, ServeConfig, ServeEngine, SimSetup, StreamEvent,
-    TopologySpec,
+    build_replication, run_stream_with_warmup, ServeConfig, ServeEngine, ServeStats, SimSetup,
+    StreamEvent, TopologySpec,
 };
 use dve_topology::HierarchicalConfig;
 use dve_world::{DynamicsBatch, ErrorModel, ScenarioConfig};
@@ -116,8 +125,9 @@ fn bench_event_serve(c: &mut Criterion) {
 }
 
 /// Acceptance: per-event latency SLO at the production tier, plus the
-/// carried-state bit-identity check. Returns (mean_ns, p99_ns, pqos).
-fn check_stream_latency() -> (f64, u64, f64) {
+/// carried-state bit-identity check. Returns (mean_ns, p99_ns, pqos) and
+/// the engine's lifetime counters.
+fn check_stream_latency() -> (f64, u64, f64, ServeStats) {
     let setup = SimSetup {
         scenario: ScenarioConfig::from_notation(LARGE_TIER).expect("static notation"),
         topology: TopologySpec::Hierarchical(HierarchicalConfig::default()),
@@ -158,6 +168,10 @@ fn check_stream_latency() -> (f64, u64, f64) {
         report.stats.zones_migrated,
         report.stats.full_repairs,
     );
+    println!(
+        "stream/rescan: retries {} skipped {} rescued {}",
+        report.stats.rescan_retries, report.stats.rescan_skipped, report.stats.rescan_rescued
+    );
     for r in &report.records {
         println!(
             "stream/epoch {}: clients {} pqos {:.4} migrated {} flushes {}",
@@ -194,7 +208,7 @@ fn check_stream_latency() -> (f64, u64, f64) {
         "streamed pQoS {:.3} collapsed at the production tier",
         last.pqos
     );
-    (mean, p99, last.pqos)
+    (mean, p99, last.pqos, report.stats)
 }
 
 /// The carried matrix stays bit-identical to a fresh build under
@@ -269,7 +283,9 @@ criterion_group!(benches, bench_event_serve);
 fn main() {
     benches();
     check_carried_state_identity();
-    let (mean_ns, p99_ns, pqos) = check_stream_latency();
+    let (mean_ns, p99_ns, pqos, stats) = check_stream_latency();
+    assert!(stats.rescan_retries > 0, "the run must exercise the rescan");
+    let skip_share = stats.rescan_skipped as f64 / stats.rescan_retries as f64;
     let path = dve_bench::write_bench_record(
         "stream",
         &[
@@ -278,8 +294,15 @@ fn main() {
             ("steady_mean_ns", format!("{mean_ns:.0}")),
             ("steady_p99_ns", format!("{p99_ns}")),
             ("pqos", format!("{pqos:.6}")),
+            ("rescan_retries", format!("{}", stats.rescan_retries)),
+            ("rescan_skipped", format!("{}", stats.rescan_skipped)),
+            ("rescan_rescued", format!("{}", stats.rescan_rescued)),
         ],
-        &[],
+        &[metric(
+            "rescan_skip_share",
+            skip_share,
+            Rule::Higher { rel: 0.0 },
+        )],
     );
     println!("stream: record written to {path}");
     #[cfg(feature = "count-allocs")]

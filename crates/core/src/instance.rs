@@ -137,22 +137,13 @@ impl DelayTable {
         }
     }
 
-    /// Streams `f(server, observed_delay)` over one row without
-    /// materialising it — the bulk accessor of the cost-matrix paths,
-    /// with the layout dispatched once per row, not per entry.
+    /// The observed row of `m` entries starting at `base`, with the
+    /// layout dispatched once per row, not per entry.
     #[inline]
-    fn fold_obs<F: FnMut(usize, f64)>(&self, base: usize, m: usize, mut f: F) {
+    fn obs_row(&self, base: usize, m: usize) -> &[f64] {
         match self {
-            DelayTable::Dense { obs, .. } => {
-                for (j, &d) in obs[base..base + m].iter().enumerate() {
-                    f(j, d);
-                }
-            }
-            DelayTable::Shared { rtt } => {
-                for (j, &d) in rtt[base..base + m].iter().enumerate() {
-                    f(j, d);
-                }
-            }
+            DelayTable::Dense { obs, .. } => &obs[base..base + m],
+            DelayTable::Shared { rtt } => &rtt[base..base + m],
         }
     }
 
@@ -231,14 +222,23 @@ pub struct CapInstance {
     /// Client→server delay rows, layout-polymorphic: the observed rows,
     /// plus the true rows only when some observation differs from them.
     cs: DelayTable,
-    /// Observed server-to-server RTTs (provisioning already applied).
+    /// Observed server-to-server RTTs (provisioning already applied),
+    /// **target-major**: entry `b * m + a` is the RTT from `a` to `b`,
+    /// so the column of every contact's hop to one target is one
+    /// contiguous slice — what the relay kernel
+    /// [`CapInstance::relay_costs_into`] streams.
     obs_ss: Vec<f64>,
-    /// True server-to-server RTTs (provisioning already applied).
+    /// True server-to-server RTTs (provisioning already applied),
+    /// row-major: entry `a * m + b` is the RTT from `a` to `b`.
     true_ss: Vec<f64>,
     /// Zone of each client.
     zone_of_client: Vec<usize>,
     /// Clients per zone (indices).
     clients_of_zone: Vec<Vec<usize>>,
+    /// Position of each client in its zone's `clients_of_zone` list, so
+    /// a streamed leave or move removes it in O(1) instead of scanning
+    /// the list.
+    slot_of_client: Vec<u32>,
     /// `R^T_c` per client, bits/s. Authoritative only for zones whose
     /// `uniform_target_bps` entry is `None`; once a zone goes through
     /// [`CapInstance::refresh_zone_bandwidth`] its members' entries here
@@ -289,6 +289,7 @@ impl Default for CapInstance {
             true_ss: Vec::new(),
             zone_of_client: Vec::new(),
             clients_of_zone: Vec::new(),
+            slot_of_client: Vec::new(),
             client_target_bps: Vec::new(),
             uniform_target_bps: Vec::new(),
             zone_bps: Vec::new(),
@@ -346,13 +347,9 @@ impl CapInstance {
         // independent per pair; server-server pairs stay symmetric. Under
         // perfect observations the true rows are the observed ones.
         let cs = dense_table(true_cs, error, rng);
-        let obs_ss = if error.factor == 1.0 {
-            true_ss.clone()
-        } else {
-            error.observe_matrix(servers, &true_ss, rng)
-        };
+        let obs_ss = observed_ss(servers, &true_ss, error, rng);
 
-        let (zone_of_client, clients_of_zone, client_target_bps, zone_bps) =
+        let (zone_of_client, clients_of_zone, slot_of_client, client_target_bps, zone_bps) =
             zone_bookkeeping(world);
         let capacity = world.servers.iter().map(|s| s.capacity_bps).collect();
 
@@ -367,6 +364,7 @@ impl CapInstance {
             true_ss,
             zone_of_client,
             clients_of_zone,
+            slot_of_client,
             client_target_bps,
             uniform_target_bps: vec![None; zones],
             zone_bps,
@@ -457,7 +455,7 @@ impl CapInstance {
             }
         }
 
-        let (zone_of_client, clients_of_zone, client_target_bps, zone_bps) =
+        let (zone_of_client, clients_of_zone, slot_of_client, client_target_bps, zone_bps) =
             zone_bookkeeping(world);
 
         // Per-client rows follow client order; the shared layout borrows
@@ -505,11 +503,7 @@ impl CapInstance {
             }
         };
 
-        let obs_ss = if error.factor == 1.0 {
-            true_ss.clone()
-        } else {
-            error.observe_matrix(servers, &true_ss, rng)
-        };
+        let obs_ss = observed_ss(servers, &true_ss, error, rng);
         CapInstance {
             clients,
             servers,
@@ -521,6 +515,7 @@ impl CapInstance {
             true_ss,
             zone_of_client,
             clients_of_zone,
+            slot_of_client,
             client_target_bps,
             uniform_target_bps: vec![None; zones],
             zone_bps,
@@ -628,12 +623,11 @@ impl CapInstance {
         self.zone_of_client.clear();
         self.zone_of_client
             .extend(world.clients.iter().map(|c| c.zone));
-        for members in &mut self.clients_of_zone {
-            members.clear();
-        }
-        for (c, &z) in self.zone_of_client.iter().enumerate() {
-            self.clients_of_zone[z].push(c);
-        }
+        fill_zone_lists(
+            &self.zone_of_client,
+            &mut self.clients_of_zone,
+            &mut self.slot_of_client,
+        );
         self.client_target_bps.clear();
         self.client_target_bps
             .extend(self.zone_of_client.iter().map(|&z| {
@@ -667,8 +661,9 @@ impl CapInstance {
     /// exactly where it was — only the row-slot map entry moves. The
     /// leaver's row slot joins `free_rows` for a later
     /// [`CapInstance::stream_join`] to recycle. Total work is O(m + zone
-    /// population): the member-list edits plus the population-dependent
-    /// bandwidth refresh of the one touched zone.
+    /// population): the member-list edits, at the positions the instance
+    /// keeps per client, plus the population-dependent bandwidth refresh
+    /// of the one touched zone.
     ///
     /// Unlike the batch compaction of `apply_delta` (survivors keep their
     /// relative order), swap-remove *permutes* client indices; all
@@ -683,11 +678,7 @@ impl CapInstance {
         if !matches!(self.cs, DelayTable::Shared { .. }) {
             self.free_rows.push(self.row_of_client[client]);
         }
-        let pos = self.clients_of_zone[zone]
-            .iter()
-            .position(|&c| c == client)
-            .expect("zone membership is consistent");
-        self.clients_of_zone[zone].swap_remove(pos);
+        self.remove_from_zone_list(client, zone);
 
         let last = self.clients - 1;
         let relocated = if client != last {
@@ -695,17 +686,16 @@ impl CapInstance {
             self.row_of_client[client] = self.row_of_client[last];
             self.zone_of_client[client] = last_zone;
             self.client_target_bps[client] = self.client_target_bps[last];
-            let last_pos = self.clients_of_zone[last_zone]
-                .iter()
-                .position(|&c| c == last)
-                .expect("zone membership is consistent");
-            self.clients_of_zone[last_zone][last_pos] = client;
+            let last_pos = self.slot_of_client[last];
+            self.clients_of_zone[last_zone][last_pos as usize] = client;
+            self.slot_of_client[client] = last_pos;
             Some(last)
         } else {
             None
         };
         self.row_of_client.truncate(last);
         self.zone_of_client.truncate(last);
+        self.slot_of_client.truncate(last);
         self.client_target_bps.truncate(last);
         self.clients = last;
         self.refresh_zone_bandwidth(zone, model);
@@ -758,6 +748,8 @@ impl CapInstance {
         self.row_of_client.push(slot);
         self.zone_of_client.push(zone);
         self.client_target_bps.push(0.0); // set by the refresh below
+        self.slot_of_client
+            .push(zone_list_slot(self.clients_of_zone[zone].len()));
         self.clients_of_zone[zone].push(idx);
         self.clients += 1;
         self.refresh_zone_bandwidth(zone, model);
@@ -775,15 +767,24 @@ impl CapInstance {
         if from == zone {
             return;
         }
-        let pos = self.clients_of_zone[from]
-            .iter()
-            .position(|&c| c == client)
-            .expect("zone membership is consistent");
-        self.clients_of_zone[from].swap_remove(pos);
+        self.remove_from_zone_list(client, from);
+        self.slot_of_client[client] = zone_list_slot(self.clients_of_zone[zone].len());
         self.clients_of_zone[zone].push(client);
         self.zone_of_client[client] = zone;
         self.refresh_zone_bandwidth(from, model);
         self.refresh_zone_bandwidth(zone, model);
+    }
+
+    /// Swap-removes `client` from zone `zone`'s member list at its kept
+    /// position and re-points the entry that backfills the slot.
+    fn remove_from_zone_list(&mut self, client: usize, zone: usize) {
+        let pos = self.slot_of_client[client];
+        let list = &mut self.clients_of_zone[zone];
+        debug_assert_eq!(list[pos as usize], client, "zone slot out of step");
+        list.swap_remove(pos as usize);
+        if let Some(&moved) = list.get(pos as usize) {
+            self.slot_of_client[moved] = pos;
+        }
     }
 
     /// Recomputes `zone_bps` and the members' `R^T_c` for one zone from
@@ -816,11 +817,12 @@ impl CapInstance {
         assert_eq!(ss.len(), servers * servers);
         assert_eq!(client_target_bps.len(), clients);
         assert_eq!(capacity.len(), servers);
-        let mut clients_of_zone: Vec<Vec<usize>> = vec![Vec::new(); zones];
         for (c, &z) in zone_of_client.iter().enumerate() {
             assert!(z < zones, "client {c} in out-of-range zone {z}");
-            clients_of_zone[z].push(c);
         }
+        let mut clients_of_zone: Vec<Vec<usize>> = vec![Vec::new(); zones];
+        let mut slot_of_client = Vec::with_capacity(clients);
+        fill_zone_lists(&zone_of_client, &mut clients_of_zone, &mut slot_of_client);
         let zone_bps: Vec<f64> = clients_of_zone
             .iter()
             .map(|cs| cs.iter().map(|&c| client_target_bps[c]).sum())
@@ -832,10 +834,11 @@ impl CapInstance {
             row_of_client: (0..clients as u32).collect(),
             free_rows: Vec::new(),
             cs: DelayTable::Dense { obs: cs, tru: None },
-            obs_ss: ss.clone(),
+            obs_ss: target_major(servers, &ss),
             true_ss: ss,
             zone_of_client,
             clients_of_zone,
+            slot_of_client,
             client_target_bps,
             uniform_target_bps: vec![None; zones],
             zone_bps,
@@ -908,24 +911,22 @@ impl CapInstance {
         self.cs.obs(self.row(c) * self.servers + s)
     }
 
+    /// Client `c`'s observed delay row, one entry per server —
+    /// layout-dispatched once per row instead of per entry.
+    #[inline]
+    pub fn obs_row(&self, c: usize) -> &[f64] {
+        self.cs.obs_row(self.row(c) * self.servers, self.servers)
+    }
+
     /// Streams `f(server, observed_delay)` over client `c`'s delay row —
     /// the bulk accessor of the cost-matrix paths
     /// ([`CostMatrix::build`](crate::CostMatrix::build) and the per-event
-    /// column updates), layout-dispatched once per row instead of per
-    /// entry.
+    /// column updates).
     #[inline]
-    pub fn fold_obs_row<F: FnMut(usize, f64)>(&self, c: usize, f: F) {
-        self.cs
-            .fold_obs(self.row(c) * self.servers, self.servers, f);
-    }
-
-    /// Copies client `c`'s observed delay row into `out` (length `m`) —
-    /// for consumers that genuinely need random access to a row (the
-    /// joint MILP builder); the hot paths use
-    /// [`CapInstance::fold_obs_row`].
-    pub fn copy_obs_row(&self, c: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.servers, "row buffer must cover servers");
-        self.fold_obs_row(c, |j, d| out[j] = d);
+    pub fn fold_obs_row<F: FnMut(usize, f64)>(&self, c: usize, mut f: F) {
+        for (j, &d) in self.obs_row(c).iter().enumerate() {
+            f(j, d);
+        }
     }
 
     /// True client→server RTT (what QoS is judged on).
@@ -937,7 +938,7 @@ impl CapInstance {
     /// Observed server→server RTT (provisioned).
     #[inline]
     pub fn obs_ss(&self, a: usize, b: usize) -> f64 {
-        self.obs_ss[a * self.servers + b]
+        self.obs_ss[b * self.servers + a]
     }
 
     /// True server→server RTT (provisioned).
@@ -1006,6 +1007,27 @@ impl CapInstance {
         (total - self.delay_bound).max(0.0)
     }
 
+    /// The relay kernel: writes `C^R(c, s, target)` (eq. 8) for every
+    /// server `s` into `out` (length `m`), in one sequential pass over
+    /// `c`'s observed delay row and the observed hop column into
+    /// `target`. Every entry is the `f64` [`CapInstance::rap_cost`]
+    /// returns — the same operations in the same order — so a solver
+    /// that reads its costs here decides exactly as one that calls
+    /// `rap_cost` per entry. Callers apply their own pick rule (fit
+    /// checks, candidate masks) to the full row.
+    pub fn relay_costs_into(&self, c: usize, target: usize, out: &mut [f64]) {
+        let m = self.servers;
+        assert_eq!(out.len(), m, "cost buffer must cover servers");
+        let row = self.obs_row(c);
+        let hops = &self.obs_ss[target * m..(target + 1) * m];
+        let bound = self.delay_bound;
+        for ((cost, &d), &hop) in out.iter_mut().zip(row).zip(hops) {
+            *cost = (d + hop - bound).max(0.0);
+        }
+        // The direct path takes no server hop.
+        out[target] = (row[target] - bound).max(0.0);
+    }
+
     /// Observed end-to-end delay through `contact` to `target`.
     pub fn observed_path_delay(&self, c: usize, contact: usize, target: usize) -> f64 {
         if contact == target {
@@ -1044,17 +1066,62 @@ fn dense_table<R: Rng + ?Sized>(tru: Vec<f64>, error: ErrorModel, rng: &mut R) -
     }
 }
 
+/// The observed server→server table, target-major, over the row-major
+/// true table: the true delays themselves under perfect observations,
+/// symmetric estimates otherwise.
+fn observed_ss<R: Rng + ?Sized>(
+    m: usize,
+    true_ss: &[f64],
+    error: ErrorModel,
+    rng: &mut R,
+) -> Vec<f64> {
+    if error.factor == 1.0 {
+        target_major(m, true_ss)
+    } else {
+        target_major(m, &error.observe_matrix(m, true_ss, rng))
+    }
+}
+
+/// Transposes a row-major m×m table (entry `a * m + b` is a→b) into the
+/// target-major layout (entry `b * m + a`).
+fn target_major(m: usize, row_major: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; m * m];
+    for a in 0..m {
+        for b in 0..m {
+            out[b * m + a] = row_major[a * m + b];
+        }
+    }
+    out
+}
+
+/// A position in a zone member list, as the instance stores it.
+fn zone_list_slot(pos: usize) -> u32 {
+    u32::try_from(pos).expect("zone list position fits u32")
+}
+
+/// Refills `lists` with each zone's members in ascending client order
+/// and `slots` with each client's position in its list.
+fn fill_zone_lists(zone_of_client: &[usize], lists: &mut [Vec<usize>], slots: &mut Vec<u32>) {
+    for members in lists.iter_mut() {
+        members.clear();
+    }
+    slots.clear();
+    for (c, &z) in zone_of_client.iter().enumerate() {
+        slots.push(zone_list_slot(lists[z].len()));
+        lists[z].push(c);
+    }
+}
+
 /// One O(k) pass deriving zone membership and the population-dependent
 /// bandwidth terms — shared by the dense and the blocked builders so the
 /// two paths can never disagree on the formulas.
 #[allow(clippy::type_complexity)]
-fn zone_bookkeeping(world: &World) -> (Vec<usize>, Vec<Vec<usize>>, Vec<f64>, Vec<f64>) {
+fn zone_bookkeeping(world: &World) -> (Vec<usize>, Vec<Vec<usize>>, Vec<u32>, Vec<f64>, Vec<f64>) {
     let k = world.clients.len();
     let zone_of_client = collect_population(k, world.clients.iter().map(|c| c.zone));
     let mut clients_of_zone: Vec<Vec<usize>> = vec![Vec::new(); world.zones];
-    for (c, &z) in zone_of_client.iter().enumerate() {
-        clients_of_zone[z].push(c);
-    }
+    let mut slot_of_client = Vec::with_capacity(population_capacity(k));
+    fill_zone_lists(&zone_of_client, &mut clients_of_zone, &mut slot_of_client);
     let populations: Vec<usize> = clients_of_zone.iter().map(|v| v.len()).collect();
     let client_target_bps = collect_population(
         k,
@@ -1066,7 +1133,13 @@ fn zone_bookkeeping(world: &World) -> (Vec<usize>, Vec<Vec<usize>>, Vec<f64>, Ve
         .iter()
         .map(|&n| world.config.bandwidth.zone_bps(n))
         .collect();
-    (zone_of_client, clients_of_zone, client_target_bps, zone_bps)
+    (
+        zone_of_client,
+        clients_of_zone,
+        slot_of_client,
+        client_target_bps,
+        zone_bps,
+    )
 }
 
 #[cfg(test)]
@@ -1133,6 +1206,55 @@ mod tests {
         assert_eq!(inst.rap_cost(1, 1, 0), 30.0);
         // c0 direct to s0: 100 -> cost 0
         assert_eq!(inst.rap_cost(0, 0, 0), 0.0);
+    }
+
+    /// The relay kernel returns `rap_cost`'s exact `f64`s for every
+    /// (client, contact, target), on a raw instance with asymmetric
+    /// server hops and on built instances of both layouts, with and
+    /// without observation error.
+    #[test]
+    fn relay_kernel_matches_rap_cost_bit_for_bit() {
+        let asymmetric = CapInstance::from_raw(
+            3,
+            1,
+            vec![0, 0],
+            vec![300.0, 120.5, 260.0, 90.0, 410.0, 251.0],
+            vec![0.0, 30.0, 70.0, 45.5, 0.0, 12.0, 80.0, 14.0, 0.0],
+            vec![1000.0, 1000.0],
+            vec![5000.0; 3],
+            250.0,
+        );
+        // The target-major store still answers `obs_ss(a, b)` as a→b.
+        assert_eq!(asymmetric.obs_ss(0, 1), 30.0);
+        assert_eq!(asymmetric.obs_ss(1, 0), 45.5);
+        for a in 0..3 {
+            for b in 0..3 {
+                assert_eq!(asymmetric.obs_ss(a, b), asymmetric.true_ss(a, b));
+            }
+        }
+        let (world, _delays, handle, mut rng) = blocked_fixture(79, "4s-8z-60c-100cp");
+        let mut instances = vec![asymmetric];
+        for (error, layout) in [
+            (ErrorModel::PERFECT, DelayLayout::Dense64),
+            (ErrorModel::KING, DelayLayout::Dense64),
+            (ErrorModel::PERFECT, DelayLayout::SharedByNode),
+        ] {
+            instances.push(CapInstance::from_world(
+                &world, &handle, 0.5, 250.0, error, layout, &mut rng,
+            ));
+        }
+        for inst in &instances {
+            let m = inst.num_servers();
+            let mut costs = vec![f64::NAN; m];
+            for c in 0..inst.num_clients() {
+                for t in 0..m {
+                    inst.relay_costs_into(c, t, &mut costs);
+                    for (s, &cost) in costs.iter().enumerate() {
+                        assert_eq!(cost.to_bits(), inst.rap_cost(c, s, t).to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1392,6 +1514,12 @@ mod tests {
             }
             for z in 0..fresh.num_zones() {
                 assert_eq!(inst.zone_bps(z), fresh.zone_bps(z), "step {step} z={z}");
+                for (pos, &c) in inst.clients_in_zone(z).iter().enumerate() {
+                    assert_eq!(
+                        inst.slot_of_client[c] as usize, pos,
+                        "step {step} z={z}: zone slot of client {c} out of step"
+                    );
+                }
                 let mut a: Vec<usize> = inst.clients_in_zone(z).to_vec();
                 let mut b: Vec<usize> = fresh.clients_in_zone(z).to_vec();
                 a.sort_unstable();
@@ -1766,6 +1894,10 @@ mod tests {
                     (
                         inst.client_target_bps.as_ptr() as usize,
                         inst.client_target_bps.capacity(),
+                    ),
+                    (
+                        inst.slot_of_client.as_ptr() as usize,
+                        inst.slot_of_client.capacity(),
                     ),
                 ];
                 if let DelayTable::Dense { obs, tru } = &inst.cs {

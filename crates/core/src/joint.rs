@@ -99,9 +99,8 @@ pub fn joint_milp(inst: &CapInstance) -> BinaryMilp {
     // negative count of in-bound (contact, target) picks. Stream each
     // client's delay row once instead of k·m² indexed lookups.
     let bound = inst.delay_bound();
-    let mut row = vec![0.0; m];
     for c in 0..k {
-        inst.copy_obs_row(c, &mut row);
+        let row = inst.obs_row(c);
         for (contact, &d_contact) in row.iter().enumerate() {
             for target in 0..m {
                 let total = if contact == target {

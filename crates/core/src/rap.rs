@@ -29,6 +29,9 @@
 //! [`grec`] itself builds no table: it reads each violator's costs twice,
 //! once for its regret and once in a live scan at commit, and keeps O(1)
 //! extra memory per client, which is what the million-client solve needs.
+//! Both reads, and every [`RelayTable`] row, come from the one relay
+//! kernel [`CapInstance::relay_costs_into`], which evaluates a client's
+//! full `C^R` row in one sequential pass.
 
 use crate::instance::{population_capacity, CapInstance};
 use dve_milp::{BbConfig, GapInstance, GapOutcome, LpError};
@@ -101,17 +104,20 @@ impl RelayTable {
     pub fn build(inst: &CapInstance, target_of_zone: &[usize]) -> RelayTable {
         let m = inst.num_servers();
         let le = violating_clients(inst, target_of_zone);
+        let fill = |c: usize, row: &mut [f64]| {
+            inst.relay_costs_into(c, target_of_zone[inst.zone_of(c)], row);
+        };
         let cost: Vec<f64> = if dve_par::default_threads() <= 1 || le.len() <= 1 {
-            let mut cost = Vec::with_capacity(le.len() * m);
-            for &c in &le {
-                let t = target_of_zone[inst.zone_of(c)];
-                cost.extend((0..m).map(|s| inst.rap_cost(c, s, t)));
+            let mut cost = vec![0.0; le.len() * m];
+            for (k, &c) in le.iter().enumerate() {
+                fill(c, &mut cost[k * m..(k + 1) * m]);
             }
             cost
         } else {
             let rows: Vec<Vec<f64>> = dve_par::par_map(&le, |&c| {
-                let t = target_of_zone[inst.zone_of(c)];
-                (0..m).map(|s| inst.rap_cost(c, s, t)).collect()
+                let mut row = vec![0.0; m];
+                fill(c, &mut row);
+                row
             });
             let mut cost = Vec::with_capacity(le.len() * m);
             for row in rows {
@@ -153,30 +159,30 @@ impl RelayTable {
 ///
 /// Deterministic given the instance and targets. The regret `rho` follows
 /// the same sign-fixed Romeijn–Morales convention as
-/// [`grez`](crate::iap::grez). Evaluates eq. 8 inline — the single-shot
-/// path has no table to amortise; use [`grec_with`] when a
-/// [`RelayTable`] is shared with another consumer (as [`exact_rap_with`]
-/// shares it with its GAP build).
+/// [`grez`](crate::iap::grez). Evaluates eq. 8 through the relay kernel
+/// — the single-shot path has no table to amortise; use [`grec_with`]
+/// when a [`RelayTable`] is shared with another consumer (as
+/// [`exact_rap_with`] shares it with its GAP build).
 pub fn grec(inst: &CapInstance, target_of_zone: &[usize]) -> Vec<usize> {
     let le = violating_clients(inst, target_of_zone);
-    grec_impl(inst, target_of_zone, &le, |k, s| {
+    grec_impl(inst, target_of_zone, &le, |k, row| {
         let c = le[k];
-        inst.rap_cost(c, s, target_of_zone[inst.zone_of(c)])
+        inst.relay_costs_into(c, target_of_zone[inst.zone_of(c)], row);
     })
 }
 
 /// [`grec`] on a prebuilt [`RelayTable`] (which must describe the same
 /// instance and target vector).
 pub fn grec_with(inst: &CapInstance, target_of_zone: &[usize], table: &RelayTable) -> Vec<usize> {
-    grec_impl(inst, target_of_zone, table.violating(), |k, s| {
-        table.cost(k, s)
+    grec_impl(inst, target_of_zone, table.violating(), |k, row| {
+        row.copy_from_slice(table.row(k));
     })
 }
 
-/// The one GreC implementation, generic over where `C^R` of
-/// (violating-row `k`, server `s`) comes from — the inline eq. 8
-/// evaluation or a [`RelayTable`] row. Both sources produce the same
-/// `f64`s, so the two public entry points are bit-identical.
+/// The one GreC implementation, generic over where the `C^R` row of
+/// violating-row `k` comes from — the relay kernel or a [`RelayTable`]
+/// row, written into a recycled m-entry buffer. Both sources produce
+/// the same `f64`s, so the two public entry points are bit-identical.
 ///
 /// Fig. 3 ranks each violator's servers by `C^R` ascending (ties to the
 /// lower index) and commits the first one that still fits. Neither step
@@ -185,11 +191,11 @@ pub fn grec_with(inst: &CapInstance, target_of_zone: &[usize], table: &RelayTabl
 /// (cost, index) over the servers that fit when the client commits. So
 /// each violator costs one O(m) regret pass and one O(m) live scan, with
 /// O(1) extra memory per client.
-fn grec_impl<F: Fn(usize, usize) -> f64>(
+fn grec_impl<F: Fn(usize, &mut [f64])>(
     inst: &CapInstance,
     target_of_zone: &[usize],
     le: &[usize],
-    cost: F,
+    costs_of: F,
 ) -> Vec<usize> {
     let m = inst.num_servers();
     // Clients off the violating list keep the natural connection. The
@@ -200,8 +206,12 @@ fn grec_impl<F: Fn(usize, usize) -> f64>(
     contact.extend((0..k).map(|c| target_of_zone[inst.zone_of(c)]));
     let mut loads = zone_loads(inst, target_of_zone);
 
+    let mut costs = vec![0.0; m];
     let mut regret: Vec<(f64, usize)> = (0..le.len())
-        .map(|k| (regret_of(m, |s| cost(k, s)), k))
+        .map(|k| {
+            costs_of(k, &mut costs);
+            (regret_of(&costs), k)
+        })
         .collect();
     regret.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
 
@@ -209,6 +219,7 @@ fn grec_impl<F: Fn(usize, usize) -> f64>(
         let c = le[k];
         let t = target_of_zone[inst.zone_of(c)];
         let fwd = inst.client_forwarding_bps(c);
+        costs_of(k, &mut costs);
         let mut best: Option<(f64, usize)> = None;
         for s in 0..m {
             let rc = if s == t { 0.0 } else { fwd };
@@ -216,7 +227,7 @@ fn grec_impl<F: Fn(usize, usize) -> f64>(
             if !fits {
                 continue;
             }
-            let cr = cost(k, s);
+            let cr = costs[s];
             if best.is_none_or(|(b, _)| cr < b) {
                 best = Some((cr, s));
                 // `C^R >= 0`: no later (higher-index) server can beat it.
@@ -237,17 +248,16 @@ fn grec_impl<F: Fn(usize, usize) -> f64>(
     contact
 }
 
-/// GreC's regret `rho` for one violator: the gap between its two
-/// smallest `C^R` over `m` servers (0 when `m < 2`) — the sign-fixed
+/// GreC's regret `rho` for one violator: the gap between the two
+/// smallest entries of its `C^R` row (0 when `m < 2`) — the sign-fixed
 /// `mu[0] - mu[1]` of the desirability list `mu = -C^R`, as the same
 /// `f64`. One pass; since `C^R >= 0` it stops at the second zero.
-fn regret_of(m: usize, cost: impl Fn(usize) -> f64) -> f64 {
-    if m < 2 {
+fn regret_of(costs: &[f64]) -> f64 {
+    if costs.len() < 2 {
         return 0.0;
     }
     let (mut lo1, mut lo2) = (f64::INFINITY, f64::INFINITY);
-    for s in 0..m {
-        let c = cost(s);
+    for &c in costs {
         if c < lo1 {
             lo2 = lo1;
             lo1 = c;

@@ -26,7 +26,16 @@
 //!   columns, scoped evacuation of servers pushed over capacity, and
 //!   contact re-decisions for joiners, movers, migrated-zone members and
 //!   the touched zones' unserved violators (incrementally maintained
-//!   per-zone lists, so no flush rescans a zone's membership). When
+//!   per-zone lists, so no flush rescans a zone's membership). Every
+//!   contact decision is GreC's per-client rule over one full `C^R` row
+//!   from the relay kernel ([`CapInstance::relay_costs_into`]). A
+//!   violator left unserved keeps that row's verdict as a **rescue
+//!   certificate**: the servers cheaper than its target. The rescan
+//!   ANDs it with the zone's live fit mask (the servers with room for
+//!   one more relay) and skips the retry, without reading the delay
+//!   row, when nothing is left; otherwise it picks over the
+//!   intersection, which is exactly the server the full scan would
+//!   pick (see `rescan_zone`). When
 //!   an overload cannot be evacuated locally and the engine was feasible
 //!   before the flush, it **falls back** to the global zone-level repair
 //!   ([`repair_targets_with`](crate::repair_targets_with)), applying
@@ -371,6 +380,15 @@ pub struct ServeStats {
     pub failovers: u64,
     /// [`ServeEngine::restore_server`] re-admission sweeps executed.
     pub recoveries: u64,
+    /// Relay retries of listed unserved violators by the violator
+    /// rescan (the flush's, and the restore sweep's).
+    pub rescan_retries: u64,
+    /// Rescan retries decided by the rescue certificate alone: no
+    /// server the certificate names fits, so the retry was skipped
+    /// without reading the client's delay row.
+    pub rescan_skipped: u64,
+    /// Rescan retries that booked a relay.
+    pub rescan_rescued: u64,
     /// Per-shard books, indexed by shard; empty at
     /// [`ServeConfig::shards`] = 1.
     pub shards: Vec<ShardStats>,
@@ -499,23 +517,24 @@ pub struct ServeEngine {
     /// Per-zone **unserved violators**: members beyond the delay bound
     /// of their zone's target whose contact still *is* that target (no
     /// relay found yet) — exactly the set the flush-path violator rescan
-    /// retries. Maintained incrementally by the event appliers and
+    /// retries — each with its rescue certificate ([`UnservedLists`]).
+    /// Maintained incrementally by the event appliers and
     /// [`ServeEngine::decide_contact_among`], so the rescan never sweeps
     /// a full zone membership. Unordered; entries are swap-removed.
-    unserved_of_zone: Vec<Vec<usize>>,
+    unserved: UnservedLists,
     /// Position of each client in its zone's unserved list
-    /// (`usize::MAX` when not listed) — O(1) membership and removal.
-    unserved_pos: Vec<usize>,
+    /// ([`NOT_LISTED`] when not listed) — O(1) membership and removal.
+    unserved_pos: Vec<u32>,
     /// Position of each client in its contact's
-    /// [`ServeEngine::relayed_of_server`] list (`usize::MAX` when not
+    /// [`ServeEngine::relayed_of_server`] list ([`NOT_LISTED`] when not
     /// relayed) — O(1) removal. Without it every unrelay scanned the
     /// list, and a flash crowd's hot zone can relay thousands of
     /// clients through the same few servers.
-    relay_pos_server: Vec<usize>,
+    relay_pos_server: Vec<u32>,
     /// Position of each client in its zone's
-    /// [`ServeEngine::relayed_of_zone`] list (`usize::MAX` when not
+    /// [`ServeEngine::relayed_of_zone`] list ([`NOT_LISTED`] when not
     /// relayed) — O(1) removal, same reason.
-    relay_pos_zone: Vec<usize>,
+    relay_pos_zone: Vec<u32>,
     /// Zones currently hosted by each server (the inverse of
     /// `target_of_zone`), so evacuations list a server's zones without
     /// scanning the whole zone table — under a flash crowd dozens of
@@ -588,8 +607,12 @@ struct FlushScratch {
     redecide: Vec<ClientId>,
     /// `repair_targets`' migrated-zone accumulator.
     migrated: Vec<usize>,
-    /// `repair_contacts`' per-zone relay-candidate list.
-    candidates: Vec<usize>,
+    /// The relay kernel's `C^R` row (length m).
+    costs: Vec<f64>,
+    /// The rescan's live fit mask of the zone being swept.
+    fit: Vec<Word>,
+    /// The rescan's per-entry candidate set: certificate ∩ fit mask.
+    live: Vec<Word>,
     /// `evacuate`'s servers-with-headroom list.
     room: Vec<usize>,
     /// `evacuate`/`fail_server`'s sorted hosted-zone list.
@@ -604,6 +627,187 @@ struct FlushScratch {
     shells: Vec<ShardProposal>,
     /// Recycled scatter result slots ([`WorkerTeam::scatter`]).
     slots: Vec<Option<(ShardProposal, u64)>>,
+}
+
+/// The position books' "not listed" sentinel.
+const NOT_LISTED: u32 = u32::MAX;
+
+/// A list position as the `u32` position books store it. A population
+/// never reaches 2^32 − 1 list entries; the conversion is checked so a
+/// position can never alias the [`NOT_LISTED`] sentinel.
+fn list_pos(pos: usize) -> u32 {
+    match u32::try_from(pos) {
+        Ok(p) if p != NOT_LISTED => p,
+        _ => panic!("list position {pos} does not fit the u32 position books"),
+    }
+}
+
+/// One word of a server bitset (rescue certificates and fit masks):
+/// server `s` is bit `s % WORD_BITS` of word `s / WORD_BITS`.
+type Word = u32;
+
+/// Servers per bitset [`Word`].
+const WORD_BITS: usize = Word::BITS as usize;
+
+/// Sets server `s`'s bit.
+fn set_bit(bits: &mut [Word], s: usize) {
+    bits[s / WORD_BITS] |= 1 << (s % WORD_BITS);
+}
+
+/// Clears server `s`'s bit.
+fn clear_bit(bits: &mut [Word], s: usize) {
+    bits[s / WORD_BITS] &= !(1 << (s % WORD_BITS));
+}
+
+/// The indices of the set bits of a server bitset, ascending.
+fn set_bits(bits: &[Word]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * WORD_BITS + bit
+            })
+        })
+    })
+}
+
+/// GreC's per-client pick (Fig. 3) over a client's `C^R` row `costs`
+/// for zone target `target`: the minimum (`C^R`, index) among the
+/// ascending `candidates` other than the target that `fits`, strictly
+/// cheaper than staying on the target — `None` when none is.
+fn cheapest_relay(
+    costs: &[f64],
+    target: usize,
+    candidates: impl IntoIterator<Item = usize>,
+    fits: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let mut best = (costs[target], target);
+    for s in candidates {
+        if s != target && costs[s] < best.0 && fits(s) {
+            best = (costs[s], s);
+        }
+    }
+    (best.1 != target).then_some(best.1)
+}
+
+/// The client word's flag: set once the entry's certificate is written.
+const CERTIFIED: Word = 1 << (WORD_BITS - 1);
+
+/// Every zone's unserved violators (see [`ServeEngine::unserved`]),
+/// each entry carrying its **rescue certificate** `B_c`: the servers
+/// `s ≠ t` with `C^R(c, s, t) < C^R(c, t, t)` for the zone's target
+/// `t`, one bit per server. Only those servers can ever rescue `c`, and
+/// which of them fits is a question about loads, not delays: `B_c`
+/// depends only on `c`'s delay row and the target, so load and capacity
+/// changes leave it valid, and it holds until the zone's target
+/// changes.
+///
+/// The pass that leaves a client unserved writes its `B_c`; an entry
+/// listed without one (at boot, or a joiner or mover on arrival) is
+/// uncertified until its next full pass. An entry is `stride` words of
+/// its zone's one vector: the client word (the client's index, with
+/// [`CERTIFIED`] set once the certificate is written), then the
+/// certificate's `stride - 1` words. Entries are unordered and
+/// swap-removed whole, so a certificate moves with its entry. A list
+/// grows by doubling from four entries, so it reallocates exactly when
+/// a plain index list would.
+#[derive(Debug, Clone, Default)]
+struct UnservedLists {
+    /// Words per entry: the client word, then `⌈m / 32⌉` certificate
+    /// words.
+    stride: usize,
+    /// Per zone, its entries back to back.
+    zones: Vec<Vec<Word>>,
+}
+
+impl UnservedLists {
+    /// Empty lists for `zones` zones over `servers` servers.
+    fn new(zones: usize, servers: usize) -> UnservedLists {
+        UnservedLists {
+            stride: 1 + servers.div_ceil(WORD_BITS),
+            zones: vec![Vec::new(); zones],
+        }
+    }
+
+    /// [`Word`]s per server bitset: `⌈m / 32⌉`.
+    fn words(&self) -> usize {
+        self.stride - 1
+    }
+
+    /// Entries listed for zone `z`.
+    fn len(&self, z: usize) -> usize {
+        self.zones[z].len() / self.stride
+    }
+
+    /// The client of zone `z`'s entry `pos`.
+    fn client(&self, z: usize, pos: usize) -> usize {
+        (self.zones[z][pos * self.stride] & !CERTIFIED) as usize
+    }
+
+    /// Re-points zone `z`'s entry `pos` at client index `c` (a relocated
+    /// client), keeping its certificate.
+    fn set_client(&mut self, z: usize, pos: usize, c: usize) {
+        let word = &mut self.zones[z][pos * self.stride];
+        *word = (*word & CERTIFIED) | client_word(c);
+    }
+
+    /// Appends `c` to zone `z`'s list, uncertified.
+    fn push(&mut self, z: usize, c: usize) {
+        let list = &mut self.zones[z];
+        if list.len() == list.capacity() {
+            list.reserve_exact(list.capacity().max(4 * self.stride));
+        }
+        list.push(client_word(c));
+        list.resize(list.len() + self.stride - 1, 0);
+    }
+
+    /// Swap-removes zone `z`'s entry `pos`, moving the last entry
+    /// (certificate included) into it. Returns the client now at `pos`,
+    /// if any.
+    fn swap_remove(&mut self, z: usize, pos: usize) -> Option<usize> {
+        let list = &mut self.zones[z];
+        let last = list.len() - self.stride;
+        list.copy_within(last.., pos * self.stride);
+        list.truncate(last);
+        (pos * self.stride < last).then(|| self.client(z, pos))
+    }
+
+    /// The certificate of zone `z`'s entry `pos`, when written.
+    fn cert(&self, z: usize, pos: usize) -> Option<&[Word]> {
+        let entry = &self.zones[z][pos * self.stride..(pos + 1) * self.stride];
+        (entry[0] & CERTIFIED != 0).then(|| &entry[1..])
+    }
+
+    /// Writes the certificate of zone `z`'s entry `pos` from its
+    /// client's `C^R` row toward `target`.
+    fn certify(&mut self, z: usize, pos: usize, costs: &[f64], target: usize) {
+        let direct = costs[target];
+        let entry = &mut self.zones[z][pos * self.stride..(pos + 1) * self.stride];
+        for (word, chunk) in entry[1..].iter_mut().zip(costs.chunks(WORD_BITS)) {
+            *word = chunk.iter().enumerate().fold(0, |acc, (bit, &cost)| {
+                acc | (Word::from(cost < direct) << bit)
+            });
+        }
+        // `C^R(t) < C^R(t)` never holds: the target's bit is 0.
+        entry[0] |= CERTIFIED;
+    }
+
+    /// Bytes allocated for certificate words across every zone.
+    fn cert_bytes(&self) -> usize {
+        let entries: usize = self.zones.iter().map(|l| l.capacity() / self.stride).sum();
+        entries * (self.stride - 1) * size_of::<Word>()
+    }
+}
+
+/// Client index `c` as an unserved list's client word. The word's top
+/// bit is the [`CERTIFIED`] flag, so an index must stay below it.
+fn client_word(c: usize) -> Word {
+    match Word::try_from(c) {
+        Ok(word) if word & CERTIFIED == 0 => word,
+        _ => panic!("client index {c} does not fit an unserved list's client word"),
+    }
 }
 
 impl ServeEngine {
@@ -665,7 +869,7 @@ impl ServeEngine {
             fwd_contrib: Vec::with_capacity(capacity),
             relayed_of_server: Vec::new(),
             relayed_of_zone: Vec::new(),
-            unserved_of_zone: Vec::new(),
+            unserved: UnservedLists::default(),
             unserved_pos: Vec::with_capacity(capacity),
             relay_pos_server: Vec::with_capacity(capacity),
             relay_pos_zone: Vec::with_capacity(capacity),
@@ -753,6 +957,12 @@ impl ServeEngine {
     /// Lifetime counters, including the per-event latency histogram.
     pub fn stats(&self) -> &ServeStats {
         &self.stats
+    }
+
+    /// Bytes allocated for the rescue certificates of the unserved
+    /// violator lists (diagnostics for the memory ceilings).
+    pub fn certificate_bytes(&self) -> usize {
+        self.unserved.cert_bytes()
     }
 
     /// Live population.
@@ -1391,17 +1601,19 @@ impl ServeEngine {
                 // list and zone relay list entries from its old index to
                 // its new one.
                 let contact = self.contact_of_client[c];
-                let pos = self.relay_pos_server[c];
+                let pos = self.relay_pos_server[c] as usize;
                 self.relayed_of_server[contact][pos] = c;
                 let z = self.inst.zone_of(c);
-                let pos = self.relay_pos_zone[c];
+                let pos = self.relay_pos_zone[c] as usize;
                 self.relayed_of_zone[z][pos] = c;
             }
+            // The relocated client's unserved entry, certificate
+            // included, stays where it is; only its index changes.
             let pos = self.unserved_pos[last];
             self.unserved_pos[c] = pos;
-            if pos != usize::MAX {
+            if pos != NOT_LISTED {
                 let z = self.inst.zone_of(c);
-                self.unserved_of_zone[z][pos] = c;
+                self.unserved.set_client(z, pos as usize, c);
             }
         }
         let k = self.inst.num_clients();
@@ -1432,9 +1644,9 @@ impl ServeEngine {
         self.fwd_contrib.push(0.0);
         self.id_of_client.push(id);
         self.index_of_id.insert(id, idx);
-        self.unserved_pos.push(usize::MAX);
-        self.relay_pos_server.push(usize::MAX);
-        self.relay_pos_zone.push(usize::MAX);
+        self.unserved_pos.push(NOT_LISTED);
+        self.relay_pos_server.push(NOT_LISTED);
+        self.relay_pos_zone.push(NOT_LISTED);
         if self.inst.obs_cs(idx, target) > self.inst.delay_bound() {
             self.mark_unserved(zone, idx);
         }
@@ -1456,11 +1668,11 @@ impl ServeEngine {
             // The mover's relay travels with it: relocate its zone relay
             // list entry so the refreshes below see it in the new zone.
             let pos = self.relay_pos_zone[c];
-            self.relayed_of_zone[from].swap_remove(pos);
-            if let Some(&moved) = self.relayed_of_zone[from].get(pos) {
+            self.relayed_of_zone[from].swap_remove(pos as usize);
+            if let Some(&moved) = self.relayed_of_zone[from].get(pos as usize) {
                 self.relay_pos_zone[moved] = pos;
             }
-            self.relay_pos_zone[c] = self.relayed_of_zone[zone].len();
+            self.relay_pos_zone[c] = list_pos(self.relayed_of_zone[zone].len());
             self.relayed_of_zone[zone].push(c);
         }
         let before_from = self.inst.zone_bps(from);
@@ -1675,6 +1887,11 @@ impl ServeEngine {
             self.decide_contact_among(c, room.iter().copied());
         }
         self.scratch.room = room;
+        if self.load(s) <= self.inst.capacity(s) + 1e-9 {
+            // The sheds were enough: the zone pass below would stop at
+            // its first check.
+            return true;
+        }
         // The hosted-zone book plus a (demand desc, zone asc) sort is
         // exactly the order the old full-table scan produced (ascending
         // zone indices through a stable sort on demand).
@@ -1732,40 +1949,92 @@ impl ServeEngine {
         // Zone-scoped violator rescan: unserved violators in zones whose
         // columns this batch touched (their zone-mates changed the
         // forwarding economics, or they were never rescued) retry a
-        // relay. Members of migrated zones were already fully re-decided.
-        //
-        // The relay overhead `R^C` is uniform across a zone's members,
-        // so which servers could host a relay at all is a per-zone
-        // question — answered once up front. An empty candidate set
-        // means no violator in the zone can be rescued this flush and
-        // the whole sweep is skipped, which is what keeps a saturated
-        // flash crowd (thousands of unrescuable violators in one zone,
-        // touched by every batch) from costing O(violators × servers)
-        // per flush. Loads only grow while the sweep books relays, so
-        // the precomputed set over-approximates exactly the servers the
-        // full per-member scan could ever pick; the fit check inside
-        // `decide_contact_among` stays authoritative.
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        // relay. Members of migrated zones were already fully re-decided,
+        // which wrote fresh certificates for the new target. A certified
+        // retry costs a bitset test against the zone's live fit mask
+        // unless a server it names has room (`rescan_zone`).
         for &z in touched {
-            if migrated.contains(&z) || self.unserved_of_zone[z].is_empty() {
-                continue;
-            }
-            self.relay_candidates_into(z, &mut candidates);
-            if candidates.is_empty() {
-                continue;
-            }
-            // A rescued entry is swap-removed from under the cursor
-            // (revisit the slot); an unrescued one stays put (advance).
-            let mut i = 0;
-            while i < self.unserved_of_zone[z].len() {
-                let c = self.unserved_of_zone[z][i];
-                self.decide_contact_among(c, candidates.iter().copied());
-                if self.unserved_pos[c] == i {
-                    i += 1;
-                }
+            if !migrated.contains(&z) {
+                self.rescan_zone(z);
             }
         }
-        self.scratch.candidates = candidates;
+    }
+
+    /// The violator rescan of one zone: every listed unserved member
+    /// retries a relay, under GreC's rule.
+    ///
+    /// The relay overhead `R^C` is uniform across a zone's members, so
+    /// which servers could host a relay at all is a per-zone question,
+    /// answered once up front as the **live fit mask**: the servers
+    /// other than the target with room for one more relay. An empty
+    /// mask skips the whole sweep, and a mask that empties ends it,
+    /// which keeps a saturated flash crowd (thousands of unrescuable
+    /// violators in one zone, touched by every batch) from costing
+    /// O(violators × servers) per flush. Loads only grow while the
+    /// sweep books relays, so clearing a server's bit once a booking
+    /// leaves it without room keeps the mask exact for the rest of the
+    /// sweep.
+    ///
+    /// A certified entry ANDs its rescue certificate with the mask. An
+    /// empty result means no fitting server beats staying on the
+    /// target, so the retry would fail and change nothing: it is
+    /// skipped without reading the delay row. Otherwise the pick runs
+    /// over exactly that intersection and always rescues, choosing the
+    /// server the full scan would. An uncertified entry takes one full
+    /// pass over the mask, which certifies it if it fails.
+    fn rescan_zone(&mut self, z: usize) {
+        if self.unserved.len(z) == 0 {
+            return;
+        }
+        let member = self.unserved.client(z, 0);
+        let target = self.target_of_zone[z];
+        let overhead = self.inst.client_forwarding_bps(member);
+        let room =
+            |engine: &Self, s: usize| engine.load(s) + overhead <= engine.inst.capacity(s) + 1e-9;
+        let words = self.unserved.words();
+        let mut fit = std::mem::take(&mut self.scratch.fit);
+        fit.clear();
+        fit.resize(words, 0);
+        for s in 0..self.inst.num_servers() {
+            if s != target && room(self, s) {
+                set_bit(&mut fit, s);
+            }
+        }
+        let mut live = std::mem::take(&mut self.scratch.live);
+        live.clear();
+        live.resize(words, 0);
+        // A rescued entry is swap-removed from under the cursor
+        // (revisit the slot); an unrescued one stays put (advance).
+        let mut i = 0;
+        while i < self.unserved.len(z) && fit.iter().any(|&w| w != 0) {
+            let c = self.unserved.client(z, i);
+            self.stats.rescan_retries += 1;
+            let relayed = match self.unserved.cert(z, i) {
+                Some(cert) => {
+                    for ((l, &b), &f) in live.iter_mut().zip(cert).zip(&fit) {
+                        *l = b & f;
+                    }
+                    if live.iter().all(|&w| w == 0) {
+                        self.stats.rescan_skipped += 1;
+                        i += 1;
+                        continue;
+                    }
+                    self.decide_contact_among(c, set_bits(&live))
+                }
+                None => self.decide_contact_among(c, set_bits(&fit)),
+            };
+            if relayed {
+                self.stats.rescan_rescued += 1;
+                let s = self.contact_of_client[c];
+                if !room(self, s) {
+                    clear_bit(&mut fit, s);
+                }
+            } else {
+                i += 1;
+            }
+        }
+        self.scratch.fit = fit;
+        self.scratch.live = live;
     }
 
     /// GreC's per-client rule: stay on the target when within bound,
@@ -1776,39 +2045,44 @@ impl ServeEngine {
         self.decide_contact_among(c, 0..self.inst.num_servers());
     }
 
-    /// [`ServeEngine::decide_contact`] with the relay scan restricted to
+    /// [`ServeEngine::decide_contact`] with the relay pick restricted to
     /// `candidates`, in ascending server order ([`ServeEngine::decide_contact`]
-    /// scans every server). Callers sweeping a whole zone fill one list
-    /// via [`ServeEngine::relay_candidates_into`] so the scan skips
-    /// servers that cannot fit the zone's uniform overhead; the fit
-    /// check here remains authoritative against loads the sweep itself
-    /// booked in the meantime.
-    fn decide_contact_among(&mut self, c: usize, candidates: impl IntoIterator<Item = usize>) {
+    /// passes every server). The relay kernel always evaluates the full
+    /// `C^R` row; the candidates only restrict which servers may be
+    /// picked, and the fit check here stays authoritative against
+    /// loads booked since the caller chose them. A client left unserved
+    /// gets its rescue certificate from the same row. Returns whether
+    /// `c` ended relayed.
+    fn decide_contact_among(
+        &mut self,
+        c: usize,
+        candidates: impl IntoIterator<Item = usize>,
+    ) -> bool {
         let z = self.inst.zone_of(c);
         let target = self.target_of_zone[z];
         if self.release_to_target(c, z, target) {
-            return;
+            return false;
         }
         let overhead = self.inst.client_forwarding_bps(c);
-        let mut best = (self.inst.rap_cost(c, target, target), target);
-        let fits = |engine: &Self, s: usize| {
-            s != target && engine.load(s) + overhead <= engine.inst.capacity(s) + 1e-9
-        };
-        for s in candidates {
-            if !fits(self, s) {
-                continue;
+        let mut costs = std::mem::take(&mut self.scratch.costs);
+        costs.resize(self.inst.num_servers(), 0.0);
+        self.inst.relay_costs_into(c, target, &mut costs);
+        let pick = cheapest_relay(&costs, target, candidates, |s| {
+            self.load(s) + overhead <= self.inst.capacity(s) + 1e-9
+        });
+        match pick {
+            Some(s) => {
+                self.book_relay(c, z, s, overhead);
+                self.clear_unserved(z, c);
             }
-            let cost = self.inst.rap_cost(c, s, target);
-            if cost < best.0 {
-                best = (cost, s);
+            None => {
+                self.mark_unserved(z, c);
+                let pos = self.unserved_pos[c] as usize;
+                self.unserved.certify(z, pos, &costs, target);
             }
         }
-        if best.1 != target {
-            self.book_relay(c, z, best.1, overhead);
-            self.clear_unserved(z, c);
-        } else {
-            self.mark_unserved(z, c);
-        }
+        self.scratch.costs = costs;
+        pick.is_some()
     }
 
     /// Takes `c`'s relay (if any) off the books and puts it back on
@@ -1837,36 +2111,18 @@ impl ServeEngine {
         self.contact_of_client[c] = contact;
         self.fwd_contrib[c] = overhead;
         self.forward_load[contact] += overhead;
-        self.relay_pos_server[c] = self.relayed_of_server[contact].len();
+        self.relay_pos_server[c] = list_pos(self.relayed_of_server[contact].len());
         self.relayed_of_server[contact].push(c);
-        self.relay_pos_zone[c] = self.relayed_of_zone[z].len();
+        self.relay_pos_zone[c] = list_pos(self.relayed_of_zone[z].len());
         self.relayed_of_zone[z].push(c);
     }
 
-    /// Servers that currently have room for one relay out of zone `z`
-    /// (the overhead `R^C` is uniform across a zone's members, so this
-    /// is a per-zone question), written into the caller-owned `out`
-    /// buffer (cleared first) so the rescan recycles one list across
-    /// zones and flushes. Ascending order, so a scan restricted to the
-    /// list breaks ties exactly as the full scan does.
-    fn relay_candidates_into(&self, z: usize, out: &mut Vec<usize>) {
-        out.clear();
-        let Some(&member) = self.inst.clients_in_zone(z).first() else {
-            return;
-        };
-        let overhead = self.inst.client_forwarding_bps(member);
-        out.extend(
-            (0..self.inst.num_servers())
-                .filter(|&s| self.load(s) + overhead <= self.inst.capacity(s) + 1e-9),
-        );
-    }
-
-    /// Adds `c` to zone `z`'s unserved list (no-op when already listed).
-    /// `z` must be `c`'s current zone.
+    /// Adds `c` to zone `z`'s unserved list, uncertified (no-op when
+    /// already listed). `z` must be `c`'s current zone.
     fn mark_unserved(&mut self, z: usize, c: usize) {
-        if self.unserved_pos[c] == usize::MAX {
-            self.unserved_pos[c] = self.unserved_of_zone[z].len();
-            self.unserved_of_zone[z].push(c);
+        if self.unserved_pos[c] == NOT_LISTED {
+            self.unserved_pos[c] = list_pos(self.unserved.len(z));
+            self.unserved.push(z, c);
         }
     }
 
@@ -1874,10 +2130,9 @@ impl ServeEngine {
     /// listed). `z` must be the zone whose list holds `c`.
     fn clear_unserved(&mut self, z: usize, c: usize) {
         let pos = self.unserved_pos[c];
-        if pos != usize::MAX {
-            self.unserved_pos[c] = usize::MAX;
-            self.unserved_of_zone[z].swap_remove(pos);
-            if let Some(&moved) = self.unserved_of_zone[z].get(pos) {
+        if pos != NOT_LISTED {
+            self.unserved_pos[c] = NOT_LISTED;
+            if let Some(moved) = self.unserved.swap_remove(z, pos as usize) {
                 self.unserved_pos[moved] = pos;
             }
         }
@@ -1889,18 +2144,18 @@ impl ServeEngine {
         if self.fwd_contrib[c] > 0.0 {
             let contact = self.contact_of_client[c];
             let pos = self.relay_pos_server[c];
-            self.relayed_of_server[contact].swap_remove(pos);
-            if let Some(&moved) = self.relayed_of_server[contact].get(pos) {
+            self.relayed_of_server[contact].swap_remove(pos as usize);
+            if let Some(&moved) = self.relayed_of_server[contact].get(pos as usize) {
                 self.relay_pos_server[moved] = pos;
             }
-            self.relay_pos_server[c] = usize::MAX;
+            self.relay_pos_server[c] = NOT_LISTED;
             let z = self.inst.zone_of(c);
             let pos = self.relay_pos_zone[c];
-            self.relayed_of_zone[z].swap_remove(pos);
-            if let Some(&moved) = self.relayed_of_zone[z].get(pos) {
+            self.relayed_of_zone[z].swap_remove(pos as usize);
+            if let Some(&moved) = self.relayed_of_zone[z].get(pos as usize) {
                 self.relay_pos_zone[moved] = pos;
             }
-            self.relay_pos_zone[c] = usize::MAX;
+            self.relay_pos_zone[c] = NOT_LISTED;
         }
     }
 
@@ -1925,18 +2180,16 @@ impl ServeEngine {
         self.relayed_of_zone.clear();
         self.relayed_of_zone
             .resize(self.inst.num_zones(), Vec::new());
-        self.unserved_of_zone.clear();
-        self.unserved_of_zone
-            .resize(self.inst.num_zones(), Vec::new());
+        self.unserved = UnservedLists::new(self.inst.num_zones(), m);
         self.unserved_pos.clear();
         self.unserved_pos
-            .resize(self.inst.num_clients(), usize::MAX);
+            .resize(self.inst.num_clients(), NOT_LISTED);
         self.relay_pos_server.clear();
         self.relay_pos_server
-            .resize(self.inst.num_clients(), usize::MAX);
+            .resize(self.inst.num_clients(), NOT_LISTED);
         self.relay_pos_zone.clear();
         self.relay_pos_zone
-            .resize(self.inst.num_clients(), usize::MAX);
+            .resize(self.inst.num_clients(), NOT_LISTED);
         for c in 0..self.inst.num_clients() {
             let contact = self.contact_of_client[c];
             let z = self.inst.zone_of(c);
@@ -2400,6 +2653,21 @@ mod tests {
         .expect("small instances solve")
     }
 
+    /// Client `c`'s rescue certificate toward `target`, from a full
+    /// `rap_cost` pass: bit `s` set iff `s != target` and `C^R(c, s,
+    /// target) < C^R(c, target, target)`.
+    fn fresh_certificate(inst: &CapInstance, c: usize, target: usize) -> Vec<Word> {
+        let m = inst.num_servers();
+        let direct = inst.rap_cost(c, target, target);
+        let mut cert = vec![0; m.div_ceil(WORD_BITS)];
+        for s in (0..m).filter(|&s| s != target) {
+            if inst.rap_cost(c, s, target) < direct {
+                set_bit(&mut cert, s);
+            }
+        }
+        cert
+    }
+
     /// The engine's carried books — matrix, load accounting, id maps —
     /// stay consistent with ground truth after every flush.
     fn assert_engine_consistent(engine: &ServeEngine) {
@@ -2429,7 +2697,7 @@ mod tests {
                 assert_eq!(engine.contacts()[c], s, "shed list entry on wrong server");
                 assert!(engine.fwd_contrib[c] > 0.0, "shed list entry not relayed");
                 assert_eq!(
-                    engine.relay_pos_server[c], pos,
+                    engine.relay_pos_server[c] as usize, pos,
                     "shed list position out of step"
                 );
                 listed[c] += 1;
@@ -2453,7 +2721,7 @@ mod tests {
                 );
                 assert!(engine.fwd_contrib[c] > 0.0, "zone relay entry not relayed");
                 assert_eq!(
-                    engine.relay_pos_zone[c], pos,
+                    engine.relay_pos_zone[c] as usize, pos,
                     "zone relay position out of step"
                 );
                 zone_listed[c] += 1;
@@ -2467,9 +2735,11 @@ mod tests {
             );
         }
         // Unserved lists: exactly the on-target violators, with the
-        // position index in step.
+        // position index in step, and every written certificate equal
+        // to a fresh one for the zone's current target.
         let inst = engine.instance();
-        for (z, list) in engine.unserved_of_zone.iter().enumerate() {
+        let lists = &engine.unserved;
+        for z in 0..inst.num_zones() {
             let target = engine.targets()[z];
             let mut expected: Vec<usize> = inst
                 .clients_in_zone(z)
@@ -2479,18 +2749,31 @@ mod tests {
                     inst.obs_cs(c, target) > inst.delay_bound() && engine.contacts()[c] == target
                 })
                 .collect();
-            let mut got = list.clone();
+            let mut got: Vec<usize> = (0..lists.len(z)).map(|pos| lists.client(z, pos)).collect();
             expected.sort_unstable();
             got.sort_unstable();
             assert_eq!(got, expected, "zone {z}: unserved list out of step");
-            for (pos, &c) in list.iter().enumerate() {
-                assert_eq!(engine.unserved_pos[c], pos, "unserved position out of step");
+            assert_eq!(lists.zones[z].len() % lists.stride, 0);
+            for pos in 0..lists.len(z) {
+                let c = lists.client(z, pos);
+                assert_eq!(
+                    engine.unserved_pos[c] as usize, pos,
+                    "unserved position out of step"
+                );
+                if let Some(cert) = lists.cert(z, pos) {
+                    assert_eq!(
+                        cert,
+                        fresh_certificate(inst, c, target).as_slice(),
+                        "zone {z}: client {c}'s certificate is stale"
+                    );
+                }
             }
         }
         for c in 0..engine.num_clients() {
-            if engine.unserved_pos[c] != usize::MAX {
+            if engine.unserved_pos[c] != NOT_LISTED {
                 let z = inst.zone_of(c);
-                assert_eq!(engine.unserved_of_zone[z][engine.unserved_pos[c]], c);
+                let pos = engine.unserved_pos[c] as usize;
+                assert_eq!(lists.client(z, pos), c);
             }
         }
         // Hosted-zone book: exactly the inverse of the zone→server map.
@@ -2521,6 +2804,229 @@ mod tests {
         assert!(feasible, "assignment has structural violations");
     }
 
+    /// Boots an engine on a random world whose delays are whole
+    /// milliseconds. Server hops are halved by the provisioning factor,
+    /// so every `C^R` is an exact multiple of 0.5 ms and ties between
+    /// servers are common. Flushes run only when the test calls them.
+    fn integer_delay_engine(seed: u64) -> ServeEngine {
+        use dve_assign::DelayLayout;
+        use dve_topology::DelayMatrix;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = 24;
+        let mut rtt = vec![0.0; nodes * nodes];
+        for a in 0..nodes {
+            for b in a + 1..nodes {
+                let d = f64::from(rng.gen_range(40u32..=320));
+                rtt[a * nodes + b] = d;
+                rtt[b * nodes + a] = d;
+            }
+        }
+        let matrix = DelayMatrix::from_raw(nodes, rtt).expect("square matrix");
+        let config = ScenarioConfig::from_notation("6s-10z-240c-110cp").unwrap();
+        let world = World::generate(&config, nodes, &[0; 24], &mut rng).expect("world fits");
+        let delays = WorldDelays::from_matrix(matrix, &world);
+        let inst = CapInstance::from_world(
+            &world,
+            &delays,
+            0.5,
+            250.0,
+            ErrorModel::PERFECT,
+            DelayLayout::Dense64,
+            &mut rng,
+        );
+        ServeEngine::new(
+            inst,
+            &world,
+            delays,
+            ErrorModel::PERFECT,
+            StuckPolicy::BestEffort,
+            ServeConfig {
+                max_batch: 10_000,
+                max_staleness: 10_000,
+                ..Default::default()
+            },
+            rng,
+        )
+        .expect("best effort always boots")
+    }
+
+    /// Pushes a random batch of joins, leaves and moves (refusals, such
+    /// as a second leave of one client, are dropped) and flushes it.
+    fn random_flush(engine: &mut ServeEngine, rng: &mut StdRng) {
+        use rand::Rng;
+        let zones = engine.instance().num_zones();
+        for _ in 0..rng.gen_range(1..24) {
+            let k = engine.num_clients();
+            let event = match rng.gen_range(0..3) {
+                0 => StreamEvent::Join {
+                    node: rng.gen_range(0..engine.nodes()),
+                    zone: rng.gen_range(0..zones),
+                },
+                1 if k > 40 => StreamEvent::Leave {
+                    id: engine.id_at(rng.gen_range(0..k)),
+                },
+                _ => StreamEvent::Move {
+                    id: engine.id_at(rng.gen_range(0..k)),
+                    zone: rng.gen_range(0..zones),
+                },
+            };
+            let _ = engine.push(event);
+        }
+        engine.flush_now();
+    }
+
+    /// Fails or restores a random server.
+    fn random_fault(engine: &mut ServeEngine, rng: &mut StdRng) {
+        use rand::Rng;
+        let s = rng.gen_range(0..engine.instance().num_servers());
+        if engine.is_server_down(s) {
+            engine.restore_server(s).expect("in range");
+        } else {
+            engine.fail_server(s).expect("in range");
+        }
+    }
+
+    /// For every certified unserved entry, under the engine's live
+    /// loads: the certificate ANDed with the zone's fit mask is empty
+    /// exactly when GreC's full `rap_cost` scan finds no relay, and
+    /// otherwise the pick over the intersection is the full scan's
+    /// server. Returns how many entries (skipped, rescued) the
+    /// certificates decided.
+    fn check_certificates_against_full_scan(engine: &ServeEngine) -> (usize, usize) {
+        let inst = engine.instance();
+        let (m, words) = (inst.num_servers(), engine.unserved.words());
+        let lists = &engine.unserved;
+        let mut costs = vec![0.0; m];
+        let (mut skipped, mut rescued) = (0, 0);
+        for z in 0..inst.num_zones() {
+            if lists.len(z) == 0 {
+                continue;
+            }
+            let member = lists.client(z, 0);
+            let target = engine.targets()[z];
+            let overhead = inst.client_forwarding_bps(member);
+            let fits = |s: usize| engine.load(s) + overhead <= inst.capacity(s) + 1e-9;
+            let mut fit = vec![0; words];
+            for s in (0..m).filter(|&s| s != target && fits(s)) {
+                set_bit(&mut fit, s);
+            }
+            for pos in 0..lists.len(z) {
+                let c = lists.client(z, pos);
+                let Some(cert) = lists.cert(z, pos) else {
+                    continue;
+                };
+                let mut full = (inst.rap_cost(c, target, target), target);
+                for s in (0..m).filter(|&s| s != target && fits(s)) {
+                    let cost = inst.rap_cost(c, s, target);
+                    if cost < full.0 {
+                        full = (cost, s);
+                    }
+                }
+                let live: Vec<Word> = cert.iter().zip(&fit).map(|(b, f)| b & f).collect();
+                let skip = live.iter().all(|&w| w == 0);
+                assert_eq!(
+                    skip,
+                    full.1 == target,
+                    "zone {z}: client {c}'s certificate skips iff the full scan fails"
+                );
+                if skip {
+                    skipped += 1;
+                } else {
+                    inst.relay_costs_into(c, target, &mut costs);
+                    let pick = cheapest_relay(&costs, target, set_bits(&live), fits);
+                    assert_eq!(pick, Some(full.1), "zone {z}: client {c} rescued elsewhere");
+                    rescued += 1;
+                }
+            }
+        }
+        (skipped, rescued)
+    }
+
+    /// Property: on random integer-delay instances, through random
+    /// population changes (joins, leaves, moves: loads and `R^C`
+    /// change), server failures and restores, every rescue certificate
+    /// stays exact for its zone's current target, skips exactly when
+    /// the full `rap_cost` scan fails, and otherwise picks the full
+    /// scan's server.
+    #[test]
+    fn certificates_skip_exactly_when_the_full_scan_fails() {
+        use rand::Rng;
+        let (mut skipped, mut rescued) = (0, 0);
+        for seed in 0..12u64 {
+            let mut engine = integer_delay_engine(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xce27);
+            for _ in 0..40 {
+                if rng.gen_bool(0.15) {
+                    random_fault(&mut engine, &mut rng);
+                } else {
+                    random_flush(&mut engine, &mut rng);
+                }
+                assert_engine_consistent(&engine);
+                let (s, r) = check_certificates_against_full_scan(&engine);
+                skipped += s;
+                rescued += r;
+            }
+        }
+        assert!(
+            skipped > 0 && rescued > 0,
+            "the property must see both verdicts: {skipped} skips, {rescued} rescues"
+        );
+    }
+
+    /// A certified rescan retry that the fit mask did not skip always
+    /// rescues. Before each step every listed violator is certified by a
+    /// full pass, so every retry of the step's rescans is certified, and
+    /// the counters must split into skips and rescues exactly. Leaves,
+    /// moves and restores free capacity between certification and
+    /// retry, so certified retries do reach the pick; relays booked
+    /// during a sweep fill servers, so the mask's updates are exercised.
+    #[test]
+    fn certified_retries_the_mask_keeps_always_rescue() {
+        use rand::Rng;
+        let (mut skipped, mut rescued) = (0, 0);
+        for seed in 0..12u64 {
+            let mut engine = integer_delay_engine(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5e7);
+            for _ in 0..40 {
+                let lists = &engine.unserved;
+                let listed: Vec<usize> = (0..lists.zones.len())
+                    .flat_map(|z| (0..lists.len(z)).map(move |pos| lists.client(z, pos)))
+                    .collect();
+                for c in listed {
+                    if engine.unserved_pos[c] != NOT_LISTED {
+                        engine.decide_contact(c);
+                    }
+                }
+                let lists = &engine.unserved;
+                assert!((0..lists.zones.len())
+                    .all(|z| (0..lists.len(z)).all(|pos| lists.cert(z, pos).is_some())));
+                let before = engine.stats().clone();
+                if rng.gen_bool(0.15) {
+                    random_fault(&mut engine, &mut rng);
+                } else {
+                    random_flush(&mut engine, &mut rng);
+                }
+                let stats = engine.stats();
+                let retries = stats.rescan_retries - before.rescan_retries;
+                let step_skipped = stats.rescan_skipped - before.rescan_skipped;
+                let step_rescued = stats.rescan_rescued - before.rescan_rescued;
+                assert_eq!(
+                    retries,
+                    step_skipped + step_rescued,
+                    "seed {seed}: a certified retry the mask let through failed"
+                );
+                skipped += step_skipped;
+                rescued += step_rescued;
+                assert_engine_consistent(&engine);
+            }
+        }
+        assert!(
+            skipped > 0 && rescued > 0,
+            "the rescans must both skip and rescue: {skipped} skips, {rescued} rescues"
+        );
+    }
+
     #[test]
     fn engine_boots_with_identity_ids() {
         let engine = boot_engine(&small_setup(), ServeConfig::default());
@@ -2535,11 +3041,19 @@ mod tests {
 
     /// Boot leaves room for k/8 joiners in every per-client book, so
     /// the first k/8 joins after boot — here all in one flush — grow
-    /// (and so copy) none of them.
+    /// (and so copy) none of them. The three position books hold one
+    /// `u32` per client.
     #[test]
     fn first_joins_after_boot_reallocate_no_population_array() {
         let mut engine = boot_engine(&small_setup(), ServeConfig::default());
         let k = engine.num_clients();
+        for book in [
+            &engine.unserved_pos,
+            &engine.relay_pos_server,
+            &engine.relay_pos_zone,
+        ] {
+            assert_eq!(std::mem::size_of_val(book.as_slice()), 4 * k);
+        }
         let books = |e: &ServeEngine| {
             [
                 (

@@ -86,7 +86,7 @@ fn batch() -> DynamicsBatch {
 /// The decision-relevant counters of a [`ServeStats`]: everything but
 /// the latency histograms, which record wall-clock time and are the one
 /// part of a report that legitimately varies run to run.
-fn decisions(stats: &ServeStats) -> [u64; 9] {
+fn decisions(stats: &ServeStats) -> [u64; 12] {
     [
         stats.events,
         stats.flushes,
@@ -97,6 +97,9 @@ fn decisions(stats: &ServeStats) -> [u64; 9] {
         stats.queued_joins,
         stats.failovers,
         stats.recoveries,
+        stats.rescan_retries,
+        stats.rescan_skipped,
+        stats.rescan_rescued,
     ]
 }
 
@@ -196,7 +199,7 @@ fn sharded_recovery_is_bit_identical_across_widths() {
 
 /// An engine's full decision state: per-zone targets, per-client
 /// contacts, population and lifetime counters.
-type Decisions = (Vec<usize>, Vec<usize>, usize, [u64; 9]);
+type Decisions = (Vec<usize>, Vec<usize>, usize, [u64; 12]);
 
 fn decision_state(e: &ServeEngine) -> Decisions {
     (

@@ -47,7 +47,9 @@
 //! joiner ids are not echoed back in this version, so a producer can
 //! predict them only while none of its Joins was shed. The session
 //! summary (arrival-to-commit latency quantiles, shed counters, final
-//! pQoS) prints when the producer hangs up.
+//! pQoS, and last the violator rescan's retry, skip and rescue counts
+//! with the rescue certificates' size) prints when the producer hangs
+//! up.
 
 use dve::assign::{
     evaluate, iap_lower_bound, iap_lp_bound, iap_total_cost, solve, CapAlgorithm, CapInstance,
@@ -505,6 +507,15 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
             );
         }
     }
+    // Kept last, and clear of the keys the benchmark's parity check
+    // reads from this summary.
+    println!(
+        "  relay rescan: retries {}  skipped {}  rescued {}  certificates {} KiB",
+        stats.rescan_retries,
+        stats.rescan_skipped,
+        stats.rescan_rescued,
+        engine.certificate_bytes().div_ceil(1024)
+    );
     ExitCode::SUCCESS
 }
 
