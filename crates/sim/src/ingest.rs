@@ -34,7 +34,7 @@
 //!
 //! Ring events address clients by **stable id** (the engine's
 //! [`ClientId`] discipline), and the stream passes them to the engine
-//! untranslated: the engine's id map is the only one. The engine
+//! untranslated: the engine's id table is the only one. The engine
 //! assigns a joiner's id when it accepts the Join at pop time, so a
 //! Move or Leave naming that joiner later in the same window commits.
 //! A Join shed at the window bound or refused by admission control

@@ -81,6 +81,7 @@
 mod dynamics;
 pub mod experiments;
 mod fault;
+mod ids;
 mod ingest;
 mod repair;
 mod runner;
@@ -102,8 +103,8 @@ pub use runner::{
 pub use serve::{
     run_mobility_stream, run_mobility_stream_with, run_stream, run_stream_batch_compat,
     run_stream_with_warmup, AdmissionPolicy, ClientId, DegradationPolicy, FailoverReport,
-    FlushReport, QualityEstimator, RestoreReport, ServeConfig, ServeEngine, ServeError, ServeSink,
-    ServeStats, ShardStats, StreamEpochRecord, StreamEvent, StreamReport,
+    FlushReport, InvariantViolation, QualityEstimator, RestoreReport, ServeConfig, ServeEngine,
+    ServeError, ServeSink, ServeStats, ShardStats, StreamEpochRecord, StreamEvent, StreamReport,
 };
 pub use setup::{build_replication, DelayMode, Replication, SimSetup, TopologySpec};
 pub use stats::{peak_rss_bytes, Accumulator, LatencyHistogram, Summary};

@@ -41,6 +41,19 @@
 //!   ([`repair_targets_with`](crate::repair_targets_with)), applying
 //!   each changed target through the scoped zone migration — contact
 //!   re-decisions stay bounded by the membership of zones that moved.
+//! * **Exact books** — every rate of the paper's bandwidth model (§2.1)
+//!   is a whole number of stream units f·S: a zone of `n` clients costs
+//!   its target `n(n + 1)` units and a relayed member costs its contact
+//!   `2(1 + n)`. So the load books, the capacities and the admission
+//!   lines are `u64` unit counts, converted from bits/s once per
+//!   capacity change, and their sums do not depend on order. Forwarding
+//!   is booked as a relay count per (zone, contact) at a per-zone rate;
+//!   a flush re-books each touched zone once, after its apply loop, in
+//!   O(m) however many relays the zone has. Clients are found by id in a
+//!   paged `u32` table ([`IdTable`]) that also holds the pending-join,
+//!   deferred and leaving marks. [`ServeEngine::check_invariants`]
+//!   rebuilds every book from the targets and contacts and compares
+//!   with `==`.
 //! * **Zone shards** — [`ServeConfig::shards`] is the one serving-width
 //!   setting. Above 1 the engine boots a persistent [`WorkerTeam`] (the
 //!   only threads it ever creates) and partitions zones by residue:
@@ -75,6 +88,7 @@
 //! per-epoch pQoS tracks the batch path closely without being
 //! float-identical. All capacity accounting is exact either way.
 
+use crate::ids::{IdState, IdTable};
 use crate::repair::repair_targets_with;
 use crate::runner::ChurnEpochRecord;
 use crate::setup::{build_replication, SimSetup};
@@ -89,7 +103,8 @@ use dve_world::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -223,6 +238,89 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// A book of a [`ServeEngine`] that [`ServeEngine::check_invariants`]
+/// found out of step with a rebuild from the engine's targets, contacts
+/// and instance. Load books are in stream units (f·S) and compare with
+/// `==`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvariantViolation {
+    /// A per-client book's length differs from the population, or a
+    /// target or contact is out of range.
+    Shape,
+    /// The id table disagrees with the index → id map, the pending
+    /// buffer or the deferred queue.
+    IdTable,
+    /// A server's capacity or admission line in stream units differs
+    /// from a conversion of its capacity, or a failed server holds
+    /// capacity.
+    Capacity {
+        /// The server.
+        server: usize,
+    },
+    /// A zone's booked relay rate is not `2(1 + n_z)` units, or its
+    /// `R_z` in the instance is not the bandwidth model's.
+    ZoneRate {
+        /// The zone.
+        zone: usize,
+    },
+    /// A server's hosted-zone load differs from the rebuild.
+    ZoneLoad {
+        /// The server.
+        server: usize,
+    },
+    /// A server's forwarding load differs from the rebuild.
+    ForwardLoad {
+        /// The server.
+        server: usize,
+    },
+    /// A (zone, contact) relay count differs from the rebuild.
+    RelayCount {
+        /// The zone.
+        zone: usize,
+        /// The contact server.
+        server: usize,
+    },
+    /// A shed-list entry or relay mark disagrees with the client's
+    /// contact and target (`client` is the population size when the
+    /// lists hold the wrong number of entries).
+    RelayList {
+        /// The client index.
+        client: usize,
+    },
+    /// The hosted-zone book is not the inverse of the zone → server map.
+    HostedZones {
+        /// The zone.
+        zone: usize,
+    },
+    /// A zone's unserved list is not exactly its on-target violators,
+    /// or a position is out of step (`zone` is the zone count when the
+    /// position book marks the wrong number of clients).
+    UnservedList {
+        /// The zone.
+        zone: usize,
+    },
+    /// A written rescue certificate differs from a fresh one for the
+    /// zone's current target.
+    Certificate {
+        /// The zone.
+        zone: usize,
+        /// The client index.
+        client: usize,
+    },
+    /// The feasibility flag disagrees with the load books.
+    Feasibility,
+    /// The carried cost matrix differs from a fresh build.
+    CostMatrix,
+}
+
+impl std::fmt::Display for InvariantViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "engine book out of step with its rebuild: {self:?}")
+    }
+}
+
+impl std::error::Error for InvariantViolation {}
 
 impl From<IapError> for ServeError {
     /// Maps an initial-solve failure into the serving taxonomy,
@@ -495,25 +593,34 @@ pub struct ServeEngine {
     matrix: CostMatrix,
     target_of_zone: Vec<usize>,
     contact_of_client: Vec<usize>,
-    /// Per-server load from hosted zones (`R_z` sums).
-    zone_load: Vec<f64>,
-    /// Per-server load from forwarded clients (`R^C_c` sums).
-    forward_load: Vec<f64>,
-    /// Per-client forwarding contribution currently on the books (0 when
-    /// contact == target).
-    fwd_contrib: Vec<f64>,
-    /// Clients currently relayed through each server (`fwd_contrib > 0`
-    /// with that contact) — the shed list the scoped evacuation re-decides
-    /// when forwarding growth overloads a server. Unordered; entries are
-    /// swap-removed.
+    /// The model's stream rate f·S in bits/s: the unit of every load
+    /// book below.
+    unit_bps: f64,
+    /// Per-server load from hosted zones, in stream units: the sum of
+    /// `n_z(n_z + 1)` over the hosted zones (`R_z`).
+    zone_load: Vec<u64>,
+    /// Per-server load from relayed clients, in stream units: the sum
+    /// over zones of `relay_count[z][s] · relay_rate[z]`.
+    forward_load: Vec<u64>,
+    /// Relayed clients per (zone, contact), zone-major: entry `z·m + s`
+    /// counts the members of zone `z` relayed through server `s`.
+    relay_count: Vec<u32>,
+    /// The forwarding rate booked per relayed member of each zone, in
+    /// stream units: `2(1 + n_z)` (`R^C = 2R^T`). A population change
+    /// leaves it stale until the flush re-books the zone
+    /// ([`ServeEngine::rebook_forwarding`]) after its apply loop.
+    relay_rate: Vec<u64>,
+    /// Per-server capacity in stream units ([`capacity_units`]); 0 while
+    /// the server is down.
+    cap: Vec<u64>,
+    /// Per-server admission line in stream units ([`admission_units`]):
+    /// a join into a zone passes while its target's load is at most
+    /// this.
+    admit_cap: Vec<u64>,
+    /// Clients currently relayed through each server — the shed list
+    /// the scoped evacuation re-decides when forwarding growth overloads
+    /// a server. Unordered; entries are swap-removed.
     relayed_of_server: Vec<Vec<usize>>,
-    /// Clients currently relayed out of each zone — the same relay set as
-    /// [`ServeEngine::relayed_of_server`], keyed by zone. Only relayed
-    /// members can have a stale forwarding booking when their zone's
-    /// population changes (`R^C_c` is population-dependent), so
-    /// [`ServeEngine::refresh_zone_forwarding`] walks this list instead
-    /// of the whole membership. Unordered; entries are swap-removed.
-    relayed_of_zone: Vec<Vec<usize>>,
     /// Per-zone **unserved violators**: members beyond the delay bound
     /// of their zone's target whose contact still *is* that target (no
     /// relay found yet) — exactly the set the flush-path violator rescan
@@ -529,12 +636,10 @@ pub struct ServeEngine {
     /// [`ServeEngine::relayed_of_server`] list ([`NOT_LISTED`] when not
     /// relayed) — O(1) removal. Without it every unrelay scanned the
     /// list, and a flash crowd's hot zone can relay thousands of
-    /// clients through the same few servers.
+    /// clients through the same few servers. It is also the relay mark:
+    /// a client is relayed exactly when it is listed (`contact !=
+    /// target` is briefly wrong inside [`ServeEngine::migrate_zone`]).
     relay_pos_server: Vec<u32>,
-    /// Position of each client in its zone's
-    /// [`ServeEngine::relayed_of_zone`] list ([`NOT_LISTED`] when not
-    /// relayed) — O(1) removal, same reason.
-    relay_pos_zone: Vec<u32>,
     /// Zones currently hosted by each server (the inverse of
     /// `target_of_zone`), so evacuations list a server's zones without
     /// scanning the whole zone table — under a flash crowd dozens of
@@ -553,18 +658,21 @@ pub struct ServeEngine {
     /// [`ServeEngine::restore_server`].
     nominal_capacity: Vec<f64>,
     /// Joins held back by [`AdmissionPolicy::Queue`], FIFO; retried at
-    /// every flush.
-    deferred: Vec<DeferredJoin>,
+    /// every flush. Their ids are marked deferred in
+    /// [`ServeEngine::ids`], so only a Leave or Move of a deferred id
+    /// searches the queue.
+    deferred: VecDeque<DeferredJoin>,
+    /// The id of the client at each index.
     id_of_client: Vec<ClientId>,
-    index_of_id: HashMap<ClientId, usize>,
-    next_id: ClientId,
+    /// Each issued id's index, or its pending-join, deferred or leaving
+    /// mark ([`IdTable`]): one `u32` per id, paged, and a page is freed
+    /// once all its ids have departed.
+    ids: IdTable,
     delays: WorldDelays,
     model: BandwidthModel,
     error: ErrorModel,
     rng: StdRng,
     pending: Vec<Pending>,
-    pending_joins: HashSet<ClientId>,
-    pending_leaves: HashSet<ClientId>,
     staleness: usize,
     /// Whether flushes currently record into the warm-up histogram.
     warming_up: bool,
@@ -640,6 +748,43 @@ fn list_pos(pos: usize) -> u32 {
         Ok(p) if p != NOT_LISTED => p,
         _ => panic!("list position {pos} does not fit the u32 position books"),
     }
+}
+
+/// `R^C` of one relayed member of a zone of `n` clients in stream
+/// units: `2(1 + n)`.
+fn relay_units(n: usize) -> u64 {
+    2 * (1 + n as u64)
+}
+
+/// The slack of a bits/s fit, `load ≤ capacity + 1e-9`. The two
+/// capacity conversions below apply it once, so a unit verdict equals
+/// that `f64` verdict for every capacity; for a capacity in whole bits/s
+/// it changes nothing.
+const SLACK_BPS: f64 = 1e-9;
+
+/// The largest whole number of stream units `q` with `q · unit ≤ bps`,
+/// by the `f64` product: an exact floor, where `bps / unit` alone can
+/// round up across a boundary.
+fn units_within(bps: f64, unit: f64) -> u64 {
+    let mut q = (bps / unit).max(0.0) as u64;
+    while q > 0 && q as f64 * unit > bps {
+        q -= 1;
+    }
+    while (q + 1) as f64 * unit <= bps {
+        q += 1;
+    }
+    q
+}
+
+/// A server's capacity in stream units: the largest load that fits.
+fn capacity_units(capacity: f64, unit: f64) -> u64 {
+    units_within(capacity + SLACK_BPS, unit)
+}
+
+/// A server's admission line in stream units: the largest load at which
+/// a join still passes, `(1 − headroom) · capacity`.
+fn admission_units(capacity: f64, headroom: f64, unit: f64) -> u64 {
+    units_within((1.0 - headroom) * capacity + SLACK_BPS, unit)
 }
 
 /// One word of a server bitset (rescue certificates and fit masks):
@@ -848,6 +993,16 @@ impl ServeEngine {
             instance.num_servers(),
             "delay handle covers the instance's servers"
         );
+        let model = world.config.bandwidth;
+        // The load books count whole stream units, which is exact only
+        // when every zone's rate is the model's.
+        for z in 0..instance.num_zones() {
+            assert_eq!(
+                instance.zone_bps(z),
+                model.zone_bps(instance.clients_in_zone(z).len()),
+                "zone {z}'s rate is not the bandwidth model's"
+            );
+        }
         let matrix = CostMatrix::build(&instance);
         let target_of_zone = grez_with(&instance, &matrix, policy)?;
         let contact_of_client = grec(&instance, &target_of_zone);
@@ -855,39 +1010,36 @@ impl ServeEngine {
         let m = instance.num_servers();
         // GreC sizes the contact book with the instance's spare capacity
         // for k/8 joiners; every other per-client book gets the same
-        // (`rebuild_loads` fills the empty ones within it). Growing a
+        // (`boot_books` fills the empty ones within it). Growing a
         // population-sized book copies it inside a flush, so the first
         // joins after boot must grow none of them.
         let capacity = contact_of_client.capacity();
         let mut id_of_client = Vec::with_capacity(capacity);
         id_of_client.extend(0..k as ClientId);
-        let mut index_of_id = HashMap::with_capacity(capacity);
-        index_of_id.extend((0..k).map(|c| (c as ClientId, c)));
         let mut engine = ServeEngine {
+            unit_bps: model.stream_bps(),
             zone_load: Vec::new(),
             forward_load: Vec::new(),
-            fwd_contrib: Vec::with_capacity(capacity),
+            relay_count: Vec::new(),
+            relay_rate: Vec::new(),
+            cap: Vec::new(),
+            admit_cap: Vec::new(),
             relayed_of_server: Vec::new(),
-            relayed_of_zone: Vec::new(),
             unserved: UnservedLists::default(),
             unserved_pos: Vec::with_capacity(capacity),
             relay_pos_server: Vec::with_capacity(capacity),
-            relay_pos_zone: Vec::with_capacity(capacity),
             zones_of_server: Vec::new(),
             capacity_ok: false,
             down: vec![false; m],
             nominal_capacity: (0..m).map(|s| instance.capacity(s)).collect(),
-            deferred: Vec::new(),
+            deferred: VecDeque::new(),
             id_of_client,
-            index_of_id,
-            next_id: k as ClientId,
-            model: world.config.bandwidth,
+            ids: IdTable::with_live(k, capacity),
+            model,
             delays,
             error,
             rng,
             pending: Vec::new(),
-            pending_joins: HashSet::new(),
-            pending_leaves: HashSet::new(),
             staleness: 0,
             warming_up: false,
             team: (config.shards > 1).then(|| WorkerTeam::new(config.shards)),
@@ -906,7 +1058,7 @@ impl ServeEngine {
             target_of_zone,
             contact_of_client,
         };
-        engine.rebuild_loads();
+        engine.boot_books();
         Ok(engine)
     }
 
@@ -993,7 +1145,7 @@ impl ServeEngine {
 
     /// Current index of client `id`, if live.
     pub fn index_of(&self, id: ClientId) -> Option<usize> {
-        self.index_of_id.get(&id).copied()
+        self.ids.index(id)
     }
 
     /// Snapshot of the current assignment.
@@ -1095,29 +1247,27 @@ impl ServeEngine {
                             return Err(ServeError::Shed { zone });
                         }
                         AdmissionPolicy::Queue => {
-                            let id = self.next_id;
-                            self.next_id += 1;
+                            let id = self.ids.issue(true);
                             self.stats.queued_joins += 1;
-                            self.deferred.push(DeferredJoin { node, zone, id, at });
+                            self.deferred.push_back(DeferredJoin { node, zone, id, at });
                             return Ok(Some(id));
                         }
                     }
                 }
-                let id = self.next_id;
-                self.next_id += 1;
-                self.pending_joins.insert(id);
+                let id = self.ids.issue(false);
                 self.pending.push(Pending::Join { node, zone, id, at });
                 Some(id)
             }
             StreamEvent::Leave { id } => {
                 // A queued joiner that leaves before being admitted just
                 // departs the deferred queue: it was never live.
-                if let Some(pos) = self.deferred.iter().position(|d| d.id == id) {
+                if let Some(pos) = self.deferred_position(id) {
                     self.deferred.remove(pos);
+                    self.ids.depart(id);
                     return Ok(None);
                 }
                 self.check_live(id)?;
-                self.pending_leaves.insert(id);
+                self.ids.set_leaving(id);
                 self.pending.push(Pending::Leave { id, at });
                 None
             }
@@ -1130,7 +1280,7 @@ impl ServeEngine {
                 }
                 // A queued joiner may move zones while waiting; it will
                 // be admitted into its latest zone.
-                if let Some(pos) = self.deferred.iter().position(|d| d.id == id) {
+                if let Some(pos) = self.deferred_position(id) {
                     self.deferred[pos].zone = zone;
                     return Ok(None);
                 }
@@ -1160,14 +1310,27 @@ impl ServeEngine {
         None
     }
 
+    /// Refuses a Leave or Move of `id` unless it is live or joining and
+    /// has no buffered Leave.
     fn check_live(&self, id: ClientId) -> Result<(), ServeError> {
-        if self.pending_leaves.contains(&id) {
-            return Err(ServeError::AlreadyLeaving { id });
+        match self.ids.state(id) {
+            IdState::Joining { leaving: true } | IdState::Live { leaving: true, .. } => {
+                Err(ServeError::AlreadyLeaving { id })
+            }
+            IdState::Joining { .. } | IdState::Live { .. } => Ok(()),
+            IdState::Vacant | IdState::Deferred => Err(ServeError::UnknownClient { id }),
         }
-        if !self.index_of_id.contains_key(&id) && !self.pending_joins.contains(&id) {
-            return Err(ServeError::UnknownClient { id });
+    }
+
+    /// The deferred queue position of `id`; the queue is searched only
+    /// when the id table marks `id` deferred.
+    fn deferred_position(&self, id: ClientId) -> Option<usize> {
+        if self.ids.state(id) != IdState::Deferred {
+            return None;
         }
-        Ok(())
+        let pos = self.deferred.iter().position(|d| d.id == id);
+        debug_assert!(pos.is_some(), "a deferred mark has its queue entry");
+        pos
     }
 
     /// Applies every buffered event as one micro-batch and runs the
@@ -1191,8 +1354,6 @@ impl ServeEngine {
             return None;
         }
         let mut events = std::mem::take(&mut self.pending);
-        self.pending_joins.clear();
-        self.pending_leaves.clear();
 
         // Flush-local accumulators recycle through the scratch pool:
         // cleared here, restored (with their grown capacity) before the
@@ -1210,7 +1371,9 @@ impl ServeEngine {
                 // the client's slot.
                 let zone = match *ev {
                     Pending::Join { zone, .. } | Pending::Move { zone, .. } => zone,
-                    Pending::Leave { id, .. } => self.inst.zone_of(self.index_of_id[&id]),
+                    Pending::Leave { id, .. } => self
+                        .inst
+                        .zone_of(self.ids.index(id).expect("validated at push")),
                 };
                 self.stats.shards[zone % shards].events += 1;
             }
@@ -1229,6 +1392,9 @@ impl ServeEngine {
         }
         touched.sort_unstable();
         touched.dedup();
+        for &z in &touched {
+            self.rebook_forwarding(z);
+        }
         if self.team.is_some() && touched.len() >= TEAM_ZONE_MIN {
             self.reorder_zones_on_team(&touched);
         } else {
@@ -1238,8 +1404,7 @@ impl ServeEngine {
         if !full_repair {
             self.repair_contacts(&touched, &migrated, &redecide);
         }
-        let m = self.inst.num_servers();
-        self.capacity_ok = (0..m).all(|s| self.load(s) <= self.inst.capacity(s) + 1e-9);
+        self.capacity_ok = self.within_capacity();
 
         let finished = Instant::now();
         let histogram = if self.warming_up {
@@ -1345,20 +1510,41 @@ impl ServeEngine {
         self.scratch.slots = slots;
     }
 
-    /// Total load of server `s`: hosted zones plus forwarding overheads.
+    /// Total load of server `s` in stream units: hosted zones plus
+    /// forwarding overheads.
     #[inline]
-    fn load(&self, s: usize) -> f64 {
+    fn load(&self, s: usize) -> u64 {
         self.zone_load[s] + self.forward_load[s]
     }
 
-    /// Largest spare capacity on any server right now. A demand above
-    /// this fits nowhere, which lets the repair sweep skip whole zones
-    /// without probing every server (recomputed after any migration,
-    /// since moving a zone frees its old host).
-    fn max_headroom(&self) -> f64 {
+    /// Whether server `s` has room for `units` more stream units.
+    #[inline]
+    fn fits(&self, s: usize, units: u64) -> bool {
+        self.load(s) + units <= self.cap[s]
+    }
+
+    /// Whether every server is within capacity.
+    fn within_capacity(&self) -> bool {
+        (0..self.inst.num_servers()).all(|s| self.fits(s, 0))
+    }
+
+    /// `R_z` of zone `z` in stream units, `n(n + 1)` for its population
+    /// `n`.
+    fn zone_demand(&self, z: usize) -> u64 {
+        let n = self.inst.clients_in_zone(z).len() as u64;
+        n * (n + 1)
+    }
+
+    /// Largest spare capacity on any server right now, in stream units
+    /// (negative when every server is over). A demand above this fits
+    /// nowhere, which lets the repair sweep skip whole zones without
+    /// probing every server (recomputed after any migration, since
+    /// moving a zone frees its old host).
+    fn max_headroom(&self) -> i64 {
         (0..self.inst.num_servers())
-            .map(|s| self.inst.capacity(s) - self.load(s))
-            .fold(f64::NEG_INFINITY, f64::max)
+            .map(|s| self.cap[s] as i64 - self.load(s) as i64)
+            .max()
+            .unwrap_or(i64::MIN)
     }
 
     /// The admission check: a join into `zone` passes while the zone's
@@ -1367,12 +1553,20 @@ impl ServeEngine {
     /// decision is deterministic and thread-count-invariant. Open
     /// admission always passes.
     fn admit_join(&self, zone: usize) -> bool {
-        let policy = self.config.degradation;
-        if matches!(policy.admission, AdmissionPolicy::Open) {
+        if matches!(self.config.degradation.admission, AdmissionPolicy::Open) {
             return true;
         }
         let target = self.target_of_zone[zone];
-        self.load(target) <= (1.0 - policy.headroom) * self.inst.capacity(target) + 1e-9
+        self.load(target) <= self.admit_cap[target]
+    }
+
+    /// Sets server `s`'s capacity (failure, recovery) in the instance
+    /// and in the unit books.
+    fn set_capacity(&mut self, s: usize, capacity: f64) {
+        self.inst.set_capacity(s, capacity);
+        self.cap[s] = capacity_units(capacity, self.unit_bps);
+        self.admit_cap[s] =
+            admission_units(capacity, self.config.degradation.headroom, self.unit_bps);
     }
 
     /// Retries deferred joins in FIFO order, stopping at the first one
@@ -1380,12 +1574,12 @@ impl ServeEngine {
     /// their original arrival stamp, so the latency histogram measures
     /// arrival-to-commit across the deferral.
     fn readmit_deferred(&mut self) {
-        while let Some(d) = self.deferred.first().copied() {
+        while let Some(&d) = self.deferred.front() {
             if !self.admit_join(d.zone) {
                 break;
             }
-            self.deferred.remove(0);
-            self.pending_joins.insert(d.id);
+            self.deferred.pop_front();
+            self.ids.set_joining(d.id);
             self.pending.push(Pending::Join {
                 node: d.node,
                 zone: d.zone,
@@ -1424,19 +1618,13 @@ impl ServeEngine {
             });
         }
         self.down[server] = true;
-        self.inst.set_capacity(server, 0.0);
+        self.set_capacity(server, 0.0);
         self.stats.failovers += 1;
 
         let mut zones = std::mem::take(&mut self.scratch.evac_zones);
         zones.clear();
         zones.extend_from_slice(&self.zones_of_server[server]);
-        zones.sort_by(|&a, &b| {
-            self.inst
-                .zone_bps(b)
-                .partial_cmp(&self.inst.zone_bps(a))
-                .expect("finite")
-                .then(a.cmp(&b))
-        });
+        zones.sort_by_key(|&z| (Reverse(self.zone_demand(z)), z));
         let mut evacuated = 0usize;
         for &z in &zones {
             if let Some(dest) = self.evacuation_dest(server, z) {
@@ -1455,7 +1643,7 @@ impl ServeEngine {
         }
         self.stats.zones_migrated += evacuated as u64;
         self.stats.shed_events += shed as u64;
-        self.capacity_ok = (0..m).all(|s| self.load(s) <= self.inst.capacity(s) + 1e-9);
+        self.capacity_ok = self.within_capacity();
         Ok(FailoverReport {
             server,
             zones_evacuated: evacuated,
@@ -1470,11 +1658,9 @@ impl ServeEngine {
     /// only when every other server is down too.
     fn evacuation_dest(&self, from: usize, z: usize) -> Option<usize> {
         let m = self.inst.num_servers();
-        let demand = self.inst.zone_bps(z);
+        let demand = self.zone_demand(z);
         let fit = (0..m)
-            .filter(|&d| {
-                d != from && !self.down[d] && self.load(d) + demand <= self.inst.capacity(d) + 1e-9
-            })
+            .filter(|&d| d != from && !self.down[d] && self.fits(d, demand))
             .min_by(|&a, &b| {
                 self.matrix
                     .cost(a, z)
@@ -1484,12 +1670,14 @@ impl ServeEngine {
         if fit.is_some() {
             return fit;
         }
+        // Ranked in bits/s: floored units would tie fractional
+        // capacities that differ.
         let mut best: Option<(f64, usize)> = None;
         for d in 0..m {
             if d == from || self.down[d] {
                 continue;
             }
-            let headroom = self.inst.capacity(d) - self.load(d);
+            let headroom = self.inst.capacity(d) - self.load(d) as f64 * self.unit_bps;
             if best.is_none_or(|(h, _)| headroom > h) {
                 best = Some((headroom, d));
             }
@@ -1520,8 +1708,7 @@ impl ServeEngine {
             });
         }
         self.down[server] = false;
-        self.inst
-            .set_capacity(server, self.nominal_capacity[server]);
+        self.set_capacity(server, self.nominal_capacity[server]);
         self.stats.recoveries += 1;
         // Zones still pinned to a dead host (stranded by a window with
         // no survivors) force-move onto live capacity first — same
@@ -1548,7 +1735,7 @@ impl ServeEngine {
         let moved = rescued + migrated.len();
         self.scratch.migrated = migrated;
         self.stats.zones_migrated += moved as u64;
-        self.capacity_ok = (0..m).all(|s| self.load(s) <= self.inst.capacity(s) + 1e-9);
+        self.capacity_ok = self.within_capacity();
         Ok(RestoreReport {
             server,
             zones_migrated: moved,
@@ -1580,32 +1767,25 @@ impl ServeEngine {
     }
 
     fn apply_leave(&mut self, id: ClientId, touched: &mut Vec<usize>) {
-        let c = self.index_of_id.remove(&id).expect("validated at push");
+        let c = self.ids.index(id).expect("validated at push");
+        self.ids.depart(id);
         let zone = self.inst.zone_of(c);
         self.matrix.retire_client(&self.inst, c, zone);
         self.clear_unserved(zone, c);
         self.unrelay(c);
-        self.forward_load[self.contact_of_client[c]] -= self.fwd_contrib[c];
-        let before = self.inst.zone_bps(zone);
+        let before = self.zone_demand(zone);
         let departure = self.inst.stream_leave(c, &self.model);
         if let Some(last) = departure.relocated {
             self.contact_of_client[c] = self.contact_of_client[last];
-            self.fwd_contrib[c] = self.fwd_contrib[last];
             let moved_id = self.id_of_client[last];
             self.id_of_client[c] = moved_id;
-            self.index_of_id.insert(moved_id, c);
-            self.relay_pos_server[c] = self.relay_pos_server[last];
-            self.relay_pos_zone[c] = self.relay_pos_zone[last];
-            if self.fwd_contrib[c] > 0.0 {
+            self.ids.set_index(moved_id, c);
+            let pos = self.relay_pos_server[last];
+            self.relay_pos_server[c] = pos;
+            if pos != NOT_LISTED {
                 // The relocated client keeps its relay; re-key its shed
-                // list and zone relay list entries from its old index to
-                // its new one.
-                let contact = self.contact_of_client[c];
-                let pos = self.relay_pos_server[c] as usize;
-                self.relayed_of_server[contact][pos] = c;
-                let z = self.inst.zone_of(c);
-                let pos = self.relay_pos_zone[c] as usize;
-                self.relayed_of_zone[z][pos] = c;
+                // list entry from its old index to its new one.
+                self.relayed_of_server[self.contact_of_client[c]][pos as usize] = c;
             }
             // The relocated client's unserved entry, certificate
             // included, stays where it is; only its index changes.
@@ -1618,18 +1798,15 @@ impl ServeEngine {
         }
         let k = self.inst.num_clients();
         self.contact_of_client.truncate(k);
-        self.fwd_contrib.truncate(k);
         self.id_of_client.truncate(k);
         self.unserved_pos.truncate(k);
         self.relay_pos_server.truncate(k);
-        self.relay_pos_zone.truncate(k);
-        self.zone_load[self.target_of_zone[zone]] += self.inst.zone_bps(zone) - before;
-        self.refresh_zone_forwarding(zone);
+        self.rebook_zone_load(zone, before);
         touched.push(zone);
     }
 
     fn apply_join(&mut self, node: usize, zone: usize, id: ClientId, touched: &mut Vec<usize>) {
-        let before = self.inst.zone_bps(zone);
+        let before = self.zone_demand(zone);
         let idx = self.inst.stream_join(
             node,
             zone,
@@ -1641,59 +1818,50 @@ impl ServeEngine {
         self.matrix.admit_client(&self.inst, idx, zone);
         let target = self.target_of_zone[zone];
         self.contact_of_client.push(target);
-        self.fwd_contrib.push(0.0);
         self.id_of_client.push(id);
-        self.index_of_id.insert(id, idx);
+        self.ids.set_index(id, idx);
         self.unserved_pos.push(NOT_LISTED);
         self.relay_pos_server.push(NOT_LISTED);
-        self.relay_pos_zone.push(NOT_LISTED);
         if self.inst.obs_cs(idx, target) > self.inst.delay_bound() {
             self.mark_unserved(zone, idx);
         }
-        self.zone_load[target] += self.inst.zone_bps(zone) - before;
-        self.refresh_zone_forwarding(zone);
+        self.rebook_zone_load(zone, before);
         touched.push(zone);
     }
 
     /// Returns whether the move was effective (destination != current).
     fn apply_move(&mut self, id: ClientId, zone: usize, touched: &mut Vec<usize>) -> bool {
-        let c = *self.index_of_id.get(&id).expect("validated at push");
+        let c = self.ids.index(id).expect("validated at push");
         let from = self.inst.zone_of(c);
         if from == zone {
             return false;
         }
         self.matrix.retire_client(&self.inst, c, from);
         self.clear_unserved(from, c);
-        if self.fwd_contrib[c] > 0.0 {
-            // The mover's relay travels with it: relocate its zone relay
-            // list entry so the refreshes below see it in the new zone.
-            let pos = self.relay_pos_zone[c];
-            self.relayed_of_zone[from].swap_remove(pos as usize);
-            if let Some(&moved) = self.relayed_of_zone[from].get(pos as usize) {
-                self.relay_pos_zone[moved] = pos;
-            }
-            self.relay_pos_zone[c] = list_pos(self.relayed_of_zone[zone].len());
-            self.relayed_of_zone[zone].push(c);
-        }
-        let before_from = self.inst.zone_bps(from);
-        let before_to = self.inst.zone_bps(zone);
-        self.inst.stream_move(c, zone, &self.model);
-        self.matrix.admit_client(&self.inst, c, zone);
-        self.zone_load[self.target_of_zone[from]] += self.inst.zone_bps(from) - before_from;
-        self.zone_load[self.target_of_zone[zone]] += self.inst.zone_bps(zone) - before_to;
-        // The mover keeps its contact session (GreC-style forwarding);
-        // the zone refreshes below re-book its overhead against the new
-        // target and the contact repair re-decides it.
-        self.refresh_zone_forwarding(from);
-        self.refresh_zone_forwarding(zone);
-        // A direct mover whose kept contact differs from the new zone's
-        // target has just *become* relayed — the one transition the relay
-        // lists cannot see coming; book it explicitly.
+        // The mover keeps its contact session (GreC-style forwarding)
+        // and the contact repair re-decides it. A kept contact that hosts
+        // the new zone ends a relay; unrelay while the books still hold
+        // the mover in `from`.
         let contact = self.contact_of_client[c];
         let target = self.target_of_zone[zone];
-        if self.fwd_contrib[c] == 0.0 && contact != target {
-            self.book_relay(c, zone, contact, self.inst.client_forwarding_bps(c));
-        } else if contact == target && self.inst.obs_cs(c, target) > self.inst.delay_bound() {
+        if contact == target {
+            self.unrelay(c);
+        }
+        let before_from = self.zone_demand(from);
+        let before_to = self.zone_demand(zone);
+        self.inst.stream_move(c, zone, &self.model);
+        self.matrix.admit_client(&self.inst, c, zone);
+        self.rebook_zone_load(from, before_from);
+        self.rebook_zone_load(zone, before_to);
+        if self.relay_pos_server[c] != NOT_LISTED {
+            // A relay travels with its mover, at the new zone's rate.
+            self.unbook_forwarding(from, contact);
+            self.book_forwarding(zone, contact);
+        } else if contact != target {
+            // A direct mover whose kept contact differs from the new
+            // zone's target has just *become* relayed.
+            self.book_relay(c, zone, contact);
+        } else if self.inst.obs_cs(c, target) > self.inst.delay_bound() {
             // On its new target but beyond the bound: eligible for the
             // violator rescan until a relay is found.
             self.mark_unserved(zone, c);
@@ -1703,41 +1871,30 @@ impl ServeEngine {
         true
     }
 
-    /// Re-books the forwarding contribution of every **relayed** member
-    /// of `z` against the zone's current target and
-    /// population-dependent overhead (`R^C_c` changes whenever the zone
-    /// population does), keeping the per-server shed lists in step.
-    ///
-    /// Only already-relayed members are visited — O(relays in `z`), not
-    /// O(members): a direct member (`fwd_contrib == 0`) sits on its
-    /// zone's target by invariant and stays direct under a population
-    /// change. The one direct→relayed transition a zone event can cause
-    /// — a mover whose kept contact differs from its new zone's target —
-    /// is booked explicitly by [`ServeEngine::apply_move`]; target
-    /// migrations re-decide every member inline.
-    fn refresh_zone_forwarding(&mut self, z: usize) {
+    /// Moves zone `z`'s `R_z` on its target's books from `before` units
+    /// to its current population's.
+    fn rebook_zone_load(&mut self, z: usize, before: u64) {
         let target = self.target_of_zone[z];
-        let mut i = 0;
-        while i < self.relayed_of_zone[z].len() {
-            let c = self.relayed_of_zone[z][i];
-            let contact = self.contact_of_client[c];
-            let desired = if contact != target {
-                self.inst.client_forwarding_bps(c)
-            } else {
-                0.0
-            };
-            let booked = self.fwd_contrib[c];
-            if desired != booked {
-                self.forward_load[contact] += desired - booked;
-                if desired == 0.0 {
-                    // unrelay swap-removes entry `i`; revisit the slot.
-                    self.unrelay(c);
-                    self.fwd_contrib[c] = 0.0;
-                    continue;
-                }
-                self.fwd_contrib[c] = desired;
-            }
-            i += 1;
+        self.zone_load[target] = self.zone_load[target] + self.zone_demand(z) - before;
+    }
+
+    /// Re-books zone `z`'s relays at its current population's rate
+    /// `2(1 + n_z)`: each contact's forwarding load moves by its relay
+    /// count times the change in rate. O(m), whatever the number of
+    /// relays. The flush runs it once per touched zone, after its apply
+    /// loop; until then a population change leaves the rate stale, and
+    /// a relay booked meanwhile books at the stale rate.
+    fn rebook_forwarding(&mut self, z: usize) {
+        let rate = relay_units(self.inst.clients_in_zone(z).len());
+        let old = std::mem::replace(&mut self.relay_rate[z], rate);
+        if rate == old {
+            return;
+        }
+        let m = self.inst.num_servers();
+        let counts = &self.relay_count[z * m..(z + 1) * m];
+        for (load, &count) in self.forward_load.iter_mut().zip(counts) {
+            let count = u64::from(count);
+            *load = *load + count * rate - count * old;
         }
     }
 
@@ -1773,8 +1930,8 @@ impl ServeEngine {
             if cur_count == 0 {
                 continue;
             }
-            let demand = self.inst.zone_bps(z);
-            if demand > headroom + 1e-9 {
+            let demand = self.zone_demand(z);
+            if demand as i64 > headroom {
                 continue;
             }
             for i in 0..m {
@@ -1782,7 +1939,7 @@ impl ServeEngine {
                 if self.matrix.count(s, z) >= cur_count {
                     break;
                 }
-                if self.load(s) + demand <= self.inst.capacity(s) + 1e-9 {
+                if self.fits(s, demand) {
                     self.migrate_zone(z, s);
                     migrated.push(z);
                     headroom = self.max_headroom();
@@ -1796,7 +1953,7 @@ impl ServeEngine {
         // rare and local; evacuate them largest-zone-first.
         let mut restored = true;
         for s in 0..m {
-            if self.load(s) > self.inst.capacity(s) + 1e-9 && !self.evacuate(s, &mut migrated) {
+            if !self.fits(s, 0) && !self.evacuate(s, &mut migrated) {
                 restored = false;
             }
         }
@@ -1837,7 +1994,7 @@ impl ServeEngine {
     /// against the new target), and leaving the stale choices booked
     /// would show the repair loop a transient overload that is not real.
     fn migrate_zone(&mut self, z: usize, s: usize) {
-        let demand = self.inst.zone_bps(z);
+        let demand = self.zone_demand(z);
         let old = self.target_of_zone[z];
         self.zone_load[old] -= demand;
         self.zone_load[s] += demand;
@@ -1875,8 +2032,8 @@ impl ServeEngine {
         // thousands of full-width scans into a handful of probes.
         let mut room = std::mem::take(&mut self.scratch.room);
         room.clear();
-        room.extend((0..m).filter(|&d| d != s && self.load(d) < self.inst.capacity(d) + 1e-9));
-        while self.load(s) > self.inst.capacity(s) + 1e-9 {
+        room.extend((0..m).filter(|&d| d != s && self.load(d) < self.cap[d]));
+        while !self.fits(s, 0) {
             let Some(&c) = self.relayed_of_server[s].last() else {
                 break;
             };
@@ -1887,7 +2044,7 @@ impl ServeEngine {
             self.decide_contact_among(c, room.iter().copied());
         }
         self.scratch.room = room;
-        if self.load(s) <= self.inst.capacity(s) + 1e-9 {
+        if self.fits(s, 0) {
             // The sheds were enough: the zone pass below would stop at
             // its first check.
             return true;
@@ -1898,26 +2055,20 @@ impl ServeEngine {
         let mut zones = std::mem::take(&mut self.scratch.evac_zones);
         zones.clear();
         zones.extend_from_slice(&self.zones_of_server[s]);
-        zones.sort_by(|&a, &b| {
-            self.inst
-                .zone_bps(b)
-                .partial_cmp(&self.inst.zone_bps(a))
-                .expect("finite")
-                .then(a.cmp(&b))
-        });
+        zones.sort_by_key(|&z| (Reverse(self.zone_demand(z)), z));
         let mut headroom = self.max_headroom();
         for &z in &zones {
-            if self.load(s) <= self.inst.capacity(s) + 1e-9 {
+            if self.fits(s, 0) {
                 break;
             }
-            let demand = self.inst.zone_bps(z);
+            let demand = self.zone_demand(z);
             // No server can take this zone: the scan below could only
             // fail, so skip it (exact — the fit bound is the same).
-            if demand > headroom + 1e-9 {
+            if demand as i64 > headroom {
                 continue;
             }
             let dest = (0..m)
-                .filter(|&d| d != s && self.load(d) + demand <= self.inst.capacity(d) + 1e-9)
+                .filter(|&d| d != s && self.fits(d, demand))
                 .min_by(|&a, &b| {
                     self.matrix
                         .cost(a, z)
@@ -1931,7 +2082,7 @@ impl ServeEngine {
             }
         }
         self.scratch.evac_zones = zones;
-        self.load(s) <= self.inst.capacity(s) + 1e-9
+        self.fits(s, 0)
     }
 
     /// Contact re-decisions for the clients a flush may have affected
@@ -1942,7 +2093,7 @@ impl ServeEngine {
     fn repair_contacts(&mut self, touched: &[usize], migrated: &[usize], redecide: &[ClientId]) {
         for &id in redecide {
             // A joiner/mover may have left later in the same batch.
-            if let Some(&c) = self.index_of_id.get(&id) {
+            if let Some(c) = self.ids.index(id) {
                 self.decide_contact(c);
             }
         }
@@ -1986,17 +2137,14 @@ impl ServeEngine {
         if self.unserved.len(z) == 0 {
             return;
         }
-        let member = self.unserved.client(z, 0);
         let target = self.target_of_zone[z];
-        let overhead = self.inst.client_forwarding_bps(member);
-        let room =
-            |engine: &Self, s: usize| engine.load(s) + overhead <= engine.inst.capacity(s) + 1e-9;
+        let overhead = self.relay_rate[z];
         let words = self.unserved.words();
         let mut fit = std::mem::take(&mut self.scratch.fit);
         fit.clear();
         fit.resize(words, 0);
         for s in 0..self.inst.num_servers() {
-            if s != target && room(self, s) {
+            if s != target && self.fits(s, overhead) {
                 set_bit(&mut fit, s);
             }
         }
@@ -2026,7 +2174,7 @@ impl ServeEngine {
             if relayed {
                 self.stats.rescan_rescued += 1;
                 let s = self.contact_of_client[c];
-                if !room(self, s) {
+                if !self.fits(s, overhead) {
                     clear_bit(&mut fit, s);
                 }
             } else {
@@ -2063,16 +2211,14 @@ impl ServeEngine {
         if self.release_to_target(c, z, target) {
             return false;
         }
-        let overhead = self.inst.client_forwarding_bps(c);
+        let overhead = self.relay_rate[z];
         let mut costs = std::mem::take(&mut self.scratch.costs);
         costs.resize(self.inst.num_servers(), 0.0);
         self.inst.relay_costs_into(c, target, &mut costs);
-        let pick = cheapest_relay(&costs, target, candidates, |s| {
-            self.load(s) + overhead <= self.inst.capacity(s) + 1e-9
-        });
+        let pick = cheapest_relay(&costs, target, candidates, |s| self.fits(s, overhead));
         match pick {
             Some(s) => {
-                self.book_relay(c, z, s, overhead);
+                self.book_relay(c, z, s);
                 self.clear_unserved(z, c);
             }
             None => {
@@ -2092,9 +2238,6 @@ impl ServeEngine {
     #[inline]
     fn release_to_target(&mut self, c: usize, z: usize, target: usize) -> bool {
         self.unrelay(c);
-        let current = self.contact_of_client[c];
-        self.forward_load[current] -= self.fwd_contrib[c];
-        self.fwd_contrib[c] = 0.0;
         self.contact_of_client[c] = target;
         let direct = self.inst.obs_cs(c, target) <= self.inst.delay_bound();
         if direct {
@@ -2103,18 +2246,30 @@ impl ServeEngine {
         direct
     }
 
-    /// Books `c`, a member of zone `z`, as relayed through `contact` at
-    /// forwarding overhead `overhead`: its contact and contribution, the
-    /// contact's forwarding load, and both relay lists with positions.
+    /// Books `c`, a member of zone `z`, as relayed through `contact`:
+    /// its contact, its shed-list entry with position, and one relay of
+    /// `z` through `contact` at the zone's booked rate.
     #[inline]
-    fn book_relay(&mut self, c: usize, z: usize, contact: usize, overhead: f64) {
+    fn book_relay(&mut self, c: usize, z: usize, contact: usize) {
         self.contact_of_client[c] = contact;
-        self.fwd_contrib[c] = overhead;
-        self.forward_load[contact] += overhead;
+        self.book_forwarding(z, contact);
         self.relay_pos_server[c] = list_pos(self.relayed_of_server[contact].len());
         self.relayed_of_server[contact].push(c);
-        self.relay_pos_zone[c] = list_pos(self.relayed_of_zone[z].len());
-        self.relayed_of_zone[z].push(c);
+    }
+
+    /// Adds one relay of zone `z` through `contact` to the books, at the
+    /// zone's booked rate.
+    #[inline]
+    fn book_forwarding(&mut self, z: usize, contact: usize) {
+        self.relay_count[z * self.inst.num_servers() + contact] += 1;
+        self.forward_load[contact] += self.relay_rate[z];
+    }
+
+    /// Takes one relay of zone `z` through `contact` off the books.
+    #[inline]
+    fn unbook_forwarding(&mut self, z: usize, contact: usize) {
+        self.relay_count[z * self.inst.num_servers() + contact] -= 1;
+        self.forward_load[contact] -= self.relay_rate[z];
     }
 
     /// Adds `c` to zone `z`'s unserved list, uncertified (no-op when
@@ -2138,70 +2293,309 @@ impl ServeEngine {
         }
     }
 
-    /// Removes `c` from its contact's shed list and its zone's relay
-    /// list when it is relayed.
+    /// Takes `c`'s relay off the books when it is relayed: its
+    /// shed-list entry, and one relay of its current zone through its
+    /// contact.
     fn unrelay(&mut self, c: usize) {
-        if self.fwd_contrib[c] > 0.0 {
-            let contact = self.contact_of_client[c];
-            let pos = self.relay_pos_server[c];
-            self.relayed_of_server[contact].swap_remove(pos as usize);
-            if let Some(&moved) = self.relayed_of_server[contact].get(pos as usize) {
-                self.relay_pos_server[moved] = pos;
-            }
-            self.relay_pos_server[c] = NOT_LISTED;
-            let z = self.inst.zone_of(c);
-            let pos = self.relay_pos_zone[c];
-            self.relayed_of_zone[z].swap_remove(pos as usize);
-            if let Some(&moved) = self.relayed_of_zone[z].get(pos as usize) {
-                self.relay_pos_zone[moved] = pos;
-            }
-            self.relay_pos_zone[c] = NOT_LISTED;
+        let pos = self.relay_pos_server[c];
+        if pos == NOT_LISTED {
+            return;
         }
+        let contact = self.contact_of_client[c];
+        let list = &mut self.relayed_of_server[contact];
+        list.swap_remove(pos as usize);
+        if let Some(&moved) = list.get(pos as usize) {
+            self.relay_pos_server[moved] = pos;
+        }
+        self.relay_pos_server[c] = NOT_LISTED;
+        self.unbook_forwarding(self.inst.zone_of(c), contact);
     }
 
-    /// Rebuilds the load books from scratch (engine boot and full-repair
-    /// fallback; O(k + n + m)).
-    fn rebuild_loads(&mut self) {
-        let m = self.inst.num_servers();
-        self.zone_load.clear();
-        self.zone_load.resize(m, 0.0);
-        self.forward_load.clear();
-        self.forward_load.resize(m, 0.0);
-        self.zones_of_server.clear();
-        self.zones_of_server.resize(m, Vec::new());
+    /// The load books a rebuild from the current targets and contacts
+    /// gives: every relay booked at its zone's current rate. O(k + n·m).
+    fn rebuilt_books(&self) -> LoadBooks {
+        let inst = &self.inst;
+        let m = inst.num_servers();
+        let mut books = LoadBooks {
+            zone_load: vec![0; m],
+            forward_load: vec![0; m],
+            relay_count: vec![0; inst.num_zones() * m],
+            relay_rate: (0..inst.num_zones())
+                .map(|z| relay_units(inst.clients_in_zone(z).len()))
+                .collect(),
+        };
         for (z, &s) in self.target_of_zone.iter().enumerate() {
-            self.zone_load[s] += self.inst.zone_bps(z);
+            books.zone_load[s] += self.zone_demand(z);
+        }
+        for (c, &contact) in self.contact_of_client.iter().enumerate() {
+            let z = inst.zone_of(c);
+            if contact != self.target_of_zone[z] {
+                books.relay_count[z * m + contact] += 1;
+                books.forward_load[contact] += books.relay_rate[z];
+            }
+        }
+        books
+    }
+
+    /// Books the boot assignment from scratch: loads, capacities, the
+    /// hosted-zone, shed and unserved lists (each in index order).
+    fn boot_books(&mut self) {
+        let m = self.inst.num_servers();
+        let books = self.rebuilt_books();
+        self.zone_load = books.zone_load;
+        self.forward_load = books.forward_load;
+        self.relay_count = books.relay_count;
+        self.relay_rate = books.relay_rate;
+        let headroom = self.config.degradation.headroom;
+        self.cap = (0..m)
+            .map(|s| capacity_units(self.inst.capacity(s), self.unit_bps))
+            .collect();
+        self.admit_cap = (0..m)
+            .map(|s| admission_units(self.inst.capacity(s), headroom, self.unit_bps))
+            .collect();
+        self.zones_of_server = vec![Vec::new(); m];
+        for (z, &s) in self.target_of_zone.iter().enumerate() {
             self.zones_of_server[s].push(z);
         }
-        self.fwd_contrib.clear();
-        self.fwd_contrib.resize(self.inst.num_clients(), 0.0);
-        self.relayed_of_server.clear();
-        self.relayed_of_server.resize(m, Vec::new());
-        self.relayed_of_zone.clear();
-        self.relayed_of_zone
-            .resize(self.inst.num_zones(), Vec::new());
+        self.relayed_of_server = vec![Vec::new(); m];
         self.unserved = UnservedLists::new(self.inst.num_zones(), m);
-        self.unserved_pos.clear();
-        self.unserved_pos
-            .resize(self.inst.num_clients(), NOT_LISTED);
-        self.relay_pos_server.clear();
-        self.relay_pos_server
-            .resize(self.inst.num_clients(), NOT_LISTED);
-        self.relay_pos_zone.clear();
-        self.relay_pos_zone
-            .resize(self.inst.num_clients(), NOT_LISTED);
-        for c in 0..self.inst.num_clients() {
+        let k = self.inst.num_clients();
+        self.unserved_pos.resize(k, NOT_LISTED);
+        self.relay_pos_server.resize(k, NOT_LISTED);
+        for c in 0..k {
             let contact = self.contact_of_client[c];
             let z = self.inst.zone_of(c);
             let target = self.target_of_zone[z];
             if contact != target {
-                self.book_relay(c, z, contact, self.inst.client_forwarding_bps(c));
+                self.relay_pos_server[c] = list_pos(self.relayed_of_server[contact].len());
+                self.relayed_of_server[contact].push(c);
             } else if self.inst.obs_cs(c, target) > self.inst.delay_bound() {
                 self.mark_unserved(z, c);
             }
         }
-        self.capacity_ok = (0..m).all(|s| self.load(s) <= self.inst.capacity(s) + 1e-9);
+        self.capacity_ok = self.within_capacity();
     }
+
+    /// Client `c`'s rescue certificate toward `target`, from a full
+    /// `rap_cost` pass: bit `s` set iff `s != target` and `C^R(c, s,
+    /// target) < C^R(c, target, target)`.
+    fn fresh_certificate(&self, c: usize, target: usize) -> Vec<Word> {
+        let m = self.inst.num_servers();
+        let direct = self.inst.rap_cost(c, target, target);
+        let mut cert = vec![0; m.div_ceil(WORD_BITS)];
+        for s in (0..m).filter(|&s| s != target) {
+            if self.inst.rap_cost(c, s, target) < direct {
+                set_bit(&mut cert, s);
+            }
+        }
+        cert
+    }
+
+    /// Checks every carried book against a rebuild from the targets,
+    /// the contacts and the instance, comparing with `==`: the cost
+    /// matrix, the capacities and admission lines in stream units, the
+    /// per-zone rates, the zone and forwarding loads, the relay
+    /// counts, the shed lists and relay marks, the hosted-zone book, the
+    /// unserved lists and their certificates, the id table, and the
+    /// feasibility flag. The error names the first book found out of
+    /// step. O(k·m); a soak run or a live server can call it between
+    /// flushes.
+    pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
+        let inst = &self.inst;
+        let (k, m, n) = (inst.num_clients(), inst.num_servers(), inst.num_zones());
+        let lengths_match = [
+            self.contact_of_client.len(),
+            self.id_of_client.len(),
+            self.unserved_pos.len(),
+            self.relay_pos_server.len(),
+        ]
+        .iter()
+        .all(|&len| len == k)
+            && self.target_of_zone.len() == n;
+        if !lengths_match
+            || self.target_of_zone.iter().any(|&s| s >= m)
+            || self.contact_of_client.iter().any(|&s| s >= m)
+        {
+            return Err(InvariantViolation::Shape);
+        }
+        self.check_ids()?;
+        let headroom = self.config.degradation.headroom;
+        for s in 0..m {
+            let capacity = inst.capacity(s);
+            if self.cap[s] != capacity_units(capacity, self.unit_bps)
+                || self.admit_cap[s] != admission_units(capacity, headroom, self.unit_bps)
+                || (self.down[s] && capacity != 0.0)
+            {
+                return Err(InvariantViolation::Capacity { server: s });
+            }
+        }
+        let books = self.rebuilt_books();
+        if let Some(zone) = (0..n).find(|&z| {
+            self.relay_rate[z] != books.relay_rate[z]
+                || inst.zone_bps(z) != self.model.zone_bps(inst.clients_in_zone(z).len())
+        }) {
+            return Err(InvariantViolation::ZoneRate { zone });
+        }
+        if let Some(server) = (0..m).find(|&s| self.zone_load[s] != books.zone_load[s]) {
+            return Err(InvariantViolation::ZoneLoad { server });
+        }
+        if let Some(server) = (0..m).find(|&s| self.forward_load[s] != books.forward_load[s]) {
+            return Err(InvariantViolation::ForwardLoad { server });
+        }
+        if let Some(i) = (0..n * m).find(|&i| self.relay_count[i] != books.relay_count[i]) {
+            return Err(InvariantViolation::RelayCount {
+                zone: i / m,
+                server: i % m,
+            });
+        }
+        // Shed lists: exactly the relayed clients, each once, on its
+        // contact's list at its recorded position.
+        let mut listed = 0;
+        for (s, list) in self.relayed_of_server.iter().enumerate() {
+            for (pos, &c) in list.iter().enumerate() {
+                if c >= k
+                    || self.contact_of_client[c] != s
+                    || self.relay_pos_server[c] as usize != pos
+                {
+                    return Err(InvariantViolation::RelayList { client: c });
+                }
+            }
+            listed += list.len();
+        }
+        let mut relayed = 0;
+        for c in 0..k {
+            let marked = self.relay_pos_server[c] != NOT_LISTED;
+            if marked != (self.contact_of_client[c] != self.target_of_zone[inst.zone_of(c)]) {
+                return Err(InvariantViolation::RelayList { client: c });
+            }
+            relayed += usize::from(marked);
+        }
+        if listed != relayed {
+            return Err(InvariantViolation::RelayList { client: k });
+        }
+        // Hosted-zone book: exactly the inverse of the zone → server map.
+        let mut hosted = vec![0usize; n];
+        for (s, list) in self.zones_of_server.iter().enumerate() {
+            for &z in list {
+                if z >= n || self.target_of_zone[z] != s {
+                    return Err(InvariantViolation::HostedZones { zone: z });
+                }
+                hosted[z] += 1;
+            }
+        }
+        if let Some(zone) = hosted.iter().position(|&h| h != 1) {
+            return Err(InvariantViolation::HostedZones { zone });
+        }
+        self.check_unserved()?;
+        if self.capacity_ok != self.within_capacity() {
+            return Err(InvariantViolation::Feasibility);
+        }
+        if self.matrix != CostMatrix::build(inst) {
+            return Err(InvariantViolation::CostMatrix);
+        }
+        Ok(())
+    }
+
+    /// The id table against the index → id map, the pending buffer and
+    /// the deferred queue.
+    fn check_ids(&self) -> Result<(), InvariantViolation> {
+        let census = self.ids.census().ok_or(InvariantViolation::IdTable)?;
+        let mut joins = 0;
+        let mut leaves = 0;
+        for ev in &self.pending {
+            let ok = match *ev {
+                Pending::Join { id, .. } => {
+                    joins += 1;
+                    matches!(self.ids.state(id), IdState::Joining { .. })
+                }
+                Pending::Leave { id, .. } => {
+                    leaves += 1;
+                    matches!(
+                        self.ids.state(id),
+                        IdState::Joining { leaving: true } | IdState::Live { leaving: true, .. }
+                    )
+                }
+                Pending::Move { .. } => true,
+            };
+            if !ok {
+                return Err(InvariantViolation::IdTable);
+            }
+        }
+        let consistent = census.live == self.id_of_client.len()
+            && census.joining == joins
+            && census.leaving == leaves
+            && census.deferred == self.deferred.len()
+            && self
+                .id_of_client
+                .iter()
+                .enumerate()
+                .all(|(c, &id)| self.ids.index(id) == Some(c))
+            && self
+                .deferred
+                .iter()
+                .all(|d| self.ids.state(d.id) == IdState::Deferred);
+        if consistent {
+            Ok(())
+        } else {
+            Err(InvariantViolation::IdTable)
+        }
+    }
+
+    /// The unserved lists against the on-target violators, with their
+    /// positions and every written certificate.
+    fn check_unserved(&self) -> Result<(), InvariantViolation> {
+        let inst = &self.inst;
+        let lists = &self.unserved;
+        for z in 0..inst.num_zones() {
+            let target = self.target_of_zone[z];
+            let mut expected: Vec<usize> = inst
+                .clients_in_zone(z)
+                .iter()
+                .copied()
+                .filter(|&c| {
+                    inst.obs_cs(c, target) > inst.delay_bound()
+                        && self.contact_of_client[c] == target
+                })
+                .collect();
+            let mut got: Vec<usize> = (0..lists.len(z)).map(|pos| lists.client(z, pos)).collect();
+            expected.sort_unstable();
+            got.sort_unstable();
+            if got != expected || !lists.zones[z].len().is_multiple_of(lists.stride) {
+                return Err(InvariantViolation::UnservedList { zone: z });
+            }
+            for pos in 0..lists.len(z) {
+                let c = lists.client(z, pos);
+                if self.unserved_pos[c] as usize != pos {
+                    return Err(InvariantViolation::UnservedList { zone: z });
+                }
+                if let Some(cert) = lists.cert(z, pos) {
+                    if cert != self.fresh_certificate(c, target).as_slice() {
+                        return Err(InvariantViolation::Certificate { zone: z, client: c });
+                    }
+                }
+            }
+        }
+        let listed = (0..inst.num_zones()).map(|z| lists.len(z)).sum::<usize>();
+        let marked = self
+            .unserved_pos
+            .iter()
+            .filter(|&&p| p != NOT_LISTED)
+            .count();
+        if listed != marked {
+            return Err(InvariantViolation::UnservedList {
+                zone: inst.num_zones(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The load books of [`ServeEngine::rebuilt_books`], in stream units.
+struct LoadBooks {
+    zone_load: Vec<u64>,
+    forward_load: Vec<u64>,
+    relay_count: Vec<u32>,
+    relay_rate: Vec<u64>,
 }
 
 /// The seam a harness wraps around a [`ServeEngine`]: the mutating
@@ -2653,157 +3047,6 @@ mod tests {
         .expect("small instances solve")
     }
 
-    /// Client `c`'s rescue certificate toward `target`, from a full
-    /// `rap_cost` pass: bit `s` set iff `s != target` and `C^R(c, s,
-    /// target) < C^R(c, target, target)`.
-    fn fresh_certificate(inst: &CapInstance, c: usize, target: usize) -> Vec<Word> {
-        let m = inst.num_servers();
-        let direct = inst.rap_cost(c, target, target);
-        let mut cert = vec![0; m.div_ceil(WORD_BITS)];
-        for s in (0..m).filter(|&s| s != target) {
-            if inst.rap_cost(c, s, target) < direct {
-                set_bit(&mut cert, s);
-            }
-        }
-        cert
-    }
-
-    /// The engine's carried books — matrix, load accounting, id maps —
-    /// stay consistent with ground truth after every flush.
-    fn assert_engine_consistent(engine: &ServeEngine) {
-        assert_eq!(
-            engine.matrix(),
-            &CostMatrix::build(engine.instance()),
-            "carried matrix diverged from a fresh build"
-        );
-        let assignment = engine.assignment();
-        let loads = assignment.server_loads(engine.instance());
-        for s in 0..engine.instance().num_servers() {
-            let booked = engine.zone_load[s] + engine.forward_load[s];
-            assert!(
-                (booked - loads[s]).abs() < 1e-6,
-                "server {s}: booked load {booked} vs ground truth {}",
-                loads[s]
-            );
-        }
-        for (c, &id) in engine.id_of_client.iter().enumerate() {
-            assert_eq!(engine.index_of(id), Some(c));
-        }
-        // Relay books: c is on its contact's shed list iff it carries a
-        // forwarding contribution, exactly once.
-        let mut listed = vec![0usize; engine.num_clients()];
-        for (s, list) in engine.relayed_of_server.iter().enumerate() {
-            for (pos, &c) in list.iter().enumerate() {
-                assert_eq!(engine.contacts()[c], s, "shed list entry on wrong server");
-                assert!(engine.fwd_contrib[c] > 0.0, "shed list entry not relayed");
-                assert_eq!(
-                    engine.relay_pos_server[c] as usize, pos,
-                    "shed list position out of step"
-                );
-                listed[c] += 1;
-            }
-        }
-        for c in 0..engine.num_clients() {
-            assert_eq!(
-                listed[c],
-                usize::from(engine.fwd_contrib[c] > 0.0),
-                "client {c}: shed list membership out of step"
-            );
-        }
-        // Zone relay book: same relay set, keyed by the client's zone.
-        let mut zone_listed = vec![0usize; engine.num_clients()];
-        for (z, list) in engine.relayed_of_zone.iter().enumerate() {
-            for (pos, &c) in list.iter().enumerate() {
-                assert_eq!(
-                    engine.instance().zone_of(c),
-                    z,
-                    "zone relay entry in wrong zone"
-                );
-                assert!(engine.fwd_contrib[c] > 0.0, "zone relay entry not relayed");
-                assert_eq!(
-                    engine.relay_pos_zone[c] as usize, pos,
-                    "zone relay position out of step"
-                );
-                zone_listed[c] += 1;
-            }
-        }
-        for c in 0..engine.num_clients() {
-            assert_eq!(
-                zone_listed[c],
-                usize::from(engine.fwd_contrib[c] > 0.0),
-                "client {c}: zone relay membership out of step"
-            );
-        }
-        // Unserved lists: exactly the on-target violators, with the
-        // position index in step, and every written certificate equal
-        // to a fresh one for the zone's current target.
-        let inst = engine.instance();
-        let lists = &engine.unserved;
-        for z in 0..inst.num_zones() {
-            let target = engine.targets()[z];
-            let mut expected: Vec<usize> = inst
-                .clients_in_zone(z)
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    inst.obs_cs(c, target) > inst.delay_bound() && engine.contacts()[c] == target
-                })
-                .collect();
-            let mut got: Vec<usize> = (0..lists.len(z)).map(|pos| lists.client(z, pos)).collect();
-            expected.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(got, expected, "zone {z}: unserved list out of step");
-            assert_eq!(lists.zones[z].len() % lists.stride, 0);
-            for pos in 0..lists.len(z) {
-                let c = lists.client(z, pos);
-                assert_eq!(
-                    engine.unserved_pos[c] as usize, pos,
-                    "unserved position out of step"
-                );
-                if let Some(cert) = lists.cert(z, pos) {
-                    assert_eq!(
-                        cert,
-                        fresh_certificate(inst, c, target).as_slice(),
-                        "zone {z}: client {c}'s certificate is stale"
-                    );
-                }
-            }
-        }
-        for c in 0..engine.num_clients() {
-            if engine.unserved_pos[c] != NOT_LISTED {
-                let z = inst.zone_of(c);
-                let pos = engine.unserved_pos[c] as usize;
-                assert_eq!(lists.client(z, pos), c);
-            }
-        }
-        // Hosted-zone book: exactly the inverse of the zone→server map.
-        let mut hosted = vec![0usize; inst.num_zones()];
-        for (s, list) in engine.zones_of_server.iter().enumerate() {
-            for &z in list {
-                assert_eq!(
-                    engine.assignment().target_of_zone[z],
-                    s,
-                    "hosted-zone entry on wrong server"
-                );
-                hosted[z] += 1;
-            }
-        }
-        assert!(
-            hosted.iter().all(|&n| n == 1),
-            "hosted-zone book must cover every zone exactly once"
-        );
-        assert_eq!(
-            engine.index_of_id.len(),
-            engine.num_clients(),
-            "id map must cover exactly the live population"
-        );
-        let feasible = assignment
-            .validate(engine.instance())
-            .iter()
-            .all(|v| matches!(v, dve_assign::Violation::OverCapacity { .. }));
-        assert!(feasible, "assignment has structural violations");
-    }
-
     /// Boots an engine on a random world whose delays are whole
     /// milliseconds. Server hops are halved by the provisioning factor,
     /// so every `C^R` is an exact multiple of 0.5 ms and ties between
@@ -2905,8 +3148,15 @@ mod tests {
             }
             let member = lists.client(z, 0);
             let target = engine.targets()[z];
+            // The fit in bits/s, as the f64 books judged it: the unit
+            // books must give the same verdicts.
             let overhead = inst.client_forwarding_bps(member);
-            let fits = |s: usize| engine.load(s) + overhead <= inst.capacity(s) + 1e-9;
+            let fits = |s: usize| {
+                let load = engine.load(s) as f64 * engine.unit_bps;
+                let verdict = load + overhead <= inst.capacity(s) + 1e-9;
+                assert_eq!(verdict, engine.fits(s, engine.relay_rate[z]));
+                verdict
+            };
             let mut fit = vec![0; words];
             for s in (0..m).filter(|&s| s != target && fits(s)) {
                 set_bit(&mut fit, s);
@@ -2962,7 +3212,7 @@ mod tests {
                 } else {
                     random_flush(&mut engine, &mut rng);
                 }
-                assert_engine_consistent(&engine);
+                engine.check_invariants().unwrap();
                 let (s, r) = check_certificates_against_full_scan(&engine);
                 skipped += s;
                 rescued += r;
@@ -3018,7 +3268,7 @@ mod tests {
                 );
                 skipped += step_skipped;
                 rescued += step_rescued;
-                assert_engine_consistent(&engine);
+                engine.check_invariants().unwrap();
             }
         }
         assert!(
@@ -3036,42 +3286,35 @@ mod tests {
             assert_eq!(engine.index_of(c as ClientId), Some(c));
         }
         assert_eq!(engine.pending_events(), 0);
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
     }
 
     /// Boot leaves room for k/8 joiners in every per-client book, so
     /// the first k/8 joins after boot — here all in one flush — grow
-    /// (and so copy) none of them. The three position books hold one
-    /// `u32` per client.
+    /// (and so copy) none of them. The two position books hold one
+    /// `u32` per client, and the id table one `u32` per id in pages,
+    /// whose page list has room for the joiners' pages.
     #[test]
     fn first_joins_after_boot_reallocate_no_population_array() {
         let mut engine = boot_engine(&small_setup(), ServeConfig::default());
         let k = engine.num_clients();
-        for book in [
-            &engine.unserved_pos,
-            &engine.relay_pos_server,
-            &engine.relay_pos_zone,
-        ] {
+        for book in [&engine.unserved_pos, &engine.relay_pos_server] {
             assert_eq!(std::mem::size_of_val(book.as_slice()), 4 * k);
         }
+        assert_eq!(engine.ids.resident_pages(), k.div_ceil(crate::ids::PAGE));
         let books = |e: &ServeEngine| {
             [
                 (
                     e.contact_of_client.as_ptr() as usize,
                     e.contact_of_client.capacity(),
                 ),
-                (e.fwd_contrib.as_ptr() as usize, e.fwd_contrib.capacity()),
                 (e.id_of_client.as_ptr() as usize, e.id_of_client.capacity()),
                 (e.unserved_pos.as_ptr() as usize, e.unserved_pos.capacity()),
                 (
                     e.relay_pos_server.as_ptr() as usize,
                     e.relay_pos_server.capacity(),
                 ),
-                (
-                    e.relay_pos_zone.as_ptr() as usize,
-                    e.relay_pos_zone.capacity(),
-                ),
-                (0, e.index_of_id.capacity()),
+                e.ids.page_list(),
             ]
         };
         let before = books(&engine);
@@ -3090,7 +3333,7 @@ mod tests {
             before,
             "a join reallocated a per-client book"
         );
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
     }
 
     #[test]
@@ -3187,14 +3430,14 @@ mod tests {
         assert_eq!(engine.pending_events(), 0);
         let c = engine.index_of(id).unwrap();
         assert_eq!(engine.instance().zone_of(c), 7);
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
 
         engine.push(StreamEvent::Move { id, zone: 2 }).unwrap();
         assert_eq!(engine.instance().zone_of(engine.index_of(id).unwrap()), 2);
         engine.push(StreamEvent::Leave { id }).unwrap();
         assert_eq!(engine.num_clients(), 120);
         assert_eq!(engine.index_of(id), None);
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
         assert_eq!(engine.stats().events, 3);
         assert_eq!(engine.stats().flushes, 3);
         assert_eq!(engine.stats().latency.count(), 3);
@@ -3219,7 +3462,7 @@ mod tests {
         assert_eq!(engine.num_clients(), 119);
         // Quiet ticks with nothing pending do not flush.
         assert!(engine.tick().is_none());
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
     }
 
     #[test]
@@ -3238,10 +3481,136 @@ mod tests {
             .unwrap();
         engine.push(StreamEvent::Move { id, zone: 5 }).unwrap();
         engine.push(StreamEvent::Leave { id }).unwrap();
-        engine.flush_now().unwrap();
+        engine.check_invariants().unwrap();
+        // The Join, the Move and the Leave of the one id all commit.
+        assert_eq!(engine.flush_now().unwrap().events, 3);
+        assert_eq!(engine.stats().events, 3);
+        assert_eq!(engine.stats().latency.count(), 3);
         assert_eq!(engine.num_clients(), 120);
         assert_eq!(engine.index_of(id), None);
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
+    }
+
+    /// A departed id is gone for good: a Leave or Move of it reads
+    /// `UnknownClient`, before and after its page is freed, and the
+    /// engine never issues it again.
+    #[test]
+    fn departed_ids_read_unknown_and_are_never_issued_again() {
+        let mut engine = boot_engine(&small_setup(), ServeConfig::default());
+        let joined = engine
+            .push(StreamEvent::Join { node: 0, zone: 1 })
+            .unwrap()
+            .unwrap();
+        for id in [5, joined] {
+            engine.push(StreamEvent::Leave { id }).unwrap();
+        }
+        engine.flush_now();
+        engine.check_invariants().unwrap();
+        for id in [5, joined] {
+            assert_eq!(
+                engine.push(StreamEvent::Leave { id }),
+                Err(ServeError::UnknownClient { id })
+            );
+            assert_eq!(
+                engine.push(StreamEvent::Move { id, zone: 0 }),
+                Err(ServeError::UnknownClient { id })
+            );
+        }
+        // Cycle more than a page of ids through the population, oldest
+        // out first, so every id of the first page departs and the page
+        // is freed.
+        let mut live: VecDeque<ClientId> =
+            (0..engine.num_clients()).map(|c| engine.id_at(c)).collect();
+        let mut issued = vec![joined];
+        for i in 0..crate::ids::PAGE + live.len() {
+            let id = engine
+                .push(StreamEvent::Join {
+                    node: i % engine.nodes(),
+                    zone: i % 15,
+                })
+                .unwrap()
+                .unwrap();
+            assert!(id > *issued.last().unwrap(), "ids are issued in sequence");
+            issued.push(id);
+            live.push_back(id);
+            let oldest = live.pop_front().unwrap();
+            engine.push(StreamEvent::Leave { id: oldest }).unwrap();
+        }
+        engine.flush_now();
+        engine.check_invariants().unwrap();
+        assert!(*live.front().unwrap() >= crate::ids::PAGE as ClientId);
+        assert_eq!(engine.ids.resident_pages(), 1, "the first page was freed");
+        for id in [0, 5, joined, issued[crate::ids::PAGE / 2]] {
+            assert_eq!(
+                engine.push(StreamEvent::Move { id, zone: 0 }),
+                Err(ServeError::UnknownClient { id })
+            );
+        }
+    }
+
+    /// Property: the stream-unit verdicts equal the bits/s verdicts —
+    /// a fit `load + overhead ≤ capacity + 1e-9` and an admission
+    /// `load ≤ (1 − headroom)·capacity + 1e-9`,
+    /// with loads that are whole multiples of f·S — at each converted
+    /// boundary, one unit below it and one unit above it. Capacities:
+    /// random whole and fractional bits/s, a `RandomHeterogeneous`
+    /// world's, and 0; two bandwidth models.
+    #[test]
+    fn unit_verdicts_equal_the_f64_books_at_every_boundary() {
+        use dve_world::CapacityPolicy;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x0c4b);
+        let mut capacities = vec![0.0];
+        for _ in 0..500 {
+            capacities.push(rng.gen_range(0.0..1e9));
+            capacities.push(rng.gen_range(0u64..1_000_000_000) as f64);
+            capacities.push(rng.gen_range(0.0..1e5));
+        }
+        let mut config = ScenarioConfig::from_notation("100s-100z-1000c-65000cp").unwrap();
+        config.capacity_policy = CapacityPolicy::RandomHeterogeneous;
+        let world = World::generate(&config, 128, &[0; 128], &mut rng).expect("world fits");
+        let heterogeneous: Vec<f64> = world.servers.iter().map(|s| s.capacity_bps).collect();
+        assert!(heterogeneous.iter().any(|c| c.fract() != 0.0));
+        capacities.extend(heterogeneous);
+        let models = [
+            BandwidthModel::default(),
+            BandwidthModel {
+                msgs_per_sec: 30.0,
+                msg_bytes: 60.0,
+            },
+        ];
+        for model in models {
+            let unit = model.stream_bps();
+            for &capacity in &capacities {
+                let cap = capacity_units(capacity, unit);
+                let n = rng.gen_range(1..300);
+                let (relay, overhead) = (relay_units(n), model.client_forwarding_bps(n));
+                for q in [cap.saturating_sub(1), cap, cap + 1] {
+                    let load = q as f64 * unit;
+                    assert_eq!(
+                        q <= cap,
+                        load <= capacity + 1e-9,
+                        "capacity {capacity}, load {q} units"
+                    );
+                    if let Some(rest) = q.checked_sub(relay) {
+                        assert_eq!(
+                            rest + relay <= cap,
+                            rest as f64 * unit + overhead <= capacity + 1e-9,
+                            "capacity {capacity}, load {rest} units + a relay of {relay}"
+                        );
+                    }
+                }
+                let headroom = rng.gen_range(0.0..1.0);
+                let admit = admission_units(capacity, headroom, unit);
+                for q in [admit.saturating_sub(1), admit, admit + 1] {
+                    assert_eq!(
+                        q <= admit,
+                        q as f64 * unit <= (1.0 - headroom) * capacity + 1e-9,
+                        "capacity {capacity}, headroom {headroom}, load {q} units"
+                    );
+                }
+            }
+        }
     }
 
     /// Random event streams at several micro-batch sizes keep every
@@ -3291,7 +3660,7 @@ mod tests {
             }
             engine.flush_now();
             assert_eq!(engine.num_clients(), live.len());
-            assert_engine_consistent(&engine);
+            engine.check_invariants().unwrap();
             let pqos = engine.metrics().pqos;
             assert!((0.0..=1.0).contains(&pqos));
             assert!(engine.stats().latency.count() >= 250);
@@ -3375,7 +3744,7 @@ mod tests {
         engine.flush_now();
         assert_eq!(engine.stats().warmup.count(), 10);
         assert_eq!(engine.stats().latency.count(), 2);
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
     }
 
     /// `run_stream_with_warmup` applies warm-up epochs (same trace, same
@@ -3664,7 +4033,7 @@ mod tests {
         assert_eq!(engine.pending_events(), 0);
         // Shed decisions burn no ids: the next admitted client's id is
         // still dense.
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
     }
 
     /// Queue admission: a blocked join is deferred with a live id
@@ -3727,7 +4096,7 @@ mod tests {
         assert!(admitted, "the deferred join was never re-admitted");
         let c = engine.index_of(qid).expect("re-admitted join is live");
         assert_eq!(engine.instance().zone_of(c), zone);
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
     }
 
     /// The bounded ingest queue: pushes beyond `max_pending` are
@@ -3763,7 +4132,7 @@ mod tests {
         engine.push(StreamEvent::Move { id: 3, zone: 1 }).unwrap();
         assert_eq!(engine.pending_events(), 1);
         engine.flush_now();
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
     }
 
     /// A zero-event ingest bound would refuse every push, Leaves
@@ -3808,7 +4177,7 @@ mod tests {
                 "no client is served or relayed through the failed server"
             );
             assert!(report.zones_evacuated > 0, "the victim hosted zones");
-            assert_engine_consistent(&engine);
+            engine.check_invariants().unwrap();
 
             // Serving continues on the degraded engine.
             let id = engine
@@ -3823,7 +4192,7 @@ mod tests {
             assert!(!engine.is_server_down(victim));
             assert_eq!(engine.instance().capacity(victim), nominal);
             assert!(restore.feasible, "small tier refits after recovery");
-            assert_engine_consistent(&engine);
+            engine.check_invariants().unwrap();
             assert_eq!(engine.stats().failovers, 1);
             assert_eq!(engine.stats().recoveries, 1);
             assert_eq!(engine.stats().full_repairs, 0);
@@ -3859,7 +4228,7 @@ mod tests {
             engine.contacts().iter().all(|&s| s == 4),
             "no contact can route anywhere else"
         );
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
         // The engine keeps serving and never escalates to a full repair
         // while degraded, even if the survivor is overloaded.
         let before = engine.num_clients();
@@ -3870,7 +4239,7 @@ mod tests {
         engine.flush_now();
         assert_eq!(engine.num_clients(), before + 1);
         assert_eq!(engine.stats().full_repairs, 0);
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
     }
 
     /// Failing the last server of every zone's contact set — no
@@ -3885,7 +4254,7 @@ mod tests {
         }
         assert!(!engine.is_feasible(), "no capacity anywhere");
         assert_eq!(engine.num_clients(), 120, "population is retained");
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
         // Unknown servers are a typed refusal, not a panic.
         assert_eq!(
             engine.fail_server(99),
@@ -3900,7 +4269,7 @@ mod tests {
             engine.targets().iter().all(|&s| s == 0),
             "the first recovered server re-hosts everything"
         );
-        assert_engine_consistent(&engine);
+        engine.check_invariants().unwrap();
     }
 
     /// Thread-count invariance of the degraded state (DVE_THREADS ∈
@@ -3999,7 +4368,7 @@ mod tests {
                 40 => drop(engine.restore_server(3).unwrap()),
                 _ => {}
             }
-            assert_engine_consistent(&engine);
+            engine.check_invariants().unwrap();
         }
         assert_eq!(engine.num_clients(), live.len());
         assert!(engine.stats().flushes >= 50);
