@@ -51,7 +51,8 @@
 //!   a flush re-books each touched zone once, after its apply loop, in
 //!   O(m) however many relays the zone has. Clients are found by id in a
 //!   paged `u32` table ([`IdTable`]) that also holds the pending-join,
-//!   deferred and leaving marks. [`ServeEngine::check_invariants`]
+//!   deferred and leaving marks, and compacts pages whose ids have
+//!   mostly departed. [`ServeEngine::check_invariants`]
 //!   rebuilds every book from the targets and contacts and compares
 //!   with `==`.
 //! * **Zone shards** — [`ServeConfig::shards`] is the one serving-width
@@ -264,12 +265,14 @@ pub enum InvariantViolation {
         /// The zone.
         zone: usize,
     },
-    /// A server's hosted-zone load differs from the rebuild.
+    /// A server's hosted-zone load differs from the rebuild, or in
+    /// bits/s from the sum of its zones' `R_z`.
     ZoneLoad {
         /// The server.
         server: usize,
     },
-    /// A server's forwarding load differs from the rebuild.
+    /// A server's forwarding load differs from the rebuild, or its
+    /// whole load in bits/s from `Assignment::server_loads`.
     ForwardLoad {
         /// The server.
         server: usize,
@@ -665,8 +668,9 @@ pub struct ServeEngine {
     /// The id of the client at each index.
     id_of_client: Vec<ClientId>,
     /// Each issued id's index, or its pending-join, deferred or leaving
-    /// mark ([`IdTable`]): one `u32` per id, paged, and a page is freed
-    /// once all its ids have departed.
+    /// mark ([`IdTable`]): one `u32` per id, paged. A page is freed once
+    /// all its ids have departed, and compacted once three quarters
+    /// have.
     ids: IdTable,
     delays: WorldDelays,
     model: BandwidthModel,
@@ -2397,8 +2401,10 @@ impl ServeEngine {
     /// per-zone rates, the zone and forwarding loads, the relay
     /// counts, the shed lists and relay marks, the hosted-zone book, the
     /// unserved lists and their certificates, the id table, and the
-    /// feasibility flag. The error names the first book found out of
-    /// step. O(k·m); a soak run or a live server can call it between
+    /// feasibility flag. The loads are also compared in bits/s with
+    /// `Assignment::server_loads`, the reference that shares no unit
+    /// formula with the books. The error names the first book found out
+    /// of step. O(k·m); a soak run or a live server can call it between
     /// flushes.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let inst = &self.inst;
@@ -2441,6 +2447,30 @@ impl ServeEngine {
         }
         if let Some(server) = (0..m).find(|&s| self.forward_load[s] != books.forward_load[s]) {
             return Err(InvariantViolation::ForwardLoad { server });
+        }
+        // The rebuild shares the unit formulas with the incremental
+        // books, so the loads are also held to the bits/s reference,
+        // `Assignment::server_loads` over the instance's `R_z` and
+        // `R^C_c`. A whole-bps stream rate makes every term and sum
+        // exact in f64 (below 2^53); otherwise the sums round, by about
+        // 1e-10 of a load over a million terms.
+        let exact = self.unit_bps.fract() == 0.0;
+        let agrees = |units: u64, bps: f64| {
+            let booked = units as f64 * self.unit_bps;
+            booked == bps || (!exact && (booked - bps).abs() <= 1e-9 * bps.abs().max(1.0))
+        };
+        let mut hosted_bps = vec![0.0; m];
+        for (z, &s) in self.target_of_zone.iter().enumerate() {
+            hosted_bps[s] += inst.zone_bps(z);
+        }
+        let reference = self.assignment().server_loads(inst);
+        for s in 0..m {
+            if !agrees(self.zone_load[s], hosted_bps[s]) {
+                return Err(InvariantViolation::ZoneLoad { server: s });
+            }
+            if !agrees(self.load(s), reference[s]) {
+                return Err(InvariantViolation::ForwardLoad { server: s });
+            }
         }
         if let Some(i) = (0..n * m).find(|&i| self.relay_count[i] != books.relay_count[i]) {
             return Err(InvariantViolation::RelayCount {
