@@ -49,8 +49,7 @@ const LS_SWEEPS: usize = 2;
 const GATE_SPEEDUP: f64 = 2.0;
 
 /// Widths the solve-time curve samples (capped at the machine's worker
-/// count) — the same scale-trajectory shape `serve_mc` records for the
-/// serving path, here for the full solve pipeline.
+/// count).
 const CURVE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// The solve's phases, in order; [`solve_once`] times each one.

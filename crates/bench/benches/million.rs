@@ -18,22 +18,21 @@
 //!
 //! Build throughput, peak RSS, thread count, and serve latencies are
 //! written to `BENCH_million.json` (uploaded as a CI artifact) so the
-//! scale trajectory is machine-readable like `BENCH_table1.json`.
+//! scale trajectory is machine-readable like `BENCH_table1.json`. The
+//! record gates the initial and served pQoS (`higher`, `rel 0`): both
+//! are seed-deterministic, and the steady trace flushes by event count,
+//! never by clock, so any drop is a changed decision.
+//!
+//! The served engine and its replication are dropped before the
+//! mobility phase boots a second one, so the peak RSS is one
+//! million-client engine's.
 //!
 //! Environment knobs (all optional):
 //! * `DVE_MILLION_CLIENTS` — reduced-size variant for slow runners
 //!   (capacity is re-derived from the bandwidth model at the same
 //!   ~1.3× head-room);
 //! * `DVE_MILLION_RSS_CEILING_MB` — memory ceiling, default 1024;
-//! * `DVE_MILLION_BUDGET_S` — wall-clock budget, default 900;
-//! * `DVE_MILLION_SHARDS` — when > 1, replays the same warm-up +
-//!   steady trace through a [`ServeEngine`] booted with that many
-//!   [`ServeConfig::shards`] (touched-zone re-orders on a persistent
-//!   worker team), asserts its decisions bit-identical to the
-//!   single-core engine, and — at >= 4 workers — gates the sharded
-//!   steady p99 **below** the width-1 engine's steady p99 from the same
-//!   run (default 1: the phase is skipped and the headline run stays
-//!   the single-core claim).
+//! * `DVE_MILLION_BUDGET_S` — wall-clock budget, default 900.
 //!
 //! ```bash
 //! cargo bench -p dve-bench --bench million
@@ -43,6 +42,7 @@ use dve_assign::{
     evaluate, grec, grez_with, improve_iap_with, Assignment, CapInstance, CostMatrix, DelayLayout,
     StuckPolicy,
 };
+use dve_bench::diff::{metric, Rule};
 use dve_sim::experiments::scaling::MILLION_TIER;
 use dve_sim::{
     peak_rss_bytes, run_mobility_stream_with, DelayMode, QualityEstimator, ServeConfig,
@@ -67,7 +67,7 @@ const STEADY_EVENTS: usize = 6_000;
 const MOBILITY_TICKS: usize = 3;
 
 /// Per-tick move probability of the mobility phase: ~2 000 movers per
-/// tick at the full tier — enough to exercise the zone-sharded repair
+/// tick at the full tier — enough to exercise the zone-scoped repair
 /// scan and the streaming path without dominating the wall budget.
 const MOBILITY_PROB: f64 = 0.002;
 
@@ -86,10 +86,8 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// Streams the seeded serve trace through an engine: [`WARMUP_EVENTS`]
 /// joins inside the warm-up window, then [`STEADY_EVENTS`] mixed
 /// join/leave/move events and one final flush. The event stream is
-/// derived from its own `StdRng::seed_from_u64(44)`, so every engine
-/// fed by this function sees the identical trace — which is what lets
-/// the sharded phase assert bit-identity against the single-core run.
-/// Returns `(warmup_ms, steady_ms)`.
+/// derived from its own `StdRng::seed_from_u64(44)`, so every run sees
+/// the identical trace. Returns `(warmup_ms, steady_ms)`.
 fn serve_trace(engine: &mut ServeEngine, nodes: usize, zones: usize) -> (f64, f64) {
     let mut event_rng = StdRng::seed_from_u64(44);
 
@@ -282,76 +280,18 @@ fn main() {
         t.elapsed().as_secs_f64() * 1e3
     );
 
-    // --- Sharded steady serve: the concurrent-flush path at width. ---
-    // Opt-in (DVE_MILLION_SHARDS > 1): the identical warm-up + steady
-    // trace replayed through a multi-shard engine whose wide flushes
-    // re-order their touched zones on its persistent worker team.
-    // Decisions must be bit-identical to the single-core engine above;
-    // at >= 4 workers the steady p99 must beat that engine's, measured
-    // on the same machine in this run.
-    let shards = env_u64("DVE_MILLION_SHARDS", 1) as usize;
-    let width1_p99 = stats.latency.quantile_upper_ns(0.99);
-    let mut sharded_steady_ms = None;
-    let mut sharded_p99 = None;
-    if shards > 1 {
-        // The single-core engine consumed the first instance; rebuild it
-        // (PERFECT error never draws from the rng, so the rebuild is
-        // bit-identical).
-        let mut inst_rng = StdRng::seed_from_u64(45);
-        let inst2 = CapInstance::from_world(
-            &world,
-            &delays,
-            0.5,
-            250.0,
-            ErrorModel::PERFECT,
-            DelayLayout::SharedByNode,
-            &mut inst_rng,
-        );
-        let mut sharded = ServeEngine::new(
-            inst2,
-            &world,
-            delays.clone(),
-            ErrorModel::PERFECT,
-            StuckPolicy::BestEffort,
-            ServeConfig {
-                max_batch: 64,
-                max_staleness: 4,
-                shards,
-                ..Default::default()
-            },
-            StdRng::seed_from_u64(43),
-        )
-        .expect("tier solves");
-        let (_, s_steady_ms) = serve_trace(&mut sharded, nodes, zones);
-        assert_eq!(
-            sharded.targets(),
-            engine.targets(),
-            "sharded steady serve diverged from the single-core target decisions"
-        );
-        assert_eq!(
-            sharded.contacts(),
-            engine.contacts(),
-            "sharded steady serve diverged from the single-core contact decisions"
-        );
-        let sstats = sharded.stats();
-        assert_eq!(sstats.latency.count(), STEADY_EVENTS as u64);
-        let p99 = sstats.latency.quantile_upper_ns(0.99);
-        println!(
-            "million/sharded: {shards} shards, steady {STEADY_EVENTS} events in \
-             {s_steady_ms:.0} ms [{}] (width-1 steady p99 {width1_p99} ns)",
-            sstats.latency.render_us(),
-        );
-        if shards >= 4 {
-            assert!(
-                p99 < width1_p99,
-                "sharded steady p99 {p99} ns at {shards} workers does not beat the \
-                 width-1 steady p99 {width1_p99} ns"
-            );
-            println!("million/sharded: PASS (p99 {p99} ns < width-1 {width1_p99} ns)");
-        }
-        sharded_steady_ms = Some(s_steady_ms);
-        sharded_p99 = Some(p99);
-    }
+    // Copy out what the record needs, then drop the served engine and
+    // the rest of its replication: the mobility phase boots a second
+    // million-client replication, and the peak RSS should measure one.
+    let warmup_p99_ns = stats.warmup.quantile_upper_ns(0.99);
+    let steady_mean_ns = stats.latency.mean_ns();
+    let steady_p99_ns = stats.latency.quantile_upper_ns(0.99);
+    let full_repairs = stats.full_repairs;
+    drop(engine);
+    drop(assignment);
+    drop(matrix);
+    drop(delays);
+    drop(world);
 
     // --- Mobility: avatar-walk epochs at the same tier. ---
     // A fresh million-tier replication (on-demand delays, shared rows)
@@ -444,31 +384,22 @@ fn main() {
             ("pqos_served", format!("{pqos_served:.6}")),
             ("warmup_events", format!("{WARMUP_EVENTS}")),
             ("warmup_ms", format!("{warmup_ms:.3}")),
-            (
-                "warmup_p99_ns",
-                format!("{}", stats.warmup.quantile_upper_ns(0.99)),
-            ),
+            ("warmup_p99_ns", format!("{warmup_p99_ns}")),
             ("steady_events", format!("{STEADY_EVENTS}")),
             ("steady_ms", format!("{steady_ms:.3}")),
-            ("steady_mean_ns", format!("{:.0}", stats.latency.mean_ns())),
-            ("steady_p99_ns", format!("{width1_p99}")),
-            ("full_repairs", format!("{}", stats.full_repairs)),
-            ("sharded_shards", format!("{shards}")),
-            (
-                "sharded_steady_ms",
-                sharded_steady_ms.map_or("null".to_string(), |x: f64| format!("{x:.3}")),
-            ),
-            (
-                "sharded_steady_p99_ns",
-                sharded_p99.map_or("null".to_string(), |x: u64| format!("{x}")),
-            ),
+            ("steady_mean_ns", format!("{steady_mean_ns:.0}")),
+            ("steady_p99_ns", format!("{steady_p99_ns}")),
+            ("full_repairs", format!("{full_repairs}")),
             ("mobility_ticks", format!("{MOBILITY_TICKS}")),
             ("mobility_events", format!("{}", mobility.stats.events)),
             ("mobility_ms", format!("{mobility_ms:.3}")),
             ("pqos_mobility", format!("{pqos_mobility:.6}")),
             ("wall_s", format!("{elapsed_s:.3}")),
         ],
-        &[],
+        &[
+            metric("pqos_initial", pqos_initial, Rule::Higher { rel: 0.0 }),
+            metric("pqos_served", pqos_served, Rule::Higher { rel: 0.0 }),
+        ],
     );
     println!("million: PASS ({json_path} written)");
 }

@@ -52,21 +52,6 @@ pub struct CostMatrix {
     regret: Vec<f64>,
 }
 
-impl Default for CostMatrix {
-    /// An empty (0 servers, 0 zones) matrix — the placeholder
-    /// `std::mem::take` leaves behind when a sharded refresh moves the
-    /// real matrix into a shared snapshot for the propose phase.
-    fn default() -> CostMatrix {
-        CostMatrix {
-            servers: 0,
-            zones: 0,
-            cost: Vec::new(),
-            order: Vec::new(),
-            regret: Vec::new(),
-        }
-    }
-}
-
 impl CostMatrix {
     /// Builds the matrix in a single parallel O(k·m) pass on
     /// [`dve_par::default_threads`] workers: see
@@ -312,34 +297,6 @@ impl CostMatrix {
         dve_par::par_for_each_mut_with(threads, &mut rows, |_, (z, row, rho)| {
             **rho = order_zone(&cost[*z * m..(*z + 1) * m], row);
         });
-    }
-
-    /// The propose half of a sharded refresh: derives zone `z`'s new
-    /// desirability order into caller-owned `row` and returns its
-    /// regret, **without mutating the matrix**. Reads only the zone's
-    /// own column and previous order, so disjoint zones can be proposed
-    /// concurrently from a shared handle; committing each result with
-    /// [`CostMatrix::commit_zone_order`] reproduces
-    /// [`CostMatrix::refresh_zones`] bit-for-bit in any commit order.
-    /// `row` is cleared and refilled, so a recycled buffer produces the
-    /// same bytes as a fresh allocation (property-tested in this
-    /// module). The serving layer's flush pool threads the same buffers
-    /// through every flush to keep the steady-state loop
-    /// allocation-free.
-    pub fn propose_zone_order_into(&self, z: usize, row: &mut Vec<u32>) -> f64 {
-        let m = self.servers;
-        row.clear();
-        row.extend_from_slice(&self.order[z * m..(z + 1) * m]);
-        order_zone(&self.cost[z * m..(z + 1) * m], row)
-    }
-
-    /// The commit half of a sharded refresh: installs an order/regret
-    /// pair computed by [`CostMatrix::propose_zone_order_into`] for
-    /// zone `z`.
-    pub fn commit_zone_order(&mut self, z: usize, row: &[u32], regret: f64) {
-        let m = self.servers;
-        self.order[z * m..(z + 1) * m].copy_from_slice(row);
-        self.regret[z] = regret;
     }
 
     /// Number of servers `m`.
@@ -808,46 +765,6 @@ mod tests {
         assert_eq!(matrix, CostMatrix::build(&new));
     }
 
-    /// The sharded-refresh seam: on a stale matrix (counts updated,
-    /// orderings not), proposing every touched zone from a frozen
-    /// snapshot and committing the results — in a deliberately scrambled
-    /// order — is bit-identical to [`CostMatrix::refresh_zones`], and
-    /// both equal a fresh build.
-    #[test]
-    fn propose_commit_equals_refresh() {
-        let (old, new, outcome) = churn_fixture(9, 18, 22, 14);
-        let delta = &outcome.delta;
-        let mut stale = CostMatrix::build(&old);
-        stale.retire_departures(&old, delta);
-        for mv in &delta.moves {
-            stale.admit_client(&new, mv.new_index, mv.to);
-        }
-        for join in &delta.joins {
-            stale.admit_client(&new, join.client, join.zone);
-        }
-        let touched = delta.touched_zones();
-
-        let mut refreshed = stale.clone();
-        refreshed.refresh_zones(&touched);
-
-        let mut committed = stale.clone();
-        let proposals: Vec<(usize, Vec<u32>, f64)> = touched
-            .iter()
-            .map(|&z| {
-                let mut row = Vec::new();
-                let rho = stale.propose_zone_order_into(z, &mut row);
-                (z, row, rho)
-            })
-            .collect();
-        // Commit order must not matter: disjoint zones, reversed here.
-        for (z, row, rho) in proposals.into_iter().rev() {
-            committed.commit_zone_order(z, &row, rho);
-        }
-
-        assert_eq!(committed, refreshed);
-        assert_eq!(committed, CostMatrix::build(&new));
-    }
-
     #[test]
     fn empty_delta_update_is_identity() {
         let (old, new, outcome) = churn_fixture(5, 0, 0, 0);
@@ -1017,9 +934,9 @@ mod tests {
         /// The counting-sort kernel and its comparison-sort fallback are
         /// bit-identical to the (count, index) sort on arbitrary columns:
         /// all-equal, narrow spans thick with ties, spans either side of
-        /// the fallback threshold, and spans up to 10^6 — through all
-        /// three callers (the build, the serial refresh from a scrambled
-        /// previous row, and the propose API with a dirty recycled row).
+        /// the fallback threshold, and spans up to 10^6 — through both
+        /// callers (the build, and the serial refresh from a scrambled
+        /// previous row).
         #[test]
         fn order_kernel_matches_comparison_sort(seed in proptest::prelude::any::<u64>()) {
             use rand::seq::SliceRandom;
@@ -1046,12 +963,7 @@ mod tests {
                         order: scrambled,
                         regret: vec![f64::NAN],
                     };
-                    let mut dirty: Vec<u32> = (0..rng.gen_range(0..2 * m + 3)).map(|_| rng.gen()).collect();
-                    let rho = stale.propose_zone_order_into(0, &mut dirty);
-                    assert_eq!(dirty, want_row, "propose m={m} span={span}");
-                    assert_eq!(rho.to_bits(), want_rho, "propose m={m} span={span}");
-
-                    let mut refreshed = stale.clone();
+                    let mut refreshed = stale;
                     refreshed.refresh_zones_threads(&[0], 1);
                     assert_eq!(refreshed.order(0), &want_row[..], "refresh m={m} span={span}");
                     assert_eq!(refreshed.regret(0).to_bits(), want_rho, "refresh m={m} span={span}");

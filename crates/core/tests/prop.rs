@@ -737,40 +737,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// The write-into proposal API gives a dirty recycled buffer the
-    /// same bytes as a fresh allocation — the serving layer's flush
-    /// pool threads exactly such buffers through every flush, so reuse
-    /// must be invisible in the proposed bytes.
-    #[test]
-    fn propose_zone_order_into_matches_allocating(
-        seed in any::<u64>(),
-        servers in 2usize..6,
-        zones in 1usize..8,
-        clients in 0usize..30,
-        rot in 0usize..6,
-        junk in proptest::collection::vec(any::<u32>(), 0..12),
-    ) {
-        let inst = random_instance(seed, servers, zones, clients, 2.0);
-        let mut matrix = CostMatrix::build(&inst);
-        // Scramble the starting orders so the proposal sorts a genuinely
-        // arbitrary permutation, not an already-sorted row.
-        for z in 0..zones {
-            let mut row: Vec<u32> = matrix.order(z).to_vec();
-            row.rotate_left(rot % servers);
-            let rho = matrix.regret(z);
-            matrix.commit_zone_order(z, &row, rho);
-        }
-        let mut recycled = junk;
-        for z in 0..zones {
-            let mut fresh_row = Vec::new();
-            let fresh_rho = matrix.propose_zone_order_into(z, &mut fresh_row);
-            let rho = matrix.propose_zone_order_into(z, &mut recycled);
-            prop_assert_eq!(&fresh_row, &recycled);
-            prop_assert_eq!(fresh_rho.to_bits(), rho.to_bits());
-        }
-    }
-}

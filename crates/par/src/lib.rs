@@ -6,25 +6,22 @@
 //! embarrassingly parallel, so this crate provides exactly what they need
 //! and nothing more:
 //!
-//! * [`par_map`] / [`par_map_with`] — map a function over a slice on a
-//!   scoped worker team, returning results **in input order** regardless of
+//! * [`par_map`] / [`par_map_with`] — map a function over a slice on
+//!   scoped workers, returning results **in input order** regardless of
 //!   completion order (deterministic output for deterministic `f`).
 //! * [`par_map_reduce`] / [`par_map_reduce_with`] — the deterministic
 //!   reduce seam: contiguous chunks folded into per-worker accumulators,
 //!   merged in worker-index order (bit-identical at any width for exact
 //!   accumulations — the seam every sharded compute layer rides).
 //! * [`par_for_each_mut`] — in-place parallel mutation of disjoint elements.
-//! * [`WorkerTeam`] — a persistent **thread-affine** team: job `i` of a
-//!   scatter always runs on worker `i`, results return in worker-index
-//!   order. This is the substrate of the zone-sharded serving flush.
 //!
-//! The free functions use dynamic work stealing via a shared atomic index
+//! The functions use dynamic work stealing via a shared atomic index
 //! (fine-grained enough for the heterogeneous run times of simulation
 //! replications) and `crossbeam::scope` so borrowed inputs need no `Arc`.
-//! Scoped spawns are per-call — fine for coarse batches, wrong for
-//! µs-scale micro-batches, which is what the persistent team exists
-//! for. Every thread this crate ever creates is counted by
-//! [`threads_spawned`], so callers can assert their hot path spawns
+//! Scoped spawns are per call — fine for coarse batches, wrong for
+//! µs-scale work, so the serving engine runs on its calling thread and
+//! calls none of them. Every thread this crate ever creates is counted
+//! by [`threads_spawned`], so callers can assert their hot path spawns
 //! nothing.
 //!
 //! ## When bit-identity holds
@@ -37,7 +34,7 @@
 //! integer counters, `u32`/`u64` sums, index-keyed concatenation.
 //! Floating-point sums are only reproducible per width: reassociating
 //! them across chunk boundaries changes rounding. Compute layers that
-//! promise width-invariance (the sharded solve and serve paths) keep
+//! promise width-invariance (the sharded solve paths) keep
 //! floats out of this seam or derive them after the exact merge.
 //!
 //! ```
@@ -48,10 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod team;
-
-pub use team::WorkerTeam;
-
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Process-wide count of OS threads spawned by this crate, ever.
@@ -59,22 +52,11 @@ static SPAWNED: AtomicU64 = AtomicU64::new(0);
 
 /// Records one thread spawn; every spawn site in this crate calls this
 /// on the spawning thread.
-pub(crate) fn note_spawn() {
+fn note_spawn() {
     SPAWNED.fetch_add(1, Ordering::Relaxed);
-    #[cfg(test)]
-    SPAWNED_HERE.with(|n| n.set(n.get() + 1));
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Spawns made from the current thread. This crate's unit tests run
-    /// concurrently in one process, so a test attributes spawns to the
-    /// threads it drives instead of reading the global count.
-    pub(crate) static SPAWNED_HERE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total OS threads this crate has spawned since process start — scoped
-/// workers of the free functions and [`WorkerTeam`] workers alike.
+/// Total OS threads this crate has spawned since process start.
 ///
 /// This is the observable behind the "no per-flush spawns" contract:
 /// tests snapshot it, drive a hot path, and assert the delta is zero.

@@ -398,7 +398,6 @@ mod tests {
                 headroom: 0.05,
                 max_pending: Some(64),
             },
-            ..Default::default()
         };
         let report = run_recovery_stream(
             &setup,

@@ -1,7 +1,6 @@
 //! Engine-side pull loop draining an [`IngestRing`] into any
-//! [`ServeSink`] — a [`ServeEngine`](crate::ServeEngine) at any
-//! [`ServeConfig::shards`](crate::ServeConfig::shards) width, or a
-//! harness wrapped around one.
+//! [`ServeSink`] — a [`ServeEngine`](crate::ServeEngine), or a harness
+//! wrapped around one.
 //!
 //! The wire frames a remote producer feeds the ring with are specified
 //! in `docs/WIRE.md` at the repository root.

@@ -24,12 +24,6 @@
 //!   engine flushes; it carries ring-enqueue admission stamps so
 //!   latency is arrival-to-commit end to end (the wire frames the ring
 //!   speaks are specified in `docs/WIRE.md` at the repository root);
-//! * [`ServeConfig::shards`] — the one serving-width setting: above 1
-//!   the engine serves on a persistent `dve_par::WorkerTeam`, shard `i`
-//!   owns zones `z % shards == i`, large flushes propose in parallel and
-//!   commit serially, per-shard books land in [`ServeStats::shards`],
-//!   and decisions stay bit-identical to the one-shard engine at any
-//!   width;
 //! * [`experiments`] — Table 1, Fig. 4, Fig. 5, Fig. 6, Table 3, Table 4
 //!   and the ablation study, each with a paper-style `render()`;
 //! * [`stats`] — replication statistics (mean, std, CI95).
@@ -104,7 +98,7 @@ pub use serve::{
     run_mobility_stream, run_mobility_stream_with, run_stream, run_stream_batch_compat,
     run_stream_with_warmup, AdmissionPolicy, ClientId, DegradationPolicy, FailoverReport,
     FlushReport, InvariantViolation, QualityEstimator, RestoreReport, ServeConfig, ServeEngine,
-    ServeError, ServeSink, ServeStats, ShardStats, StreamEpochRecord, StreamEvent, StreamReport,
+    ServeError, ServeSink, ServeStats, StreamEpochRecord, StreamEvent, StreamReport,
 };
 pub use setup::{build_replication, DelayMode, Replication, SimSetup, TopologySpec};
 pub use stats::{peak_rss_bytes, Accumulator, LatencyHistogram, Summary};

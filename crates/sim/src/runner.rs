@@ -5,8 +5,7 @@
 //!
 //! The churn loop here is the *batch* ancestor of the serving path:
 //! [`run_stream`](crate::run_stream) serves the same trace event by
-//! event (proven bit-identical to the carry), at any
-//! [`ServeConfig::shards`](crate::ServeConfig::shards) width.
+//! event (proven bit-identical to the carry).
 
 use crate::dynamics::{carry_assignment, CarryPolicy};
 use crate::repair::repair_assignment_with;

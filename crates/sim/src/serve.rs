@@ -55,21 +55,6 @@
 //!   mostly departed. [`ServeEngine::check_invariants`]
 //!   rebuilds every book from the targets and contacts and compares
 //!   with `==`.
-//! * **Zone shards** — [`ServeConfig::shards`] is the one serving-width
-//!   setting. Above 1 the engine boots a persistent [`WorkerTeam`] (the
-//!   only threads it ever creates) and partitions zones by residue:
-//!   shard `i` owns every zone `z` with `z % shards == i`. A flush that
-//!   touches at least 8 zones (the concurrent-flush knee, a constant)
-//!   **re-orders its touched zones in parallel** — each worker reads
-//!   the cost matrix through a shared handle and derives its zones'
-//!   server orders — and installs the rows in worker-index order. The
-//!   rest of the flush body is the one-shard body: target repair and
-//!   contact repair (migrations, evacuations, relay shedding, the
-//!   full-repair escalation) run on the calling thread, as do server
-//!   failure and recovery, so decisions are bit-identical to the
-//!   one-shard engine at every width. The per-shard books live in
-//!   [`ServeStats::shards`]. The argument is spelled out in
-//!   `docs/PARALLELISM.md` at the repository root.
 //! * [`run_stream`] — the stream runner: replays the exact event
 //!   sequence of a batch dynamics trace through the engine, recording
 //!   per-event latencies ([`LatencyHistogram`]) and per-epoch quality.
@@ -97,7 +82,6 @@ use crate::stats::LatencyHistogram;
 use dve_assign::{
     evaluate, grec, grez_with, Assignment, CapInstance, CostMatrix, IapError, Metrics, StuckPolicy,
 };
-use dve_par::WorkerTeam;
 use dve_world::{
     apply_dynamics, BandwidthModel, DeltaBuffer, DynamicsBatch, ErrorModel, InterArrival,
     MobilityModel, World, WorldDelays, WorldEvent,
@@ -106,7 +90,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Stable identity of a client across its lifetime in a [`ServeEngine`].
@@ -402,34 +385,19 @@ pub struct ServeConfig {
     /// Graceful-degradation policy: admission control and ingest
     /// bounds. The default is fully open (historical behavior).
     pub degradation: DegradationPolicy,
-    /// Serving width: the number of zone shards (shard `i` owns every
-    /// zone `z` with `z % shards == i`). At 1 every flush runs serially
-    /// on the calling thread; above 1 the engine boots a persistent
-    /// [`WorkerTeam`] of this many workers, and flushes touching at
-    /// least 8 zones re-order those zones on it (see
-    /// [`ServeEngine::flush_now`]). Scheduling only: decisions are
-    /// bit-identical at every width. Must be at least 1.
-    pub shards: usize,
 }
 
 impl Default for ServeConfig {
     /// 64-event micro-batches, flushed after at most 4 idle ticks, open
-    /// admission, one shard.
+    /// admission.
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
             max_staleness: 4,
             degradation: DegradationPolicy::default(),
-            shards: 1,
         }
     }
 }
-
-/// Touched-zone knee of the concurrent flush: below this many touched
-/// zones a scatter round-trip costs more than the serial work it
-/// replaces, so even a multi-shard engine flushes serially. Scheduling
-/// only — both paths make bit-identical decisions.
-pub(crate) const TEAM_ZONE_MIN: usize = 8;
 
 /// How the stream runners sample serving quality at tick boundaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -490,23 +458,6 @@ pub struct ServeStats {
     pub rescan_skipped: u64,
     /// Rescan retries that booked a relay.
     pub rescan_rescued: u64,
-    /// Per-shard books, indexed by shard; empty at
-    /// [`ServeConfig::shards`] = 1.
-    pub shards: Vec<ShardStats>,
-}
-
-/// What shard `i` of a multi-shard [`ServeEngine`] has served.
-#[derive(Debug, Clone, Default)]
-pub struct ShardStats {
-    /// Events applied whose zone routes to this shard (a leave counts
-    /// in the zone it departed, a move in the zone it arrived in).
-    pub events: u64,
-    /// On-worker durations of this shard's zone re-order jobs: one
-    /// sample per **concurrent** flush (serial flushes, below 8 touched
-    /// zones, record nothing). A shard with systematically
-    /// longer propose times than its siblings exposes `z % shards`
-    /// ownership skew.
-    pub propose: LatencyHistogram,
 }
 
 /// What one flush did.
@@ -680,26 +631,10 @@ pub struct ServeEngine {
     staleness: usize,
     /// Whether flushes currently record into the warm-up histogram.
     warming_up: bool,
-    /// The persistent zone re-order team of a multi-shard engine (one worker
-    /// per shard, spawned at boot); `None` at one shard.
-    team: Option<WorkerTeam>,
     /// Recycled flush-local buffers — see [`FlushScratch`].
     scratch: FlushScratch,
     config: ServeConfig,
     stats: ServeStats,
-}
-
-/// One worker's output of a team zone re-order.
-#[derive(Debug, Default)]
-struct ShardProposal {
-    /// Per owned touched zone: `(zone, proposed order row, regret)`.
-    zones: Vec<(usize, Vec<u32>, f64)>,
-    /// The worker's zone work-list, riding back so the caller's
-    /// partition buffer recycles across flushes.
-    zone_list: Vec<usize>,
-    /// Unused row buffers from the worker's scratch stash, returned to
-    /// the engine's pool.
-    row_stash: Vec<Vec<u32>>,
 }
 
 /// Recycled flush-local buffers, owned by the engine and threaded
@@ -729,16 +664,6 @@ struct FlushScratch {
     room: Vec<usize>,
     /// `evacuate`/`fail_server`'s sorted hosted-zone list.
     evac_zones: Vec<usize>,
-    /// Team zone re-order: per-worker zone partition (outer length is
-    /// the team width; inner lists recycle through the proposals).
-    zones_of: Vec<Vec<usize>>,
-    /// Pool of `u32` order-row buffers.
-    rows: Vec<Vec<u32>>,
-    /// Recycled [`ShardProposal`] shells (their inner `Vec`s keep their
-    /// capacity across flushes).
-    shells: Vec<ShardProposal>,
-    /// Recycled scatter result slots ([`WorkerTeam::scatter`]).
-    slots: Vec<Option<(ShardProposal, u64)>>,
 }
 
 /// The position books' "not listed" sentinel.
@@ -979,7 +904,6 @@ impl ServeEngine {
         rng: StdRng,
     ) -> Result<ServeEngine, ServeError> {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(config.shards >= 1, "shards must be at least 1");
         assert!(
             config.max_staleness >= 1,
             "max_staleness must be at least 1"
@@ -1046,17 +970,9 @@ impl ServeEngine {
             pending: Vec::new(),
             staleness: 0,
             warming_up: false,
-            team: (config.shards > 1).then(|| WorkerTeam::new(config.shards)),
             scratch: FlushScratch::default(),
             config,
-            stats: ServeStats {
-                shards: if config.shards > 1 {
-                    vec![ShardStats::default(); config.shards]
-                } else {
-                    Vec::new()
-                },
-                ..ServeStats::default()
-            },
+            stats: ServeStats::default(),
             inst: instance,
             matrix,
             target_of_zone,
@@ -1343,14 +1259,10 @@ impl ServeEngine {
     /// (FIFO, stopping at the first still-blocked join so the queue
     /// order is preserved) and ride this flush when re-admitted.
     ///
-    /// Every flush runs one body at every width: apply the events,
-    /// re-order the touched zones' server orders, repair the targets,
-    /// repair the contacts. Only the re-order may leave the calling
-    /// thread: a multi-shard engine whose batch touched at least 8
-    /// zones (the concurrent-flush knee) runs it on its team
-    /// (`reorder_zones_on_team`). No stage consults `DVE_THREADS` or
-    /// any other runtime width, and the decisions are bit-identical
-    /// either way.
+    /// Every flush runs one body on the calling thread: apply the
+    /// events, re-order the touched zones' server orders, repair the
+    /// targets, repair the contacts. No stage consults `DVE_THREADS` or
+    /// any other runtime width, and no flush spawns a thread.
     pub fn flush_now(&mut self) -> Option<FlushReport> {
         self.staleness = 0;
         self.readmit_deferred();
@@ -1368,19 +1280,7 @@ impl ServeEngine {
         // (indices shift under later leaves in the same batch).
         let mut redecide = std::mem::take(&mut self.scratch.redecide);
         redecide.clear();
-        let shards = self.stats.shards.len();
         for ev in &events {
-            if shards > 0 {
-                // A leave's zone must be read before the apply recycles
-                // the client's slot.
-                let zone = match *ev {
-                    Pending::Join { zone, .. } | Pending::Move { zone, .. } => zone,
-                    Pending::Leave { id, .. } => self
-                        .inst
-                        .zone_of(self.ids.index(id).expect("validated at push")),
-                };
-                self.stats.shards[zone % shards].events += 1;
-            }
             match *ev {
                 Pending::Join { node, zone, id, .. } => {
                     self.apply_join(node, zone, id, &mut touched);
@@ -1399,11 +1299,7 @@ impl ServeEngine {
         for &z in &touched {
             self.rebook_forwarding(z);
         }
-        if self.team.is_some() && touched.len() >= TEAM_ZONE_MIN {
-            self.reorder_zones_on_team(&touched);
-        } else {
-            self.matrix.refresh_zones_threads(&touched, 1);
-        }
+        self.matrix.refresh_zones_threads(&touched, 1);
         let (migrated, full_repair) = self.repair_targets(&touched);
         if !full_repair {
             self.repair_contacts(&touched, &migrated, &redecide);
@@ -1437,81 +1333,6 @@ impl ServeEngine {
         self.scratch.redecide = redecide;
         self.scratch.migrated = migrated;
         Some(report)
-    }
-
-    /// Re-orders the touched zones on the worker team: worker `w`
-    /// proposes the order rows of the zones `z` with `z % threads == w`
-    /// from a shared handle on the cost matrix, and the rows are
-    /// installed in worker-index order. A row reads only its own zone's
-    /// column and the zones are disjoint across workers, so the matrix
-    /// ends bit-identical to the serial `refresh_zones_threads(touched,
-    /// 1)`. The team's workers are the boot-time persistent ones: no
-    /// flush spawns.
-    fn reorder_zones_on_team(&mut self, touched: &[usize]) {
-        let team = self
-            .team
-            .as_ref()
-            .expect("team re-orders run on the boot-time team");
-        let threads = team.threads();
-        // Partition lists, row buffers and result slots all recycle
-        // through the scratch: the worker stashes ride back inside the
-        // proposals, so after warm-up a re-order reuses every row it
-        // fills.
-        let mut zones_of = std::mem::take(&mut self.scratch.zones_of);
-        zones_of.resize_with(threads, Vec::new);
-        for list in zones_of.iter_mut() {
-            list.clear();
-        }
-        for &z in touched {
-            zones_of[z % threads].push(z);
-        }
-        // Moved out behind an `Arc` for the scatter and moved back
-        // before the commit: no clone of the matrix, and no worker can
-        // see a half-committed one.
-        let matrix = Arc::new(std::mem::take(&mut self.matrix));
-        let mut rows_pool = std::mem::take(&mut self.scratch.rows);
-        let mut shells = std::mem::take(&mut self.scratch.shells);
-        let jobs: Vec<_> = zones_of
-            .iter_mut()
-            .map(|zone_list| {
-                let zones = std::mem::take(zone_list);
-                let mut rows = rows_pool.split_off(rows_pool.len().saturating_sub(zones.len()));
-                let mut p = shells.pop().unwrap_or_default();
-                p.zones.clear();
-                let matrix = Arc::clone(&matrix);
-                move |_w: usize| -> ShardProposal {
-                    for &z in &zones {
-                        let mut row = rows.pop().unwrap_or_default();
-                        let rho = matrix.propose_zone_order_into(z, &mut row);
-                        p.zones.push((z, row, rho));
-                    }
-                    p.zone_list = zones;
-                    p.row_stash = rows;
-                    p
-                }
-            })
-            .collect();
-        let mut slots = std::mem::take(&mut self.scratch.slots);
-        team.scatter(jobs, &mut slots);
-        // Every job has run and dropped its handle; the matrix is
-        // exclusively ours again.
-        self.matrix = Arc::try_unwrap(matrix)
-            .unwrap_or_else(|_| unreachable!("scatter jobs dropped their matrix handles"));
-        for (w, slot) in slots.iter_mut().enumerate() {
-            let (mut proposal, ns) = slot.take().expect("scatter filled every slot");
-            self.stats.shards[w].propose.record_ns(ns);
-            for (z, row, rho) in proposal.zones.drain(..) {
-                self.matrix.commit_zone_order(z, &row, rho);
-                rows_pool.push(row);
-            }
-            zones_of[w] = std::mem::take(&mut proposal.zone_list);
-            rows_pool.append(&mut proposal.row_stash);
-            shells.push(proposal);
-        }
-        self.scratch.zones_of = zones_of;
-        self.scratch.rows = rows_pool;
-        self.scratch.shells = shells;
-        self.scratch.slots = slots;
     }
 
     /// Total load of server `s` in stream units: hosted zones plus
@@ -4084,7 +3905,6 @@ mod tests {
                     headroom,
                     max_pending: None,
                 },
-                ..Default::default()
             },
         );
         // Deferred, not live, not buffered.
@@ -4143,7 +3963,6 @@ mod tests {
                     max_pending: Some(3),
                     ..Default::default()
                 },
-                ..Default::default()
             },
         );
         for id in 0..3 {

@@ -254,10 +254,8 @@ impl LatencyHistogram {
 
     /// Folds another histogram into this one — element-wise bucket
     /// addition plus exact total/sum/min/max combination, so merging is
-    /// commutative and associative: per-shard histograms merged in any
-    /// order equal one histogram that recorded every event. This is what
-    /// lets the sharded serving engine keep latency books per shard and
-    /// still report one global distribution.
+    /// commutative and associative: histograms merged in any order
+    /// equal one histogram that recorded every event.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         debug_assert_eq!(self.counts.len(), other.counts.len());
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -431,14 +429,14 @@ mod tests {
         for &v in &values {
             whole.record_ns(v);
         }
-        // Shard by residue, merge in an arbitrary order.
-        let mut shards = vec![LatencyHistogram::new(); 3];
+        // Split by residue, merge in an arbitrary order.
+        let mut parts = vec![LatencyHistogram::new(); 3];
         for (i, &v) in values.iter().enumerate() {
-            shards[i % 3].record_ns(v);
+            parts[i % 3].record_ns(v);
         }
         let mut merged = LatencyHistogram::new();
-        for shard in [&shards[2], &shards[0], &shards[1]] {
-            merged.merge(shard);
+        for part in [&parts[2], &parts[0], &parts[1]] {
+            merged.merge(part);
         }
         assert_eq!(merged, whole);
         // Merging an empty histogram is the identity.

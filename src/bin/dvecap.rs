@@ -8,8 +8,13 @@
 //! dvecap experiment <table1|fig4|fig5|fig6|table3|table4|ablation|repair|topologies>
 //!                  [--runs N] [--exact-runs N] [--seed S] [--quick]
 //! dvecap serve     <notation> [--port P] [--ring N] [--bound N] [--max-batch N]
-//!                  [--max-staleness-ms F] [--shards N] [--connections N] [--seed S]
+//!                  [--max-staleness-ms F] [--connections N] [--seed S]
 //! ```
+//!
+//! `bounds` and `serve` also read `solve`'s scenario flags
+//! (`--delay-bound`, `--correlation`, `--error`). A flag the subcommand
+//! does not read is rejected with exit code 2 and a message naming it,
+//! so a typo never runs with a default in its place.
 //!
 //! `serve` boots the streaming engine on the scenario, listens on
 //! 127.0.0.1 for connections speaking the `dve_world::wire`
@@ -18,29 +23,24 @@
 //! line-rate front end. `--connections N` (default 1) accepts N
 //! sequential connections against the same serve loop: each producer's
 //! events land in the same ring and engine, and the session summary
-//! covers the whole sequence. `--shards N` (default 1) sets the
-//! engine's `dve_sim::ServeConfig::shards`: above 1 the engine
-//! re-orders the touched zones of a wide flush on a persistent
-//! N-worker team, with decisions bit-identical to one shard, and the
-//! session summary adds per-shard event books, concurrent-flush
-//! re-order latencies, and the max/min shard-event imbalance. `--max-batch` and `--max-staleness-ms` mirror the fields
-//! of `dve_sim::IngestConfig` and default to its `Default` values (1024
-//! arrivals, 1 ms), which is the single source of truth for the flush
-//! policy: a window commits at `--max-batch` arrivals, when the ring
-//! runs dry, or `--max-staleness-ms` after the window's first event was
-//! popped off the ring. That clock starts at the pop, not at enqueue,
-//! so under a backlog each window grows up to `--max-batch` arrivals.
-//! `--bound N` (default 1024) is the window bound: once N arrivals are
-//! in the open window, Joins and Moves shed (counted as `buffer` shed
-//! in the summary) while Leaves are still admitted; it never binds
-//! while it is at least `--max-batch`. Every event popped off the ring
-//! goes straight into the engine's pending buffer by stable id; nothing
-//! coalesces, so every accepted arrival is applied and records one
-//! latency sample. Every flag value is checked before the engine
-//! boots: a value that does not parse, a zero count (`--ring`,
-//! `--bound`, `--max-batch`, `--shards`, `--connections`) or a
-//! staleness that is negative or not finite is rejected with exit code
-//! 2 and a message naming the flag. On the wire, clients are addressed
+//! covers the whole sequence. `--max-batch` and `--max-staleness-ms`
+//! mirror the fields of `dve_sim::IngestConfig` and default to its
+//! `Default` values (1024 arrivals, 1 ms), which is the single source
+//! of truth for the flush policy: a window commits at `--max-batch`
+//! arrivals, when the ring runs dry, or `--max-staleness-ms` after the
+//! window's first event was popped off the ring. That clock starts at
+//! the pop, not at enqueue, so under a backlog each window grows up to
+//! `--max-batch` arrivals. `--bound N` (default 1024) is the window
+//! bound: once N arrivals are in the open window, Joins and Moves shed
+//! (counted as `buffer` shed in the summary) while Leaves are still
+//! admitted; it never binds while it is at least `--max-batch`. Every
+//! event popped off the ring goes straight into the engine's pending
+//! buffer by stable id; nothing coalesces, so every accepted arrival is
+//! applied and records one latency sample. Every flag value is checked
+//! before the engine boots: a value that does not parse, a zero count
+//! (`--ring`, `--bound`, `--max-batch`, `--connections`) or a staleness
+//! that is negative or not finite is rejected with exit code 2 and a
+//! message naming the flag. On the wire, clients are addressed
 //! by stable id (the engine's discipline: the initial population is
 //! `0..k`, and each joiner takes the next id when the engine accepts
 //! its Join, so a Move or Leave naming it in the same window commits);
@@ -83,7 +83,7 @@ fn usage() -> ExitCode {
          dvecap solve <notation> [--algo NAME] [--delay-bound MS] [--correlation D] [--error E] [--seed S]\n  \
          dvecap bounds <notation> [--seed S]\n  \
          dvecap experiment <table1|fig4|fig5|fig6|table3|table4|ablation|repair|topologies> [--runs N] [--quick]\n  \
-         dvecap serve <notation> [--port P] [--ring N] [--bound N] [--max-batch N] [--max-staleness-ms F] [--shards N] [--connections N] [--seed S]"
+         dvecap serve <notation> [--port P] [--ring N] [--bound N] [--max-batch N] [--max-staleness-ms F] [--connections N] [--seed S]"
     );
     ExitCode::from(2)
 }
@@ -107,6 +107,30 @@ fn parse(args: &[String]) -> Option<(Vec<String>, HashMap<String, String>)> {
         }
     }
     Some((positional, flags))
+}
+
+/// The flags `command` reads, or `None` for an unknown subcommand.
+/// `bounds` and `serve` read `solve`'s scenario flags too.
+fn known_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "topology" => &["kind", "seed"],
+        "solve" => &["algo", "delay-bound", "correlation", "error", "seed"],
+        "bounds" => &["delay-bound", "correlation", "error", "seed"],
+        "experiment" => &["runs", "exact-runs", "seed", "quick"],
+        "serve" => &[
+            "port",
+            "ring",
+            "bound",
+            "max-batch",
+            "max-staleness-ms",
+            "connections",
+            "seed",
+            "delay-bound",
+            "correlation",
+            "error",
+        ],
+        _ => return None,
+    })
 }
 
 /// The value of `--name`, or `default` when absent. A value that does
@@ -393,9 +417,6 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
     let Some(max_batch) = flag_count(flags, "max-batch", ingest_defaults.max_batch) else {
         return ExitCode::from(2);
     };
-    let Some(shards) = flag_count(flags, "shards", 1) else {
-        return ExitCode::from(2);
-    };
     let Some(connections) = flag_count(flags, "connections", 1) else {
         return ExitCode::from(2);
     };
@@ -404,7 +425,6 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
     let world = rep.world;
     let serve_config = ServeConfig {
         max_batch,
-        shards,
         ..Default::default()
     };
     let mut engine = match ServeEngine::new(
@@ -491,22 +511,6 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> ExitCode
         engine.metrics().pqos,
         engine.is_feasible()
     );
-    if !stats.shards.is_empty() {
-        let ev_max = stats.shards.iter().map(|b| b.events).max().unwrap_or(0);
-        let ev_min = stats.shards.iter().map(|b| b.events).min().unwrap_or(0);
-        println!(
-            "  shards: {}  event imbalance max {ev_max} / min {ev_min}",
-            stats.shards.len()
-        );
-        for (shard, book) in stats.shards.iter().enumerate() {
-            println!(
-                "    shard {shard}: {} events  flush propose p99 {:.3} ms ({} samples)",
-                book.events,
-                book.propose.quantile_upper_ns(0.99) as f64 / 1e6,
-                book.propose.count()
-            );
-        }
-    }
     // Kept last, and clear of the keys the benchmark's parity check
     // reads from this summary.
     println!(
@@ -527,6 +531,20 @@ fn main() -> ExitCode {
     let Some(command) = positional.first() else {
         return usage();
     };
+    let Some(known) = known_flags(command) else {
+        return usage();
+    };
+    let mut unknown: Vec<&String> = flags
+        .keys()
+        .filter(|name| !known.contains(&name.as_str()))
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort();
+        for name in unknown {
+            eprintln!("error: rejected --{name}: `dvecap {command}` has no such flag");
+        }
+        return ExitCode::from(2);
+    }
     let rest = &positional[1..];
     match command.as_str() {
         "topology" => cmd_topology(&flags),
