@@ -45,8 +45,8 @@ use dve_assign::{
 use dve_bench::diff::{metric, Rule};
 use dve_sim::experiments::scaling::MILLION_TIER;
 use dve_sim::{
-    peak_rss_bytes, run_mobility_stream_with, DelayMode, QualityEstimator, ServeConfig,
-    ServeEngine, SimSetup, StreamEvent,
+    peak_rss_bytes, run_mobility_stream, DelayMode, QualityEstimator, ServeConfig, ServeEngine,
+    SimSetup, StreamEvent,
 };
 use dve_topology::{hierarchical, HierarchicalConfig, OnDemandDelays};
 use dve_world::{ErrorModel, InterArrival, MobilityModel, ScenarioConfig, World, WorldDelays};
@@ -309,7 +309,7 @@ fn main() {
         ..Default::default()
     };
     let model = MobilityModel::new(config.zones, MOBILITY_PROB);
-    let mobility = run_mobility_stream_with(
+    let mobility = run_mobility_stream(
         &mobility_setup,
         0,
         &model,

@@ -18,8 +18,10 @@
 //! the re-admission path). The trajectories land in
 //! `BENCH_recover.json`, whose `metrics` declare what `bench_diff`
 //! gates against the committed copy, per scenario: `events_to_recover`
-//! may grow at most +25% (floored at one epoch), and `full_repairs`
-//! must stay zero.
+//! may grow at most +25% (floored at one epoch), `full_repairs` must
+//! stay zero, and `pre_pqos` and `trough_pqos` may not fall at all
+//! (`rel 0`): the replay is seed-deterministic and flushes by event
+//! count, so any drift is a changed serving decision.
 //!
 //! ```bash
 //! cargo bench -p dve-bench --bench recover
@@ -29,8 +31,8 @@ use dve_assign::StuckPolicy;
 use dve_bench::diff::{metric, Rule};
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{
-    run_recovery_stream, AdmissionPolicy, DegradationPolicy, QualityEstimator, RecoveryReport,
-    ServeConfig, SimSetup, TopologySpec,
+    run_recovery_stream, AdmissionPolicy, DegradationPolicy, RecoveryReport, ServeConfig, SimSetup,
+    TopologySpec,
 };
 use dve_topology::HierarchicalConfig;
 use dve_world::{DynamicsBatch, FaultKind, FaultSchedule, ScenarioConfig};
@@ -114,7 +116,6 @@ fn run_scenario(scenario: &Scenario) -> RecoveryReport {
         &schedule,
         StuckPolicy::BestEffort,
         config,
-        QualityEstimator::Exact,
         RECOVER_FACTOR,
     )
     .expect("tier solves");
@@ -200,6 +201,16 @@ fn main() {
             report.stats.full_repairs as f64,
             Rule::Max(0.0),
         ));
+        for (field, pqos) in [
+            ("pre_pqos", report.pre_pqos),
+            ("trough_pqos", report.trough_pqos),
+        ] {
+            metrics.push(metric(
+                format!("{}/{field}", scenario.name),
+                pqos,
+                Rule::Higher { rel: 0.0 },
+            ));
+        }
         rows.push(format!(
             "{{\"scenario\": \"{}\", \"pre_pqos\": {:.6}, \"trough_pqos\": {:.6}, \
              \"recovered_epoch\": {}, \"events_to_recover\": {}, \"full_repairs\": {}, \

@@ -17,10 +17,11 @@
 //! The record also carries the violator rescan's counters over the whole
 //! run (warm-up included) and gates `rescan_skip_share`, the share of
 //! rescan retries that a rescue certificate decided without reading the
-//! client's delay row: higher is better, `rel 0`. Decisions are
-//! seed-deterministic, so the share repeats exactly on any machine, and
-//! a change that stops the certificates from skipping fails the gate
-//! while every decision test still passes.
+//! client's delay row, and `pqos`, the served quality at the last epoch:
+//! higher is better, `rel 0`, for both. Decisions are seed-deterministic
+//! and flushes are triggered by event counts, so both repeat exactly on
+//! any machine: a change that stops the certificates from skipping, or
+//! that moves a serving decision, fails the gate.
 //!
 //! ```bash
 //! cargo bench -p dve-bench --bench stream
@@ -31,8 +32,8 @@ use dve_assign::{CostMatrix, StuckPolicy};
 use dve_bench::diff::{metric, Rule};
 use dve_sim::experiments::scaling::LARGE_TIER;
 use dve_sim::{
-    build_replication, run_stream_with_warmup, ServeConfig, ServeEngine, ServeStats, SimSetup,
-    StreamEvent, TopologySpec,
+    build_replication, run_stream, ServeConfig, ServeEngine, ServeStats, SimSetup, StreamEvent,
+    TopologySpec,
 };
 use dve_topology::HierarchicalConfig;
 use dve_world::{DynamicsBatch, ErrorModel, ScenarioConfig};
@@ -144,7 +145,7 @@ fn check_stream_latency() -> (f64, u64, f64, ServeStats) {
         ..Default::default()
     };
     let batch = DynamicsBatch::paper_default();
-    let report = run_stream_with_warmup(
+    let report = run_stream(
         &setup,
         0,
         &batch,
@@ -298,11 +299,10 @@ fn main() {
             ("rescan_skipped", format!("{}", stats.rescan_skipped)),
             ("rescan_rescued", format!("{}", stats.rescan_rescued)),
         ],
-        &[metric(
-            "rescan_skip_share",
-            skip_share,
-            Rule::Higher { rel: 0.0 },
-        )],
+        &[
+            metric("rescan_skip_share", skip_share, Rule::Higher { rel: 0.0 }),
+            metric("pqos", pqos, Rule::Higher { rel: 0.0 }),
+        ],
     );
     println!("stream: record written to {path}");
     #[cfg(feature = "count-allocs")]

@@ -1256,7 +1256,7 @@ mod tests {
 
     #[test]
     fn every_committed_record_parses_and_passes_against_itself() {
-        const GATED: [&str; 5] = ["table1", "recover", "burst", "alloc", "million"];
+        const GATED: [&str; 6] = ["table1", "recover", "burst", "alloc", "million", "stream"];
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let mut gated = Vec::new();
         for entry in std::fs::read_dir(root).unwrap() {

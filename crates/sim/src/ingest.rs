@@ -312,7 +312,7 @@ mod tests {
     use crate::setup::{build_replication, SimSetup, TopologySpec};
     use dve_assign::StuckPolicy;
     use dve_topology::HierarchicalConfig;
-    use dve_world::{DeltaBuffer, ErrorModel, ScenarioConfig};
+    use dve_world::{ErrorModel, ScenarioConfig};
 
     fn small_setup() -> SimSetup {
         SimSetup {
@@ -603,10 +603,11 @@ mod tests {
         }
     }
 
-    /// The serving path commits the same window as the batch reference:
-    /// feeding it through the ring and through [`DeltaBuffer::flush`]
-    /// ends in the same population with every survivor in the same
-    /// zone, the joiner included.
+    /// The serving path commits a window in place, with the batch
+    /// semantics of the window: the leavers depart, a mover lands in its
+    /// zone, a move away and back ends where it started, the joiner
+    /// takes the next id (120) in its zone, and every other client
+    /// stays in its boot zone.
     #[test]
     fn drain_in_place_matches_flush_semantics() {
         let (mut engine, world) = boot(&small_setup());
@@ -617,7 +618,7 @@ mod tests {
             WorldEvent::Move { client: 5, zone: 9 },
             WorldEvent::Leave { client: 7 },
             WorldEvent::Join { node: 3, zone: 1 },
-            // Moved away and back: both paths end where it started.
+            // Moved away and back: it ends where it started.
             WorldEvent::Move {
                 client: base,
                 zone: away,
@@ -627,26 +628,21 @@ mod tests {
                 zone: world.clients[base].zone,
             },
         ];
-        let mut buffer = DeltaBuffer::new(&world);
-        for &event in &events {
-            buffer.push(event).unwrap();
-        }
-        let outcome = buffer.flush(&world);
         let report = serve(&mut engine, &events, 64, one_window());
         assert_eq!(report.committed, events.len() as u64);
 
-        assert_eq!(engine.num_clients(), outcome.world.clients.len());
-        for (new, &old) in outcome.carried_from.iter().enumerate() {
-            // Initial ids are boot-world indices; the joiner took 120.
-            let id = old.map_or(120, |old| old as ClientId);
-            assert_eq!(
-                zone_of(&engine, id),
-                Some(outcome.world.clients[new].zone),
-                "client {id}"
-            );
-        }
+        assert_eq!(engine.num_clients(), 119);
         for id in [2, 7] {
             assert_eq!(engine.index_of(id), None);
+        }
+        assert_eq!(zone_of(&engine, 5), Some(9));
+        assert_eq!(zone_of(&engine, 120), Some(1));
+        for client in (0..120).filter(|c| ![2, 5, 7].contains(c)) {
+            assert_eq!(
+                zone_of(&engine, client as ClientId),
+                Some(world.clients[client].zone),
+                "client {client}"
+            );
         }
     }
 

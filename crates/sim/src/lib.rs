@@ -9,13 +9,16 @@
 //!   per-algorithm aggregation ([`AlgoStats`]);
 //! * [`run_dynamics`] — the Before/After/Executed protocol, on the
 //!   delta path (instances carried across churn, not rebuilt);
-//! * [`run_churn`] — the delta-aware churn engine: `CostMatrix` carried
-//!   across epochs via `WorldDelta`, incremental repair per epoch;
-//! * [`ServeEngine`] / [`run_stream`] — the always-on streaming serving
-//!   layer: per-event joins/leaves/moves batched into micro-batches,
-//!   applied in place with a zone-scoped incremental repair and a
-//!   per-event latency histogram ([`run_stream_batch_compat`] pins the
-//!   stream path to `run_churn` bit for bit at epoch granularity);
+//! * [`ServeEngine`] — the always-on streaming serving layer:
+//!   per-event joins/leaves/moves batched into micro-batches, applied
+//!   in place with a zone-scoped incremental repair and a per-event
+//!   latency histogram. It is built in layers: the load books in
+//!   stream units, the target layer (the paper's IAP: quality shifts,
+//!   evacuation, failover), the contact layer (RAP: GreC's per-client
+//!   rule with rescue certificates) and the invariant check;
+//! * [`run_stream`], [`run_recovery_stream`], [`run_mobility_stream`] —
+//!   the trace drivers that serve Table 3 churn, churn under a fault
+//!   schedule, and avatar walks through the engine;
 //! * [`run_ingest_stream`] / [`IngestStream`] — the line-rate ingest
 //!   front end: drains a `dve_world::IngestRing` (fed in-process or by
 //!   the `dvecap serve` wire protocol) straight into the engine's
@@ -74,7 +77,6 @@
 
 mod dynamics;
 pub mod experiments;
-mod fault;
 mod ids;
 mod ingest;
 mod repair;
@@ -86,19 +88,18 @@ pub mod stats;
 pub use dynamics::{
     carry_assignment, run_dynamics, run_dynamics_once, CarryPolicy, DynamicsRecord,
 };
-pub use fault::{run_recovery_stream, RecoveryEpochRecord, RecoveryReport};
 pub use ingest::{run_ingest_stream, IngestConfig, IngestReport, IngestStream};
 pub use repair::{
     repair_assignment, repair_assignment_with, repair_targets_with, zone_migrations, RepairOutcome,
 };
 pub use runner::{
-    aggregate, run_churn, run_experiment, run_replication, AlgoStats, ChurnEpochRecord, RunRecord,
+    aggregate, run_experiment, run_mobility_stream, run_recovery_stream, run_replication,
+    run_stream, AlgoStats, QualityEstimator, RecoveryReport, RunRecord, StreamEpochRecord,
+    StreamReport,
 };
 pub use serve::{
-    run_mobility_stream, run_mobility_stream_with, run_stream, run_stream_batch_compat,
-    run_stream_with_warmup, AdmissionPolicy, ClientId, DegradationPolicy, FailoverReport,
-    FlushReport, InvariantViolation, QualityEstimator, RestoreReport, ServeConfig, ServeEngine,
-    ServeError, ServeSink, ServeStats, StreamEpochRecord, StreamEvent, StreamReport,
+    AdmissionPolicy, ClientId, DegradationPolicy, FailoverReport, FlushReport, InvariantViolation,
+    RestoreReport, ServeConfig, ServeEngine, ServeError, ServeSink, ServeStats, StreamEvent,
 };
 pub use setup::{build_replication, DelayMode, Replication, SimSetup, TopologySpec};
 pub use stats::{peak_rss_bytes, Accumulator, LatencyHistogram, Summary};

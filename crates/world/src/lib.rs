@@ -13,10 +13,9 @@
 //!   (25 msg/s x 100 B defaults);
 //! * [`ErrorModel`] — King/IDMaps-style delay estimation error (Table 4);
 //! * [`apply_dynamics`] — join/leave/move population dynamics (Table 3);
-//! * [`WorldEvent`] / [`DeltaBuffer`] — the same dynamics as a continuous
-//!   event stream; the buffer coalesces a window of events into one
-//!   batch-shaped delta, the reference the serving engine in `dve-sim`
-//!   is proven batch-equivalent against;
+//! * [`WorldEvent`] / [`DynamicsOutcome::to_events`] — the same dynamics
+//!   as a continuous event stream, the input of the serving engine in
+//!   `dve-sim`;
 //! * [`FaultSchedule`] — deterministic seeded server failure/recovery
 //!   schedules ([`WorldEvent::ServerDown`]/[`WorldEvent::ServerUp`]) for
 //!   the robustness scenarios: single failure, correlated multi-failure,
@@ -65,11 +64,6 @@
 //!   shed Leave would leave a phantom client holding server capacity
 //!   forever. The burst bench and the ingest tests gate
 //!   `shed_leaves == 0`.
-//! * **Coalescing preserves batch semantics.** Flushing a
-//!   [`DeltaBuffer`] yields the same [`WorldDelta`] a batch
-//!   [`apply_dynamics`] step would produce for the net effect of the
-//!   window (move-then-back windows vanish as no-ops), which is what
-//!   the batch-equivalence harness pins the streaming engine against.
 //!
 //! ```
 //! use dve_world::{ScenarioConfig, World};
@@ -115,5 +109,5 @@ pub use fault::{FaultKind, FaultSchedule};
 pub use ingest::{Admitted, IngestError, IngestRing};
 pub use mobility::{MobilityModel, ZoneGrid};
 pub use scenario::{CapacityPolicy, NotationError, ScenarioConfig};
-pub use stream::{DeltaBuffer, StreamError, WorldEvent};
+pub use stream::WorldEvent;
 pub use world::{Client, Server, World, WorldError};

@@ -104,12 +104,11 @@ impl MobilityModel {
     /// serving engine from mobility instead of Table 3 batch traces.
     ///
     /// Event client fields are indices into `world.clients` (the base
-    /// world of the tick), so the stream feeds a
-    /// [`DeltaBuffer`](crate::DeltaBuffer) bound to that world directly.
-    /// The RNG discipline is identical to [`MobilityModel::tick`]: one
-    /// uniform draw per client, plus one neighbour draw per mover, in
-    /// client order — ticking a world and replaying the same seed's
-    /// events through a buffer produce the same populations bit for bit.
+    /// world of the tick). The RNG discipline is identical to
+    /// [`MobilityModel::tick`]: one uniform draw per client, plus one
+    /// neighbour draw per mover, in client order — ticking a world and
+    /// applying the same seed's events produce the same populations bit
+    /// for bit.
     pub fn events<R: Rng + ?Sized>(&self, world: &World, rng: &mut R) -> Vec<WorldEvent> {
         let zones = world.zones;
         let mut events = Vec::new();

@@ -1,42 +1,39 @@
-//! Single-event churn emission and coalescing: the bridge between the
-//! event stream and the batch world.
+//! Single-event churn emission: the bridge between the batch world and
+//! the event stream.
 //!
 //! The Table 3 protocol models churn as per-epoch batches, but a live DVE
 //! sees joins, leaves, and zone moves as a continuous *event stream*. This
-//! module provides the event vocabulary and the bridge back to the batch
+//! module provides the event vocabulary and the bridge from the batch
 //! world:
 //!
 //! * [`WorldEvent`] — one join, leave, or move, expressed against a fixed
-//!   base world (the world at the last flush);
-//! * [`DeltaBuffer`] — the batch-equivalence reference: a coalescer that
-//!   accumulates events and, on [`DeltaBuffer::flush`], applies them to
-//!   the base world in one step, producing a [`DynamicsOutcome`] with
-//!   exactly the shape [`apply_dynamics`](crate::apply_dynamics) produces
-//!   (survivors keep their relative order, joiners are appended in
-//!   arrival order), so every delta-aware consumer —
-//!   `CapInstance::apply_delta`,
-//!   `CostMatrix::retire_departures`/`admit_arrivals` — works unchanged
-//!   on streamed input. The stream-vs-batch equivalence harness
-//!   (`dve_sim::run_stream_batch_compat`) and the mobility round trip
-//!   compare against it; the serving path itself does not coalesce;
-//! * [`DynamicsOutcome::to_events`] — the inverse direction: decompose a
-//!   batch outcome into the event sequence that reproduces it, which is
-//!   what lets the stream engine replay *the same events* as a batch run
-//!   for the equivalence property tests.
+//!   base world (the world at the last epoch boundary), or one server
+//!   failure or recovery;
+//! * [`DynamicsOutcome::to_events`] — decompose a batch outcome into the
+//!   event sequence that reproduces it, which is what lets the serving
+//!   engine's trace drivers replay *the same events* as a batch step.
 //!
-//! Coalescing rules (per base-world client, within one buffer window): a
-//! move followed by another move keeps the last destination; a move
-//! followed by a leave collapses to a leave from the *base* zone (the
-//! buffered move never happened); any event after a leave is rejected —
-//! the client is gone. A move whose final destination equals the client's
-//! base zone is dropped at flush (it is not an effective event).
+//! The tests keep a coalescing reference, `DeltaBuffer`, that applies a
+//! window of events to the base world in one step and produces a
+//! [`DynamicsOutcome`] with exactly the shape
+//! [`apply_dynamics`](crate::apply_dynamics) produces (survivors keep
+//! their relative order, joiners are appended in arrival order). Its
+//! coalescing rules, per base-world client within one window: a move
+//! followed by another move keeps the last destination; a move followed
+//! by a leave collapses to a leave from the *base* zone; any event after
+//! a leave is rejected. A move whose final destination equals the
+//! client's base zone is dropped at flush. Replaying `to_events` through
+//! it reproduces the batch outcome's world, provenance and delta.
 
-use crate::dynamics::{ClientJoin, ClientLeave, DynamicsOutcome, WorldDelta, ZoneMove};
+use crate::dynamics::DynamicsOutcome;
+#[cfg(test)]
+use crate::dynamics::{ClientJoin, ClientLeave, WorldDelta, ZoneMove};
+#[cfg(test)]
 use crate::world::{Client, World};
 
-/// One churn event against a base world: the world state at the time the
-/// owning [`DeltaBuffer`] was created or last flushed. `client` fields
-/// are indices into that base world's client vector.
+/// One churn event against a base world: the world state at the last
+/// epoch boundary. `client` fields are indices into that base world's
+/// client vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorldEvent {
     /// A new client appears on topology node `node` in zone `zone`.
@@ -61,10 +58,8 @@ pub enum WorldEvent {
     /// Server `server` fails: its capacity leaves the system and every
     /// zone and relay it carries must be evacuated. Fault events are
     /// *infrastructure* events — they address the serving layer, not the
-    /// client population, so a [`DeltaBuffer`] (which coalesces client
-    /// churn into batch deltas) rejects them; the serving engine in
-    /// `dve-sim` applies them immediately through its mass-evacuation
-    /// path instead.
+    /// client population: the serving engine in `dve-sim` applies them
+    /// immediately through its mass-evacuation path.
     ServerDown {
         /// The failing server.
         server: usize,
@@ -79,8 +74,9 @@ pub enum WorldEvent {
 }
 
 /// Why a [`DeltaBuffer`] rejected an event.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamError {
+pub(crate) enum StreamError {
     /// The event names a client index outside the base world.
     ClientOutOfRange {
         /// Offending index.
@@ -110,34 +106,8 @@ pub enum StreamError {
     },
 }
 
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::ClientOutOfRange { client, clients } => {
-                write!(f, "client {client} out of range (base world has {clients})")
-            }
-            StreamError::ZoneOutOfRange { zone, zones } => {
-                write!(f, "zone {zone} out of range (world has {zones})")
-            }
-            StreamError::AlreadyLeft { client } => {
-                write!(
-                    f,
-                    "client {client} has a buffered leave and cannot act again"
-                )
-            }
-            StreamError::ServerEvent { server } => {
-                write!(
-                    f,
-                    "server fault event (server {server}) cannot be buffered as client churn"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
 /// Buffered fate of one base-world client.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PendingOp {
     None,
@@ -152,9 +122,12 @@ enum PendingOp {
 /// [`DeltaBuffer::flush`] rebases it onto the world it just produced, so
 /// one buffer serves an arbitrarily long stream of flush windows. Events
 /// accepted after a flush must use the *new* world's client indices (the
-/// outcome's `carried_from` is the translation table).
+/// outcome's `carried_from` is the translation table). The batch
+/// reference the tests replay event streams against (see the module
+/// docs).
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct DeltaBuffer {
+pub(crate) struct DeltaBuffer {
     base_clients: usize,
     zones: usize,
     /// Dense per-base-client fate; only entries listed in `touched` are
@@ -166,9 +139,10 @@ pub struct DeltaBuffer {
     events: usize,
 }
 
+#[cfg(test)]
 impl DeltaBuffer {
     /// Creates an empty buffer based on `world`.
-    pub fn new(world: &World) -> DeltaBuffer {
+    pub(crate) fn new(world: &World) -> DeltaBuffer {
         DeltaBuffer {
             base_clients: world.clients.len(),
             zones: world.zones,
@@ -181,18 +155,18 @@ impl DeltaBuffer {
 
     /// Number of events accepted since the last flush (coalesced events
     /// still count).
-    pub fn pending_events(&self) -> usize {
+    pub(crate) fn pending_events(&self) -> usize {
         self.events
     }
 
     /// Whether the buffer holds nothing to flush.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events == 0
     }
 
     /// Accepts one event, coalescing it against the buffered ones (see
     /// the module docs for the rules).
-    pub fn push(&mut self, event: WorldEvent) -> Result<(), StreamError> {
+    pub(crate) fn push(&mut self, event: WorldEvent) -> Result<(), StreamError> {
         match event {
             WorldEvent::Join { node, zone } => {
                 self.check_zone(zone)?;
@@ -249,7 +223,7 @@ impl DeltaBuffer {
     /// [`apply_dynamics`](crate::apply_dynamics) outcome through a buffer
     /// therefore reproduces that outcome bit-identically (`moved` is
     /// sorted rather than draw-ordered; see `to_events`).
-    pub fn flush(&mut self, world: &World) -> DynamicsOutcome {
+    pub(crate) fn flush(&mut self, world: &World) -> DynamicsOutcome {
         assert_eq!(
             world.clients.len(),
             self.base_clients,
@@ -342,12 +316,13 @@ impl DeltaBuffer {
 impl DynamicsOutcome {
     /// Decomposes this outcome into the event sequence (leaves, then
     /// moves, then joins — each ascending by index) that reproduces it
-    /// through a [`DeltaBuffer`] flushed against the pre-churn world.
+    /// when applied to the pre-churn world in order.
     ///
     /// Only *effective* events are emitted: a batch "move" that kept its
-    /// zone (single-zone worlds) has no [`ZoneMove`] and produces no
-    /// event, and the reproduced `moved` list is ascending by new-world
-    /// index rather than preserving the batch path's draw order.
+    /// zone (single-zone worlds) has no [`ZoneMove`](crate::ZoneMove) and
+    /// produces no event, and the reproduced `moved` list is ascending by
+    /// new-world index rather than preserving the batch path's draw
+    /// order.
     pub fn to_events(&self) -> Vec<WorldEvent> {
         let mut events = Vec::with_capacity(
             self.delta.leaves.len() + self.delta.moves.len() + self.delta.joins.len(),
@@ -386,32 +361,46 @@ mod tests {
     }
 
     /// Replaying a batch outcome's events through a buffer reproduces the
-    /// outcome bit-identically (modulo `moved` ordering).
+    /// outcome bit-identically (modulo `moved` ordering): the world, the
+    /// provenance and the delta, over four consecutive epochs of four
+    /// (seed, join/leave/move mix) cases, the buffer rebasing at each
+    /// flush. Those three fields are all a batch carry of the instance,
+    /// the cost matrix and the assignment reads.
     #[test]
     fn replay_reproduces_batch_outcome() {
-        let w = small_world(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let batch = DynamicsBatch {
-            joins: 30,
-            leaves: 40,
-            moves: 25,
-        };
-        let batch_out = apply_dynamics(&w, &batch, 100, &mut rng);
-
-        let mut buffer = DeltaBuffer::new(&w);
-        for ev in batch_out.to_events() {
-            buffer.push(ev).unwrap();
+        for (seed, joins, leaves, moves) in [
+            (0, 20, 25, 10),
+            (1, 0, 30, 20),
+            (2, 35, 5, 0),
+            (3, 15, 15, 15),
+        ] {
+            let mut world = small_world(42 + seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let batch = DynamicsBatch {
+                joins,
+                leaves,
+                moves,
+            };
+            let mut buffer = DeltaBuffer::new(&world);
+            for epoch in 0..4 {
+                let batch_out = apply_dynamics(&world, &batch, 100, &mut rng);
+                let events = batch_out.to_events();
+                for &ev in &events {
+                    buffer.push(ev).unwrap();
+                }
+                assert_eq!(buffer.pending_events(), events.len());
+                let stream_out = buffer.flush(&world);
+                let case = format!("seed {seed}, epoch {epoch}");
+                assert_eq!(stream_out.world.clients, batch_out.world.clients, "{case}");
+                assert_eq!(stream_out.carried_from, batch_out.carried_from, "{case}");
+                assert_eq!(stream_out.delta, batch_out.delta, "{case}");
+                let mut batch_moved = batch_out.moved.clone();
+                batch_moved.sort_unstable();
+                assert_eq!(stream_out.moved, batch_moved, "{case}");
+                assert!(buffer.is_empty());
+                world = batch_out.world;
+            }
         }
-        assert_eq!(buffer.pending_events(), 95);
-        let stream_out = buffer.flush(&w);
-
-        assert_eq!(stream_out.world.clients, batch_out.world.clients);
-        assert_eq!(stream_out.carried_from, batch_out.carried_from);
-        assert_eq!(stream_out.delta, batch_out.delta);
-        let mut batch_moved = batch_out.moved.clone();
-        batch_moved.sort_unstable();
-        assert_eq!(stream_out.moved, batch_moved);
-        assert!(buffer.is_empty());
     }
 
     /// After a flush the buffer is rebased: a second window against the

@@ -20,10 +20,7 @@
 //! ```
 
 use dve::assign::StuckPolicy;
-use dve::sim::{
-    run_recovery_stream, AdmissionPolicy, DegradationPolicy, QualityEstimator, ServeConfig,
-    SimSetup,
-};
+use dve::sim::{run_recovery_stream, AdmissionPolicy, DegradationPolicy, ServeConfig, SimSetup};
 use dve::world::{DynamicsBatch, FaultKind, FaultSchedule};
 
 fn main() {
@@ -63,7 +60,6 @@ fn main() {
         &schedule,
         StuckPolicy::BestEffort,
         config,
-        QualityEstimator::Exact,
         0.9,
     )
     .expect("default tier solves");
